@@ -56,7 +56,9 @@ use crate::pipelined::simulate_pipelined_observed;
 use crate::runner::parallel_map;
 use crate::telemetry::TelemetryExt;
 use hyperroute_desim::{splitmix64, SchedulerKind};
-use hyperroute_sparse::{expander, hyperbolic, scale_free, small_world, MAX_SPARSE_NODES};
+use hyperroute_sparse::{
+    expander, hyperbolic, scale_free, small_world, MAX_SPARSE_NODES, RADIUS_OFFSET_RANGE,
+};
 use hyperroute_topology::{
     debruijn::MAX_DEBRUIJN_DIM, fattree::MAX_LEVELS as MAX_FATTREE_LEVELS, ring::MAX_RING_NODES,
     torus::MAX_TORUS_NODES, Butterfly, DeBruijn, FatTree, Hypercube, LevelledNetwork, Ring,
@@ -164,8 +166,8 @@ pub enum Topology {
         /// Radial density exponent (> 0, finite; degree law exponent is
         /// `2·alpha + 1`).
         alpha: f64,
-        /// Added to the canonical disk radius `2 ln n` (finite; negative
-        /// densifies).
+        /// Added to the canonical disk radius `2 ln n` (in `-4..=4`,
+        /// `hyperroute_sparse::RADIUS_OFFSET_RANGE`; negative densifies).
         radius_offset: f64,
         /// Generator seed (independent of the run seed).
         seed: u64,
@@ -739,9 +741,9 @@ impl Scenario {
                 check_generator_param(
                     *radius_offset,
                     "radius_offset",
-                    f64::MIN,
-                    f64::MAX,
-                    "finite",
+                    *RADIUS_OFFSET_RANGE.start(),
+                    *RADIUS_OFFSET_RANGE.end(),
+                    "in -4..=4",
                 )?;
                 Ok(())
             }
@@ -2500,6 +2502,17 @@ mod tests {
             radius_offset: f64::NAN,
             seed: 0,
         });
+        // Offsets that would allocate ~R bands (1e12 aborts, 1e300
+        // overflows capacity) or build a near-complete graph (-30 at
+        // n = 65536 runs for minutes) are refused before generation.
+        for radius_offset in [1e12, 1e300, -30.0] {
+            bad(Topology::Hyperbolic {
+                nodes: 65536,
+                alpha: 0.7,
+                radius_offset,
+                seed: 0,
+            });
+        }
         bad(Topology::ScaleFree {
             nodes: 256,
             gamma: 1.0,

@@ -120,32 +120,24 @@ impl SparseGraph {
         }
         let mut cursor = row_ptr.clone();
         let mut adj = vec![0u32; edges.len() * 2];
-        // The edge list is sorted by (min, max), so filling in order keeps
-        // every u-row sorted; v-rows receive their heads in ascending u
-        // order too (u ranges over edges sorted lexicographically), hence
-        // both directions come out sorted without a per-row pass.
-        for &(u, v) in edges.iter() {
-            adj[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-        }
-        // Second pass for the reverse direction: iterating the sorted edge
-        // list emits v-row heads in ascending u, but rows interleave, so
-        // the cursor layout still yields sorted rows (heads of row v are
-        // exactly the sorted u's paired with v).
+        // Row `w` holds reverse heads `u < w` and forward heads `v > w`.
+        // Filling every reverse arc before any forward arc puts the
+        // smaller half first, and walking the (min, max)-sorted edge list
+        // emits each half in ascending order, so rows come out sorted.
         for &(u, v) in edges.iter() {
             adj[cursor[v as usize] as usize] = u;
             cursor[v as usize] += 1;
         }
-        // The two passes write disjoint halves of some rows out of order
-        // (forward heads v > node, reverse heads u < node can interleave);
-        // restore per-row sortedness where needed.
-        let graph = SparseGraph { row_ptr, adj };
-        let mut fixed = graph;
-        for v in 0..nodes {
-            let r = fixed.out_range(v);
-            fixed.adj[r].sort_unstable();
+        for &(u, v) in edges.iter() {
+            adj[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
         }
-        fixed
+        let graph = SparseGraph { row_ptr, adj };
+        debug_assert!(
+            (0..nodes).all(|w| graph.neighbors(w).windows(2).all(|p| p[0] < p[1])),
+            "CSR rows must be strictly increasing"
+        );
+        graph
     }
 }
 

@@ -36,9 +36,10 @@ pub enum Embedding {
     /// distance `acosh(cosh r_u cosh r_v − sinh r_u sinh r_v cos Δθ)`.
     /// Coordinates are stored as `f32` (half the memory at 10⁶ nodes);
     /// the per-node trigonometric terms they imply are cached in `f64`
-    /// at construction — every greedy step scans a full CSR row (power-law
-    /// hubs reach thousands of neighbours), so evaluating transcendentals
-    /// per neighbour dominates routing time. Construct via
+    /// at construction — a greedy step evaluates a key per candidate
+    /// neighbour (every neighbour on a short row, an angular window of
+    /// each radius band on a hub row), so evaluating transcendentals per
+    /// candidate would dominate routing time. Construct via
     /// [`Embedding::disk`], which fills the caches.
     Disk {
         /// Radial coordinates, one per node.
@@ -113,7 +114,7 @@ impl Embedding {
     /// key may skip the final transcendental. The integer metrics return
     /// the metric itself; the disk returns the clamped `acosh` argument
     /// (`acosh` is strictly increasing on `[1, ∞)`), turning the
-    /// per-neighbour cost of a greedy row scan into pure arithmetic.
+    /// per-candidate cost of a greedy step into pure arithmetic.
     /// Keys from *different* pairs are comparable; keys and metrics are
     /// not on the same scale.
     pub fn greedy_key(&self, u: u64, v: u64) -> f64 {

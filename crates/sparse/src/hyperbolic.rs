@@ -20,14 +20,29 @@ use crate::embed::Embedding;
 use crate::topo::SparseTopology;
 use hyperroute_desim::SimRng;
 use std::f64::consts::{PI, TAU};
+use std::ops::RangeInclusive;
 
-/// Threshold angle: the largest `Δθ` at which radii `(ru, rv)` still
-/// connect, i.e. `cos θ* = (cosh ru · cosh rv − cosh R)/(sinh ru ·
-/// sinh rv)`. Returns `PI` (full circle) when every angle connects and
-/// a negative value when none does.
-fn threshold_angle(ru: f64, rv: f64, cosh_big_r: f64) -> f64 {
-    let denom = ru.sinh() * rv.sinh();
-    let num = ru.cosh() * rv.cosh() - cosh_big_r;
+/// The disk-radius offsets [`hyperbolic`] accepts. A unit of offset
+/// scales the mean degree by `e^{-1/2}`, so the range spans graphs about
+/// 7× sparser to 7× denser than the canonical disk `R = 2 ln n`. Far
+/// below it the graph approaches complete and the build turns quadratic
+/// in `n`; far above it the generator allocates a band per unit of `R`.
+pub const RADIUS_OFFSET_RANGE: RangeInclusive<f64> = -4.0..=4.0;
+
+/// `(cosh r, sinh r)`: the hyperbolic terms of one radius, computed once
+/// per node or band rather than once per candidate pair.
+#[inline]
+fn cosh_sinh(r: f64) -> (f64, f64) {
+    (r.cosh(), r.sinh())
+}
+
+/// Threshold angle: the largest `Δθ` at which radii `(ru, rv)`, given as
+/// their [`cosh_sinh`] terms, still connect, i.e. `cos θ* = (cosh ru ·
+/// cosh rv − cosh R)/(sinh ru · sinh rv)`. Returns `PI` (full circle)
+/// when every angle connects and a negative value when none does.
+fn threshold_angle(ru: (f64, f64), rv: (f64, f64), cosh_big_r: f64) -> f64 {
+    let denom = ru.1 * rv.1;
+    let num = ru.0 * rv.0 - cosh_big_r;
     if denom <= f64::EPSILON {
         // One endpoint at (or at rounding distance of) the origin:
         // distance reduces to ru + rv ≤ R ⟺ num ≤ 0 up to rounding.
@@ -45,14 +60,19 @@ fn threshold_angle(ru: f64, rv: f64, cosh_big_r: f64) -> f64 {
 
 /// Generate a seeded hyperbolic random graph with `nodes` nodes, radial
 /// density exponent `alpha > 0` and disk radius `R = 2 ln nodes +
-/// radius_offset`. Greedy routes on the exact hyperbolic distance.
-/// Nodes that land outside everyone's threshold stay isolated — the
-/// engine surfaces those as `DEAD_END` route outcomes.
+/// radius_offset`, with the offset in [`RADIUS_OFFSET_RANGE`]. Greedy
+/// routes on the exact hyperbolic distance. Nodes that land outside
+/// everyone's threshold stay isolated — the engine surfaces those as
+/// `DEAD_END` route outcomes.
 ///
 /// Deterministic: identical inputs yield a byte-identical CSR.
 pub fn hyperbolic(nodes: u32, alpha: f64, radius_offset: f64, seed: u64) -> SparseTopology {
     assert!(nodes >= 2, "need at least two nodes");
     assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive");
+    assert!(
+        RADIUS_OFFSET_RANGE.contains(&radius_offset),
+        "radius_offset must lie in {RADIUS_OFFSET_RANGE:?}"
+    );
     let n = nodes as usize;
     let big_r = (2.0 * (nodes as f64).ln() + radius_offset).max(1.0);
     let cosh_big_r = big_r.cosh();
@@ -73,6 +93,7 @@ pub fn hyperbolic(nodes: u32, alpha: f64, radius_offset: f64, seed: u64) -> Spar
     let theta: Vec<f64> = placed.iter().map(|p| p.0).collect();
     let radius: Vec<f64> = placed.iter().map(|p| p.1).collect();
     drop(placed);
+    let hyp: Vec<(f64, f64)> = radius.iter().map(|&r| cosh_sinh(r)).collect();
 
     // Unit-width radial bands; each holds its members in id (= θ) order.
     let nbands = (big_r.ceil() as usize).max(1);
@@ -82,6 +103,9 @@ pub fn hyperbolic(nodes: u32, alpha: f64, radius_offset: f64, seed: u64) -> Spar
     for (v, &r) in radius.iter().enumerate() {
         bands[band_of(r)].push(v as u32);
     }
+    let band_min: Vec<(f64, f64)> = (0..nbands)
+        .map(|b| cosh_sinh(b as f64 * band_width))
+        .collect();
 
     // Candidates inside `[lo, hi]` (θ-interval, no wrap) of one band.
     let in_window = |band: &[u32], lo: f64, hi: f64, out: &mut Vec<u32>| {
@@ -93,14 +117,14 @@ pub fn hyperbolic(nodes: u32, alpha: f64, radius_offset: f64, seed: u64) -> Spar
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut cand: Vec<u32> = Vec::new();
     for u in 0..n {
-        let (tu, ru) = (theta[u], radius[u]);
-        for (b, band) in bands.iter().enumerate() {
+        let (tu, (cu, su)) = (theta[u], hyp[u]);
+        for (band, &min) in bands.iter().zip(&band_min) {
             if band.is_empty() {
                 continue;
             }
             // Widest (superset) window for the band: evaluated at the
             // band's minimum radius, where θ* is maximal.
-            let widest = threshold_angle(ru, b as f64 * band_width, cosh_big_r);
+            let widest = threshold_angle((cu, su), min, cosh_big_r);
             if widest < 0.0 {
                 continue;
             }
@@ -124,9 +148,8 @@ pub fn hyperbolic(nodes: u32, alpha: f64, radius_offset: f64, seed: u64) -> Spar
                 if (v as usize) <= u {
                     continue;
                 }
-                let rv = radius[v as usize];
-                let exact =
-                    ru.cosh() * rv.cosh() - ru.sinh() * rv.sinh() * (tu - theta[v as usize]).cos();
+                let (cv, sv) = hyp[v as usize];
+                let exact = cu * cv - su * sv * (tu - theta[v as usize]).cos();
                 if exact <= cosh_big_r {
                     edges.push((u as u32, v));
                 }
@@ -151,15 +174,16 @@ mod tests {
     fn threshold_angle_is_decreasing_in_radius() {
         let big_r = 14.0f64;
         let cr = big_r.cosh();
-        let mut prev = threshold_angle(6.0, 0.5, cr);
+        let ru = cosh_sinh(6.0);
+        let mut prev = threshold_angle(ru, cosh_sinh(0.5), cr);
         for i in 1..28 {
             let rv = 0.5 * i as f64;
-            let t = threshold_angle(6.0, rv, cr);
+            let t = threshold_angle(ru, cosh_sinh(rv), cr);
             assert!(t <= prev + 1e-12, "θ* must shrink as rv grows (rv={rv})");
             prev = t;
         }
         // Near the origin everything within reach connects.
-        assert_eq!(threshold_angle(1.0, 0.0, cr), PI);
+        assert_eq!(threshold_angle(cosh_sinh(1.0), cosh_sinh(0.0), cr), PI);
     }
 
     #[test]

@@ -49,6 +49,7 @@
 
 mod csr;
 mod embed;
+mod hub;
 mod hyperbolic;
 mod scalefree;
 mod smallworld;
@@ -56,7 +57,7 @@ mod topo;
 
 pub use csr::{CsrBuilder, SparseGraph, MAX_SPARSE_ARCS, MAX_SPARSE_NODES};
 pub use embed::{hyperbolic_distance, Embedding, DISK_SCALE};
-pub use hyperbolic::hyperbolic;
+pub use hyperbolic::{hyperbolic, RADIUS_OFFSET_RANGE};
 pub use scalefree::{expander, scale_free};
 pub use smallworld::small_world;
 pub use topo::SparseTopology;

@@ -62,6 +62,9 @@ struct HarmonicSampler {
     dims: u32,
     /// Composition counts, rows `0..=dims` (see [`distance_ways`]).
     ways: Vec<Vec<u64>>,
+    /// Inclusive prefix sums of each `ways` row: `prefix[j][ℓ] =
+    /// Σ_{i ≤ ℓ} ways[j][i]`, so a digit's cumulative weight is O(1).
+    prefix: Vec<Vec<u64>>,
     /// Cumulative `ways[dims][ℓ] · ℓ^{-alpha}` over `ℓ = 1..=D`
     /// (`cdf[i]` covers distance `i + 1`).
     cdf: Vec<f64>,
@@ -81,19 +84,92 @@ impl HarmonicSampler {
             acc.is_finite() && acc > 0.0,
             "harmonic normaliser must be positive"
         );
+        let prefix = ways
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .scan(0u64, |acc, &w| {
+                        *acc += w;
+                        Some(*acc)
+                    })
+                    .collect()
+            })
+            .collect();
         HarmonicSampler {
             side,
             dims,
             ways,
+            prefix,
             cdf,
         }
     }
 
+    /// `Σ_{j=0..=k} coord_ways(j) · ways[rem − 1][ℓ − j]`: the summed
+    /// weight of first digits `0..=k` when `rem` dimensions must absorb
+    /// distance `ℓ` (requires `k ≤ ℓ`). Every `coord_ways` is 2 except at
+    /// 0 and at an even side's antipode, which count once, so the sum is
+    /// twice a prefix-sum difference minus those two terms.
+    fn digit_weight_through(&self, rem: usize, l: usize, k: usize) -> u64 {
+        let below = &self.ways[rem - 1];
+        let prefix = &self.prefix[rem - 1];
+        let at = |i: usize| below.get(i).copied().unwrap_or(0);
+        let through = |i: usize| prefix[i.min(prefix.len() - 1)];
+        let window = through(l) - if k < l { through(l - k - 1) } else { 0 };
+        let antipode = self.side as usize / 2;
+        let once = if self.side.is_multiple_of(2) && k >= antipode {
+            at(l - antipode)
+        } else {
+            0
+        };
+        2 * window - at(l) - once
+    }
+
+    /// The first-digit distance `k` when `rem ≥ 2` dimensions must absorb
+    /// distance `l`: digit `k` has weight `coord_ways(k) · ways[rem −
+    /// 1][l − k]`, the weights sum to the shell count `ways[rem][l]`, and
+    /// the chosen digit is the first whose cumulative weight exceeds one
+    /// uniform draw below that count, found by bisection.
+    fn pick_digit(&self, rem: usize, l: usize, rng: &mut SimRng) -> usize {
+        let weights_total = self.ways[rem][l];
+        debug_assert!(weights_total > 0, "distance always decomposable");
+        let pick = rng.below(weights_total as usize) as u64;
+        let (mut lo, mut hi) = (0usize, l.min((self.side / 2) as usize));
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.digit_weight_through(rem, l, mid) > pick {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// Reference for [`HarmonicSampler::pick_digit`]: the same draw,
+    /// inverted by a linear walk over the digit weights.
+    #[cfg(test)]
+    fn pick_digit_linear(&self, rem: usize, l: usize, rng: &mut SimRng) -> usize {
+        let below = &self.ways[rem - 1];
+        let weight =
+            |k: usize| coord_ways(k as u32, self.side) * below.get(l - k).copied().unwrap_or(0);
+        let k_max = l.min((self.side / 2) as usize);
+        let weights_total: u64 = (0..=k_max).map(weight).sum();
+        let mut pick = rng.below(weights_total as usize) as u64;
+        for k in 0..=k_max {
+            if pick < weight(k) {
+                return k;
+            }
+            pick -= weight(k);
+        }
+        unreachable!("the pick lies below the weight total")
+    }
+
     /// Draw one long-range contact for `node`: total distance `ℓ` from
     /// the harmonic CDF, then a uniform offset vector at that exact
-    /// distance (digit-by-digit, conditioned on the remaining dimensions
-    /// being able to absorb the remaining distance), then signs.
-    fn draw(&self, node: u64, rng: &mut SimRng) -> u64 {
+    /// distance (digit-by-digit through `pick`, conditioned on the
+    /// remaining dimensions being able to absorb the remaining distance),
+    /// then signs.
+    fn draw(&self, node: u64, rng: &mut SimRng, pick: DigitPicker) -> u64 {
         let total = *self.cdf.last().expect("at least one distance");
         let target = rng.uniform01() * total;
         let mut l_left = self.cdf.partition_point(|&c| c <= target) + 1;
@@ -101,7 +177,6 @@ impl HarmonicSampler {
         l_left = l_left.min(self.cdf.len());
 
         let side = self.side as u64;
-        let per_dim = (self.side / 2) as usize;
         let mut dest = 0u64;
         let mut place = 1u64;
         let mut digits = node;
@@ -112,26 +187,7 @@ impl HarmonicSampler {
                 // Last dimension absorbs whatever distance remains.
                 l_left
             } else {
-                let below = &self.ways[rem - 1];
-                let k_max = l_left.min(per_dim);
-                let mut weights_total = 0u64;
-                for k in 0..=k_max {
-                    weights_total += coord_ways(k as u32, self.side)
-                        * below.get(l_left - k).copied().unwrap_or(0);
-                }
-                debug_assert!(weights_total > 0, "distance always decomposable");
-                let mut pick = rng.below(weights_total as usize) as u64;
-                let mut chosen = 0usize;
-                for k in 0..=k_max {
-                    let w = coord_ways(k as u32, self.side)
-                        * below.get(l_left - k).copied().unwrap_or(0);
-                    if pick < w {
-                        chosen = k;
-                        break;
-                    }
-                    pick -= w;
-                }
-                chosen
+                pick(self, rem, l_left, rng)
             };
             l_left -= k;
             let offset = if k > 0 && coord_ways(k as u32, self.side) == 2 && rng.below(2) == 1 {
@@ -147,6 +203,9 @@ impl HarmonicSampler {
     }
 }
 
+/// How [`HarmonicSampler::draw`] chooses a first-digit distance.
+type DigitPicker = fn(&HarmonicSampler, usize, usize, &mut SimRng) -> usize;
+
 /// Generate a seeded Kleinberg small-world graph: a `dims`-dimensional
 /// circular lattice of side `side` (bidirectional ±1 edges per
 /// dimension) plus `links` directed long-range contacts per node under
@@ -155,6 +214,19 @@ impl HarmonicSampler {
 ///
 /// Deterministic: identical inputs yield a byte-identical CSR.
 pub fn small_world(side: u32, dims: u32, links: u32, alpha: f64, seed: u64) -> SparseTopology {
+    build(side, dims, links, alpha, seed, HarmonicSampler::pick_digit)
+}
+
+/// [`small_world`] with the first-digit draw as a parameter, so tests can
+/// build the same graph through the reference picker.
+fn build(
+    side: u32,
+    dims: u32,
+    links: u32,
+    alpha: f64,
+    seed: u64,
+    pick: DigitPicker,
+) -> SparseTopology {
     assert!(side >= 3, "side below 3 degenerates the circular lattice");
     assert!((1..=4).contains(&dims), "dims must be in 1..=4");
     let nodes = (side as u64)
@@ -183,7 +255,7 @@ pub fn small_world(side: u32, dims: u32, links: u32, alpha: f64, seed: u64) -> S
         // Long-range contacts (directed out-links).
         if let Some(s) = &sampler {
             for _ in 0..links {
-                scratch.push(s.draw(node, &mut rng) as u32);
+                scratch.push(s.draw(node, &mut rng, pick) as u32);
             }
         }
         builder.push_node(node as u32, &mut scratch);
@@ -245,6 +317,60 @@ mod tests {
             let d = a.graph().degree(v);
             assert!((4..=6).contains(&d), "node {v} degree {d}");
             assert!(!a.graph().neighbors(v).contains(&(v as u32)));
+        }
+    }
+
+    #[test]
+    fn bisected_digit_matches_the_linear_walk_on_every_shell() {
+        // Every (side parity, dims, remaining dims, distance) cell, 64
+        // draws each.
+        for side in [3u32, 4, 7, 8, 11, 16] {
+            for dims in 2..=4u32 {
+                let sampler = HarmonicSampler::new(side, dims, 2.0);
+                for rem in 2..=dims as usize {
+                    for l in 0..sampler.ways[rem].len() {
+                        let seed = ((side as u64) << 32)
+                            | ((dims as u64) << 16)
+                            | (rem as u64) << 8
+                            | l as u64;
+                        let mut rng = SimRng::new(seed);
+                        for _ in 0..64 {
+                            let mut oracle = rng.clone();
+                            let fast = sampler.pick_digit(rem, l, &mut rng);
+                            let slow = sampler.pick_digit_linear(rem, l, &mut oracle);
+                            assert_eq!(
+                                fast, slow,
+                                "case seed {seed:#x}: side {side} dims {dims} rem {rem} l {l}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bisected_sampler_builds_the_linear_sampler_csr() {
+        for side in [5u32, 6, 9, 12] {
+            for dims in 1..=4u32 {
+                for links in 0..=3u32 {
+                    let seed = ((side as u64) << 16) | ((dims as u64) << 8) | links as u64;
+                    let fast = small_world(side, dims, links, dims as f64, seed);
+                    let slow = build(
+                        side,
+                        dims,
+                        links,
+                        dims as f64,
+                        seed,
+                        HarmonicSampler::pick_digit_linear,
+                    );
+                    assert_eq!(
+                        fast.graph(),
+                        slow.graph(),
+                        "case seed {seed:#x}: side {side} dims {dims} links {links}"
+                    );
+                }
+            }
         }
     }
 

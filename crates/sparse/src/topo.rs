@@ -3,8 +3,13 @@
 //! This is the sparse half of the dense-vs-sparse split (see the
 //! `hyperroute-topology` crate docs): a [`SparseGraph`] adjacency plus an
 //! [`Embedding`] metric implement [`RoutingTopology`] with **no
-//! closed-form next arc** — the greedy step scans the node's CSR row for
-//! the neighbour strictly closest to the destination. Because metric
+//! closed-form next arc** — the greedy step picks, from the node's CSR
+//! row, the neighbour strictly closest to the destination. Rows of up to
+//! 64 arcs are scanned whole. On a disk embedding, longer rows — the
+//! power-law hubs greedy routes through — are served by an exact banded
+//! angular index that evaluates only the neighbours angularly close
+//! enough to the destination to matter, and returns the arc the scan
+//! would. Because metric
 //! greedy can stall, `next_arc` here exercises the trait's relaxed
 //! contract: it returns `None` not only at the destination but also at a
 //! **local minimum** (no neighbour strictly closer) or a **dead end**
@@ -14,6 +19,7 @@
 
 use crate::csr::SparseGraph;
 use crate::embed::Embedding;
+use crate::hub::HubIndex;
 use hyperroute_topology::RoutingTopology;
 
 /// A generated sparse graph routed by embedding-metric greedy.
@@ -25,15 +31,25 @@ pub struct SparseTopology {
     /// scheduler-sizing hint. Analytic per generator (the trait default
     /// would sample quantised *metric* values, which are not hops).
     hops_hint: f64,
+    /// Angular index of the high-degree rows (disk embeddings only).
+    hubs: Option<HubIndex>,
 }
 
 impl SparseTopology {
-    /// Assemble a routed topology from a generator's parts.
+    /// Assemble a routed topology from a generator's parts. A disk
+    /// embedding also gets an index of its high-degree rows, so the
+    /// greedy step at a hub evaluates only the neighbours that can beat
+    /// it.
     pub fn new(graph: SparseGraph, embed: Embedding, hops_hint: f64) -> SparseTopology {
+        let hubs = match &embed {
+            Embedding::Disk { r, theta, .. } => HubIndex::build(&graph, r, theta),
+            _ => None,
+        };
         SparseTopology {
             graph,
             embed,
             hops_hint,
+            hubs,
         }
     }
 
@@ -69,6 +85,28 @@ impl SparseTopology {
             }
         }
         Ok(hops)
+    }
+
+    /// The greedy step by a scan of `node`'s whole row: the first arc to
+    /// `dest` if there is one, else the least-key neighbour if its key is
+    /// strictly below `node`'s. Serves every unindexed row, and is the
+    /// reference the hub index is tested against.
+    fn scan_row(&self, node: u64, dest: u64) -> Option<usize> {
+        let range = self.graph.out_range(node as usize);
+        let key = self.embed.key_to(dest);
+        let mut best: Option<(f64, usize)> = None;
+        for arc in range {
+            let head = self.graph.arc_head(arc) as u64;
+            if head == dest {
+                return Some(arc);
+            }
+            let m = key.key(head);
+            if best.is_none_or(|(bm, _)| m < bm) {
+                best = Some((m, arc));
+            }
+        }
+        let (m, arc) = best?;
+        (m < key.key(node)).then_some(arc)
     }
 
     /// Breadth-first shortest-path hop count from `src` to `dest`
@@ -117,29 +155,23 @@ impl RoutingTopology for SparseTopology {
     /// embedding distance to `dest`, provided it is **strictly** smaller
     /// than the current node's (ties between neighbours break to the
     /// lowest arc index). `None` at the destination — and, unlike the
-    /// dense topologies, at a local minimum or dead end. The scan
-    /// compares [`Embedding::greedy_key`] values — order-identical to
-    /// the metric but without its transcendental tail, which matters
-    /// because power-law hubs make this row scan the routing hot loop.
+    /// dense topologies, at a local minimum or dead end. Candidates are
+    /// compared by [`Embedding::greedy_key`] — order-identical to the
+    /// metric but without its transcendental tail. A row of up to 64
+    /// arcs is scanned; a longer row of a disk embedding (a power-law
+    /// hub) is served by the hub index, which evaluates only the
+    /// neighbours angularly close enough to the destination to beat the
+    /// hub and returns the arc the full scan would.
     fn next_arc(&self, node: u64, dest: u64) -> Option<usize> {
         if node == dest {
             return None;
         }
-        let range = self.graph.out_range(node as usize);
-        let key = self.embed.key_to(dest);
-        let mut best: Option<(f64, usize)> = None;
-        for arc in range {
-            let head = self.graph.arc_head(arc) as u64;
-            if head == dest {
-                return Some(arc);
-            }
-            let m = key.key(head);
-            if best.is_none_or(|(bm, _)| m < bm) {
-                best = Some((m, arc));
+        if let Some(hubs) = &self.hubs {
+            if let Some(slot) = hubs.slot(&self.graph, node) {
+                return hubs.next_arc(slot, &self.graph, &self.embed, node, dest);
             }
         }
-        let (m, arc) = best?;
-        (m < key.key(node)).then_some(arc)
+        self.scan_row(node, dest)
     }
 
     fn arc_tail(&self, arc: usize) -> u64 {
@@ -193,6 +225,168 @@ impl RoutingTopology for SparseTopology {
 mod tests {
     use super::*;
     use crate::csr::CsrBuilder;
+    use crate::hyperbolic::hyperbolic;
+    use hyperroute_desim::SimRng;
+
+    /// `greedy_walk` driven by the full row scan on every row.
+    fn scan_walk(t: &SparseTopology, src: u64, dest: u64) -> Result<usize, u64> {
+        let (mut at, mut hops) = (src, 0);
+        while at != dest {
+            let arc = t.scan_row(at, dest).ok_or(at)?;
+            at = t.graph.arc_head(arc) as u64;
+            hops += 1;
+        }
+        Ok(hops)
+    }
+
+    /// The rows the hub index serves.
+    fn hub_rows(t: &SparseTopology) -> Vec<u64> {
+        let hubs = t.hubs.as_ref().expect("disk graphs with hubs are indexed");
+        (0..t.num_nodes() as u64)
+            .filter(|&v| hubs.slot(&t.graph, v).is_some())
+            .collect()
+    }
+
+    /// Indexed `next_arc` equals the row scan on every hub row toward
+    /// `dests` random destinations, and `next_arc` and `greedy_walk`
+    /// equal their scan versions on `pairs` random pairs. `case` names
+    /// the failing case so it can be replayed.
+    fn assert_index_matches_scan(
+        t: &SparseTopology,
+        case: &str,
+        seed: u64,
+        dests: usize,
+        pairs: usize,
+    ) {
+        let n = t.num_nodes();
+        let mut rng = SimRng::new(seed);
+        let hubs = hub_rows(t);
+        assert!(!hubs.is_empty(), "{case}: no hub rows");
+        for &hub in &hubs {
+            for _ in 0..dests {
+                let dest = rng.below(n) as u64;
+                assert_eq!(
+                    t.next_arc(hub, dest),
+                    t.scan_row(hub, dest),
+                    "{case}: hub {hub} toward {dest}"
+                );
+            }
+        }
+        for _ in 0..pairs {
+            let (src, dest) = (rng.below(n) as u64, rng.below(n) as u64);
+            assert_eq!(
+                t.next_arc(src, dest),
+                t.scan_row(src, dest),
+                "{case}: step {src} toward {dest}"
+            );
+            assert_eq!(
+                t.greedy_walk(src, dest),
+                scan_walk(t, src, dest),
+                "{case}: walk {src} to {dest}"
+            );
+        }
+    }
+
+    #[test]
+    fn hub_index_matches_the_row_scan_on_hyperbolic_graphs() {
+        // (nodes, alpha, radius offset) spanning sparse to dense disks
+        // and heavy to light degree tails; 25_000 pairs each.
+        let configs = [
+            (2048u32, 0.7, -1.5),
+            (2048, 0.55, 0.0),
+            (1500, 0.9, -2.0),
+            (3000, 0.65, -0.5),
+        ];
+        for (i, &(nodes, alpha, offset)) in configs.iter().enumerate() {
+            let seed = 0x4B1D_0000 + i as u64;
+            let t = hyperbolic(nodes, alpha, offset, seed);
+            let case = format!("case seed {seed:#x} (n {nodes}, alpha {alpha}, offset {offset})");
+            assert_index_matches_scan(&t, &case, seed, 50, 25_000);
+        }
+    }
+
+    #[test]
+    fn hub_index_matches_the_row_scan_on_clamped_keys_and_the_origin() {
+        // Two star hubs over random placements plus adversarial ones:
+        // the origin and a radius of 1e-30 (band 0, sinh r ≈ 0), angles
+        // at 0 and at f32 2π (just past the period), and clusters that
+        // share one placement exactly, so their keys toward any member
+        // tie and toward each other clamp at 1.
+        let seed = 0xC1A4_9001;
+        let mut rng = SimRng::new(seed);
+        let n = 400usize;
+        let mut r: Vec<f32> = (0..n).map(|_| (rng.uniform01() * 12.0) as f32).collect();
+        let mut theta: Vec<f32> = (0..n)
+            .map(|_| (rng.uniform01() * std::f64::consts::TAU) as f32)
+            .collect();
+        r[2] = 0.0;
+        r[3] = 1e-30;
+        theta[4] = 0.0;
+        theta[5] = std::f32::consts::TAU;
+        theta[6] = 1e-7;
+        for cluster in [[10usize, 11, 12, 13], [20, 21, 22, 23]] {
+            for &v in &cluster[1..] {
+                r[v] = r[cluster[0]];
+                theta[v] = theta[cluster[0]];
+            }
+        }
+        // Node 1 sits on node 30's placement: from hub 1 toward 30 the
+        // hub's own key clamps at 1 and no neighbour can beat it.
+        r[1] = r[30];
+        theta[1] = theta[30];
+        // Hubs 0 and 1 reach every node except the odd members of the
+        // clusters and of the origin pair, which stay off-row so that the
+        // early return does not hide their tied, clamped twins.
+        let off_row = |v: usize| [11usize, 13, 21, 23, 3].contains(&v);
+        let mut b = CsrBuilder::new(n, 2);
+        let mut scratch = Vec::new();
+        for v in 0..n as u32 {
+            if v < 2 {
+                scratch.extend((0..n as u32).filter(|&w| !off_row(w as usize)));
+            } else {
+                scratch.extend([0, 1]);
+            }
+            b.push_node(v, &mut scratch);
+        }
+        let t = SparseTopology::new(b.finish(), Embedding::disk(r, theta), 2.0);
+        assert_eq!(hub_rows(&t), vec![0, 1]);
+        for hub in [0u64, 1] {
+            for dest in 0..n as u64 {
+                assert_eq!(
+                    t.next_arc(hub, dest),
+                    t.scan_row(hub, dest),
+                    "case seed {seed:#x}: hub {hub} toward {dest}"
+                );
+            }
+        }
+        for src in 0..n as u64 {
+            for dest in 0..n as u64 {
+                assert_eq!(
+                    t.greedy_walk(src, dest),
+                    scan_walk(&t, src, dest),
+                    "case seed {seed:#x}: walk {src} to {dest}"
+                );
+            }
+        }
+        // The tie really is exercised: toward 11, hub 0's best neighbours
+        // are 10 and 12, at one placement, and the lower id wins.
+        let arc = t
+            .next_arc(0, 11)
+            .expect("a neighbour shares 11's placement");
+        assert_eq!(t.arc_head(arc), 10);
+    }
+
+    #[test]
+    fn hub_index_fits_in_the_csr_footprint() {
+        let t = hyperbolic(4096, 0.7, -1.5, 7);
+        let g = t.graph();
+        let csr = 4 * (g.num_nodes() + 1 + g.num_arcs());
+        assert_eq!(hub_rows(&t).len(), 101);
+        let index = t.hubs.as_ref().map_or(0, HubIndex::bytes);
+        assert!(index <= csr, "index {index} B over the CSR's {csr} B");
+        // Lattice and ring embeddings carry no index.
+        assert!(cycle_with_chord().hubs.is_none());
+    }
 
     /// A 6-cycle with one chord (1–4): ring-offset greedy from 0 to 3
     /// routes 0→1→... and the chord creates alternates.
