@@ -32,18 +32,15 @@ import sys
 
 
 def cells_by_key(report):
-    # `workers` arrived with schema v6; default 1 keeps older reports
-    # comparable.
     return {
-        (c["sim"], c["dim"], c["rho"], c["engine"], c.get("workers", 1)):
-            c["events_per_sec"]
+        (c["sim"], c["dim"], c["rho"], c["engine"]): c["events_per_sec"]
         for c in report["results"]
     }
 
 
 def machine_factor(base, new):
-    """Median fresh/baseline ratio over the common single-threaded seed
-    cells, or None when the reports share no usable seed cell."""
+    """Median fresh/baseline ratio over the common seed cells, or None
+    when the reports share no usable seed cell."""
     seed_ratios = [
         new[k] / base[k]
         for k in base
@@ -82,23 +79,11 @@ def compare(baseline, fresh, threshold):
         norm = raw / machine
         marker = "ok"
         if norm < 1.0 - threshold:
-            if key[4] > 1:
-                # Sharded cells scale with the host's core count, which
-                # the seed-cell normalisation cannot cancel (seed is
-                # single-threaded); a CI runner with a different core
-                # count than the report box shifts these cells without
-                # any code change. Warn, never fail.
-                marker = "warn(cores)"
-                warnings.append(
-                    f"{key}: sharded cell normalised ratio {norm:.3f} "
-                    f"(core-count dependent, not gated)"
-                )
-            else:
-                marker = "REGRESSION"
-                regressions.append(
-                    f"{key}: normalised throughput ratio {norm:.3f} "
-                    f"(raw {raw:.3f}, machine {machine:.3f})"
-                )
+            marker = "REGRESSION"
+            regressions.append(
+                f"{key}: normalised throughput ratio {norm:.3f} "
+                f"(raw {raw:.3f}, machine {machine:.3f})"
+            )
         elif raw < 1.0 - threshold:
             marker = "warn(raw)"
             warnings.append(
@@ -119,13 +104,13 @@ def render_markdown(rows, threshold, machine):
         f"### Bench throughput gate (threshold {threshold:.0%}, "
         f"machine factor {machine:.3f})",
         "",
-        "| sim | dim | rho | engine | workers | raw | normalised | verdict |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- |",
+        "| sim | dim | rho | engine | raw | normalised | verdict |",
+        "| --- | --- | --- | --- | --- | --- | --- |",
     ]
-    for (sim, dim, rho, engine, workers), raw, norm, marker in rows:
+    for (sim, dim, rho, engine), raw, norm, marker in rows:
         raw_s = "—" if raw is None else f"{raw:.3f}"
         norm_s = "—" if norm is None else f"{norm:.3f}"
-        lines.append(f"| {sim} | {dim} | {rho} | {engine} | {workers} "
+        lines.append(f"| {sim} | {dim} | {rho} | {engine} "
                      f"| {raw_s} | {norm_s} | {marker} |")
     return "\n".join(lines) + "\n"
 
@@ -163,11 +148,11 @@ def main(argv) -> int:
         return 1
     print(f"bench-compare: machine-speed factor = {machine:.3f}, "
           f"threshold {threshold:.0%}")
-    for (sim, dim, rho, engine, workers), raw, norm, marker in rows:
+    for (sim, dim, rho, engine), raw, norm, marker in rows:
         raw_s = "   na " if raw is None else f"{raw:6.3f}"
         norm_s = "   na " if norm is None else f"{norm:6.3f}"
         print(f"  {sim:10s} dim={dim:<5} rho={rho:<5} {engine:9s} "
-              f"w={workers} raw={raw_s} norm={norm_s}  {marker}")
+              f"raw={raw_s} norm={norm_s}  {marker}")
     write_step_summary(render_markdown(rows, threshold, machine))
 
     for w in warnings:

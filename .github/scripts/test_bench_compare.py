@@ -17,29 +17,27 @@ import bench_compare  # noqa: E402
 
 
 def report(cells):
-    """A minimal report: cells = [(sim, dim, rho, engine, workers, eps)]."""
+    """A minimal report: cells = [(sim, dim, rho, engine, eps)]."""
     return {
         "results": [
-            {"sim": s, "dim": d, "rho": r, "engine": e, "workers": w,
-             "events_per_sec": eps}
-            for (s, d, r, e, w, eps) in cells
+            {"sim": s, "dim": d, "rho": r, "engine": e, "events_per_sec": eps}
+            for (s, d, r, e, eps) in cells
         ]
     }
 
 
 BASELINE = report([
-    ("hypercube", 10, 0.5, "seed", 1, 100.0),
-    ("torus", 8, 0.5, "seed", 1, 100.0),
-    ("hypercube", 10, 0.5, "event", 1, 200.0),
-    ("torus", 8, 0.5, "event", 1, 300.0),
-    ("hypercube", 12, 0.5, "event", 8, 900.0),
+    ("hypercube", 10, 0.5, "seed", 100.0),
+    ("torus", 8, 0.5, "seed", 100.0),
+    ("hypercube", 10, 0.5, "event", 200.0),
+    ("torus", 8, 0.5, "event", 300.0),
 ])
 
 
 def fresh(scale_seed, scale_shipped, drop=()):
     cells = []
     for c in BASELINE["results"]:
-        key = (c["sim"], c["dim"], c["rho"], c["engine"], c["workers"])
+        key = (c["sim"], c["dim"], c["rho"], c["engine"])
         if key in drop:
             continue
         scale = scale_seed if c["engine"] == "seed" else scale_shipped
@@ -56,7 +54,7 @@ class MachineFactor(unittest.TestCase):
     def test_no_seed_overlap_is_unusable(self):
         base = bench_compare.cells_by_key(BASELINE)
         rows, regressions, _, machine = bench_compare.compare(
-            BASELINE, report([("ring", 4, 0.5, "event", 1, 1.0)]), 0.25)
+            BASELINE, report([("ring", 4, 0.5, "event", 1.0)]), 0.25)
         self.assertIsNone(machine)
         self.assertEqual(rows, [])
         self.assertTrue(regressions)
@@ -82,7 +80,7 @@ class Gate(unittest.TestCase):
             BASELINE, fresh(1.0, 0.6), 0.25)
         markers = {key: m for (key, _, _, m) in rows}
         self.assertEqual(
-            markers[("hypercube", 10, 0.5, "event", 1)], "REGRESSION")
+            markers[("hypercube", 10, 0.5, "event")], "REGRESSION")
         self.assertEqual(len(regressions), 2)
 
     def test_threshold_is_respected(self):
@@ -92,21 +90,8 @@ class Gate(unittest.TestCase):
         self.assertEqual(loose, [])
         self.assertEqual(len(tight), 2)
 
-    def test_sharded_cells_warn_but_never_fail(self):
-        drop_to = fresh(1.0, 1.0)
-        for c in drop_to["results"]:
-            if c["workers"] > 1:
-                c["events_per_sec"] *= 0.3
-        rows, regressions, warnings, _ = bench_compare.compare(
-            BASELINE, drop_to, 0.25)
-        markers = {key: m for (key, _, _, m) in rows}
-        self.assertEqual(
-            markers[("hypercube", 12, 0.5, "event", 8)], "warn(cores)")
-        self.assertEqual(regressions, [])
-        self.assertTrue(any("core-count" in w for w in warnings))
-
     def test_missing_fresh_cell_hard_fails(self):
-        gone = ("torus", 8, 0.5, "event", 1)
+        gone = ("torus", 8, 0.5, "event")
         rows, regressions, _, _ = bench_compare.compare(
             BASELINE, fresh(1.0, 1.0, drop={gone}), 0.25)
         markers = {key: m for (key, _, _, m) in rows}
@@ -118,7 +103,7 @@ class Gate(unittest.TestCase):
         extra = fresh(1.0, 1.0)
         extra["results"].append(
             {"sim": "ring", "dim": 6, "rho": 0.5, "engine": "event",
-             "workers": 1, "events_per_sec": 50.0})
+             "events_per_sec": 50.0})
         _, regressions, warnings, _ = bench_compare.compare(
             BASELINE, extra, 0.25)
         self.assertEqual(regressions, [])
@@ -130,8 +115,8 @@ class Output(unittest.TestCase):
         rows, _, _, machine = bench_compare.compare(
             BASELINE, fresh(1.0, 1.0), 0.05)
         md = bench_compare.render_markdown(rows, 0.05, machine)
-        self.assertIn("| sim | dim | rho | engine | workers |", md)
-        self.assertEqual(md.count("| hypercube |"), 2)
+        self.assertIn("| sim | dim | rho | engine | raw |", md)
+        self.assertEqual(md.count("| hypercube |"), 1)
         self.assertIn("threshold 5%", md)
 
     def test_step_summary_written_when_env_set(self):

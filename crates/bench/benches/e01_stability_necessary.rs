@@ -1,4 +1,4 @@
-//! Bench target regenerating the e01_stability_necessary experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e01_stability_necessary experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e01_stability_necessary",

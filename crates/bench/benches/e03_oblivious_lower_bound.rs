@@ -1,4 +1,4 @@
-//! Bench target regenerating the e03_oblivious_lower_bound experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e03_oblivious_lower_bound experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e03_oblivious_lower_bound",

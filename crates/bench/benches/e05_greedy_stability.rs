@@ -1,4 +1,4 @@
-//! Bench target regenerating the e05_greedy_stability experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e05_greedy_stability experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e05_greedy_stability",

@@ -1,4 +1,4 @@
-//! Bench target regenerating the e06_delay_upper_bound experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e06_delay_upper_bound experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e06_delay_upper_bound",

@@ -1,4 +1,4 @@
-//! Bench target regenerating the e08_fifo_ps_servers experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e08_fifo_ps_servers experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e08_fifo_ps_servers",

@@ -1,4 +1,4 @@
-//! Bench target regenerating the e09_ps_dominance experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e09_ps_dominance experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e09_ps_dominance",

@@ -1,4 +1,4 @@
-//! Bench target regenerating the e10_product_form experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e10_product_form experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e10_product_form",

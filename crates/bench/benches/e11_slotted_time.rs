@@ -1,4 +1,4 @@
-//! Bench target regenerating the e11_slotted_time experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e11_slotted_time experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e11_slotted_time",

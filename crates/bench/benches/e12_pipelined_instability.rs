@@ -1,4 +1,4 @@
-//! Bench target regenerating the e12_pipelined_instability experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e12_pipelined_instability experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e12_pipelined_instability",

@@ -1,4 +1,4 @@
-//! Bench target regenerating the e14_heavy_traffic experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e14_heavy_traffic experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e14_heavy_traffic",

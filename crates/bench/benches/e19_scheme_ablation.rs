@@ -1,4 +1,4 @@
-//! Bench target regenerating the e19_scheme_ablation experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e19_scheme_ablation experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e19_scheme_ablation",

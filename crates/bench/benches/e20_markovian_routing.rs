@@ -1,4 +1,4 @@
-//! Bench target regenerating the e20_markovian_routing experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e20_markovian_routing experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e20_markovian_routing",

@@ -1,4 +1,4 @@
-//! Bench target regenerating the e21_general_destinations experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e21_general_destinations experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e21_general_destinations",

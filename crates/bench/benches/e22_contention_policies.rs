@@ -1,4 +1,4 @@
-//! Bench target regenerating the e22_contention_policies experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e22_contention_policies experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e22_contention_policies",

@@ -1,4 +1,4 @@
-//! Bench target regenerating the e24_ring_greedy experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e24_ring_greedy experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e24_ring_greedy",

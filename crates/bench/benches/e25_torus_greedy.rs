@@ -1,4 +1,4 @@
-//! Bench target regenerating the e25_torus_greedy experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e25_torus_greedy experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e25_torus_greedy",

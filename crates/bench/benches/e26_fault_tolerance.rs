@@ -1,4 +1,4 @@
-//! Bench target regenerating the e26_fault_tolerance experiment table (see DESIGN.md §4).
+//! Bench target regenerating the e26_fault_tolerance experiment table.
 fn main() {
     hyperroute_bench::run_table_bench(
         "e26_fault_tolerance",

@@ -1,9 +1,9 @@
 //! Criterion microbenches of the simulation kernels: event-queue
 //! throughput (heap vs calendar backend), packet-level simulation rate
 //! under both backends, PS-server churn, and static batch routing. These
-//! are the ablation benches for the engine design choices called out in
-//! DESIGN.md (arc-indexed flat queues, merged Poisson arrivals,
-//! virtual-time PS, and the calendar-queue scheduler). The end-to-end
+//! are the ablation benches for the engine's design choices (arc-indexed
+//! flat queues, merged Poisson arrivals, virtual-time PS, and the
+//! calendar-queue scheduler). The end-to-end
 //! engine grid with JSON output lives in the `engine_report` bench.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};

@@ -36,26 +36,21 @@
 //! and a 65536-node Krioukov `hyperbolic` disk, both routed by metric
 //! greedy over the CSR — each cell pays the seeded generator *and* the
 //! routed run, so it tracks the build+route budget the sparse subsystem
-//! promises. The `ci` scale shrinks those two to 4096 nodes.
+//! promises.
 //!
 //! Scale: `HYPERROUTE_SCALE=full` lengthens the horizon and adds
 //! repetitions; the default `quick` keeps the grid under a minute;
-//! `ci` shrinks the horizon further for the `bench-compare` CI job
-//! (same grid, noisier cells — the job normalises by the in-process
-//! seed baseline before comparing).
+//! `ci` runs the quick grid at the quick horizon with fewer repetitions
+//! for the `bench-compare` CI job, which diffs it cell by cell against
+//! the checked-in quick report (noisier cells — the job normalises by
+//! the in-process seed baseline before comparing). A shorter horizon
+//! would not do: per-run setup then weighs more in the small
+//! topologies' cells than in the seed cells the job normalises by.
 //!
-//! Schema v6 adds the intra-run sharded engine
-//! (`RunControl::workers`, PR 9): every cell now carries a `workers`
-//! key (1 for the classic engine), and a sharded grid runs the d12
-//! hypercube at `workers ∈ {1, 2, 4, 8}` plus the generated
-//! small-world at `workers ∈ {2, 4, 8}` (its `workers = 1` baseline is
-//! the existing calendar cell — same scenario). The top-level
-//! `host_cores` records `std::thread::available_parallelism()` so the
-//! self-relative speedups in `parallel` are interpretable: on a
-//! single-core host the sharded rows are *slower* than their
-//! single-threaded baselines (window-barrier overhead with no
-//! parallel hardware underneath), and the report says so rather than
-//! extrapolating.
+//! Schema v7 drops the intra-run sharded cells, their `workers` key
+//! and the `parallel` section: every run is single-threaded, and
+//! parallelism lives across grid points. The top-level `host_cores`
+//! still records `std::thread::available_parallelism()`.
 
 use hyperroute_bench::seed_baseline::run_seed_engine;
 use hyperroute_core::{Scenario, Topology};
@@ -65,14 +60,13 @@ use std::time::Instant;
 
 /// Bump when the report layout changes; CI checks the checked-in JSON
 /// carries the current value.
-const SCHEMA_VERSION: u32 = 6;
+const SCHEMA_VERSION: u32 = 7;
 
 struct Cell {
     sim: &'static str,
     dim: usize,
     rho: f64,
     engine: &'static str,
-    workers: usize,
     wall_s: f64,
     events: u64,
     generated: u64,
@@ -80,13 +74,7 @@ struct Cell {
     packets_per_sec: f64,
 }
 
-fn run_hypercube(
-    kind: SchedulerKind,
-    dim: usize,
-    rho: f64,
-    horizon: f64,
-    workers: usize,
-) -> (f64, u64, u64) {
+fn run_hypercube(kind: SchedulerKind, dim: usize, rho: f64, horizon: f64) -> (f64, u64, u64) {
     let scenario = Scenario::builder(Topology::Hypercube { dim })
         .lambda(rho / 0.5)
         .p(0.5)
@@ -94,7 +82,6 @@ fn run_hypercube(
         .warmup(horizon * 0.2)
         .seed(7)
         .scheduler(kind)
-        .workers(workers)
         .build()
         .expect("valid scenario");
     let start = Instant::now();
@@ -167,13 +154,7 @@ fn run_fattree(kind: SchedulerKind, levels: usize, lambda: f64, horizon: f64) ->
     (start.elapsed().as_secs_f64(), r.events, r.generated)
 }
 
-fn run_smallworld(
-    kind: SchedulerKind,
-    side: u32,
-    lambda: f64,
-    horizon: f64,
-    workers: usize,
-) -> (f64, u64, u64) {
+fn run_smallworld(kind: SchedulerKind, side: u32, lambda: f64, horizon: f64) -> (f64, u64, u64) {
     let scenario = Scenario::builder(Topology::SmallWorld {
         side,
         dims: 2,
@@ -186,7 +167,6 @@ fn run_smallworld(
     .warmup(horizon * 0.2)
     .seed(7)
     .scheduler(kind)
-    .workers(workers)
     .build()
     .expect("valid scenario");
     let start = Instant::now();
@@ -228,7 +208,7 @@ fn main() {
     };
     let (horizon, reps) = match scale {
         "full" => (400.0, 9),
-        "ci" => (60.0, 3),
+        "ci" => (120.0, 3),
         _ => (120.0, 5),
     };
     let dims = [6usize, 8, 10];
@@ -241,7 +221,6 @@ fn main() {
                   dim: usize,
                   rho: f64,
                   engine: &'static str,
-                  workers: usize,
                   wall_s: f64,
                   events: u64,
                   generated: u64| {
@@ -250,7 +229,6 @@ fn main() {
             dim,
             rho,
             engine,
-            workers,
             wall_s,
             events,
             generated,
@@ -269,8 +247,8 @@ fn main() {
             for _ in 0..reps {
                 let runs = [
                     run_seed(dim, rho, horizon),
-                    run_hypercube(SchedulerKind::Heap, dim, rho, horizon, 1),
-                    run_hypercube(SchedulerKind::Calendar, dim, rho, horizon, 1),
+                    run_hypercube(SchedulerKind::Heap, dim, rho, horizon),
+                    run_hypercube(SchedulerKind::Calendar, dim, rho, horizon),
                 ];
                 for (i, &(t, ev, gen)) in runs.iter().enumerate() {
                     best[i] = best[i].min(t);
@@ -285,7 +263,6 @@ fn main() {
                     dim,
                     rho,
                     engine,
-                    1,
                     best[i],
                     events,
                     generated,
@@ -316,9 +293,7 @@ fn main() {
     // per-arc load ≈ 0.45, and a 256-leaf fat tree at a nominal up-link
     // load ≈ 0.5 — all but the ring on the blanket GraphSpec.
     let ring_nodes = 256usize;
-    // The sparse generators run at 65536 nodes except under the CI
-    // scale, whose shared runners can't hold the full build+route grid.
-    let sparse_n: u32 = if scale == "ci" { 4096 } else { 65536 };
+    let sparse_n: u32 = 65536;
     let sw_side = (sparse_n as f64).sqrt() as u32;
     type TopoRun = (
         &'static str,
@@ -355,7 +330,7 @@ fn main() {
             "smallworld",
             sparse_n as usize,
             0.3,
-            Box::new(move |kind| run_smallworld(kind, sw_side, 0.02, horizon, 1)),
+            Box::new(move |kind| run_smallworld(kind, sw_side, 0.02, horizon)),
         ),
         (
             "hyperbolic",
@@ -377,7 +352,7 @@ fn main() {
         for (i, engine) in ["heap", "calendar"].into_iter().enumerate() {
             let (events, generated) = meta[i];
             record(
-                &mut cells, sim, *size, *rho, engine, 1, best[i], events, generated,
+                &mut cells, sim, *size, *rho, engine, best[i], events, generated,
             );
         }
         eprintln!(
@@ -387,90 +362,18 @@ fn main() {
         );
     }
 
-    // The intra-run sharded engine (schema v6): the d12 hypercube at
-    // workers ∈ {1, 2, 4, 8} and the generated small-world at
-    // workers ∈ {2, 4, 8} (its workers = 1 baseline is the calendar
-    // cell recorded above — same scenario, seed, and horizon). Reports
-    // are byte-identical at every worker count (the corpus/proptest
-    // gates prove it), so these cells measure pure execution cost:
-    // on a multi-core host they show the scaling, on a single-core
-    // host they honestly show the window-barrier overhead.
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let par_dim = 12usize;
-    let par_reps = if scale == "full" { 5 } else { 3 };
-    for &w in &[1usize, 2, 4, 8] {
-        let mut best = f64::MAX;
-        let mut m = (0u64, 0u64);
-        for _ in 0..par_reps {
-            let (t, ev, gen) = run_hypercube(SchedulerKind::Calendar, par_dim, 0.8, horizon, w);
-            best = best.min(t);
-            m = (ev, gen);
-        }
-        record(
-            &mut cells,
-            "hypercube",
-            par_dim,
-            0.8,
-            "calendar",
-            w,
-            best,
-            m.0,
-            m.1,
-        );
-        eprintln!(
-            "hypercube d{par_dim} rho0.8 workers={w}: {:.2} Mev/s",
-            m.0 as f64 / best / 1e6
-        );
-    }
-    for &w in &[2usize, 4, 8] {
-        let mut best = f64::MAX;
-        let mut m = (0u64, 0u64);
-        for _ in 0..par_reps {
-            let (t, ev, gen) = run_smallworld(SchedulerKind::Calendar, sw_side, 0.02, horizon, w);
-            best = best.min(t);
-            m = (ev, gen);
-        }
-        record(
-            &mut cells,
-            "smallworld",
-            sparse_n as usize,
-            0.3,
-            "calendar",
-            w,
-            best,
-            m.0,
-            m.1,
-        );
-        eprintln!(
-            "smallworld n{sparse_n} workers={w}: {:.2} Mev/s",
-            m.0 as f64 / best / 1e6
-        );
-    }
-
-    let rate = |sim: &str, dim: usize, rho: f64, engine: &str, workers: usize| {
+    let rate = |sim: &str, dim: usize, rho: f64, engine: &str| {
         cells
             .iter()
             .find(|c| {
-                c.sim == sim
-                    && c.dim == dim
-                    && (c.rho - rho).abs() < 1e-9
-                    && c.engine == engine
-                    && c.workers == workers
+                c.sim == sim && c.dim == dim && (c.rho - rho).abs() < 1e-9 && c.engine == engine
             })
             .map(|c| c.events_per_sec)
             .expect("grid cell present")
     };
-    let headline_seed =
-        rate("hypercube", 8, 0.8, "calendar", 1) / rate("hypercube", 8, 0.8, "seed", 1);
-    let headline_heap =
-        rate("hypercube", 8, 0.8, "calendar", 1) / rate("hypercube", 8, 0.8, "heap", 1);
-    // Self-relative sharded speedups (>1 only where the host has the
-    // cores to back it; the single-threaded engine is the oracle and
-    // the baseline).
-    let d12_w8 = rate("hypercube", par_dim, 0.8, "calendar", 8)
-        / rate("hypercube", par_dim, 0.8, "calendar", 1);
-    let sw_w8 = rate("smallworld", sparse_n as usize, 0.3, "calendar", 8)
-        / rate("smallworld", sparse_n as usize, 0.3, "calendar", 1);
+    let headline_seed = rate("hypercube", 8, 0.8, "calendar") / rate("hypercube", 8, 0.8, "seed");
+    let headline_heap = rate("hypercube", 8, 0.8, "calendar") / rate("hypercube", 8, 0.8, "heap");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -478,22 +381,18 @@ fn main() {
     let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
     let _ = writeln!(json, "  \"scale\": \"{scale}\",");
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"kernel\": \"hypercube_sim greedy p=0.5 (+ ring n={ring_nodes} bidirectional, torus 16^2, de Bruijn n=1024, fat tree 256 leaves on the blanket GraphSpec; smallworld/hyperbolic n={sparse_n} generated CSR + metric greedy, build included; sharded d12 + smallworld at workers 1/2/4/8), horizon {horizon}, warmup 20%, best of {reps}\",");
+    let _ = writeln!(json, "  \"kernel\": \"hypercube_sim greedy p=0.5 (+ ring n={ring_nodes} bidirectional, torus 16^2, de Bruijn n=1024, fat tree 256 leaves on the blanket GraphSpec; smallworld/hyperbolic n={sparse_n} generated CSR + metric greedy, build included), horizon {horizon}, warmup 20%, best of {reps}\",");
     let _ = writeln!(
         json,
         "  \"baseline\": \"seed = frozen pre-PR engine (binary-heap FEL, VecDeque arc queues, per-event asserts, in-queue arrival events); heap/calendar = generic engine (dequeued arrival stream + peek_payload prefetch) on each scheduler backend\","
     );
     let _ = writeln!(
         json,
-        "  \"engine_features\": {{ \"generic_engine\": true, \"arrival_stream_dequeued\": true, \"peek_payload_prefetch\": true, \"blanket_graph_spec\": true, \"sparse_metric_greedy\": true, \"intra_run_sharding\": true }},"
+        "  \"engine_features\": {{ \"generic_engine\": true, \"arrival_stream_dequeued\": true, \"peek_payload_prefetch\": true, \"blanket_graph_spec\": true, \"sparse_metric_greedy\": true }},"
     );
     let _ = writeln!(
         json,
         "  \"headline\": {{ \"kernel\": \"hypercube_sim/d8_rho0.8\", \"calendar_vs_seed_speedup\": {headline_seed:.3}, \"calendar_vs_heap_backend_speedup\": {headline_heap:.3} }},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"parallel\": {{ \"host_cores\": {host_cores}, \"hypercube_d12_w8_self_speedup\": {d12_w8:.3}, \"smallworld_w8_self_speedup\": {sw_w8:.3} }},"
     );
     // Engine phase timers (schema v5). In default builds the feature is
     // off and only `enabled: false` is recorded — the grid above then
@@ -528,8 +427,8 @@ fn main() {
         let sep = if i + 1 == cells.len() { "" } else { "," };
         let _ = writeln!(
             json,
-            "    {{ \"sim\": \"{}\", \"dim\": {}, \"rho\": {}, \"engine\": \"{}\", \"workers\": {}, \"wall_s\": {:.6}, \"events\": {}, \"packets\": {}, \"events_per_sec\": {:.0}, \"packets_per_sec\": {:.0} }}{sep}",
-            c.sim, c.dim, c.rho, c.engine, c.workers, c.wall_s, c.events, c.generated, c.events_per_sec, c.packets_per_sec
+            "    {{ \"sim\": \"{}\", \"dim\": {}, \"rho\": {}, \"engine\": \"{}\", \"wall_s\": {:.6}, \"events\": {}, \"packets\": {}, \"events_per_sec\": {:.0}, \"packets_per_sec\": {:.0} }}{sep}",
+            c.sim, c.dim, c.rho, c.engine, c.wall_s, c.events, c.generated, c.events_per_sec, c.packets_per_sec
         );
     }
     json.push_str("  ]\n}\n");
@@ -546,9 +445,7 @@ fn main() {
         "\"sim\": \"smallworld\"",
         "\"sim\": \"hyperbolic\"",
         "\"headline\"",
-        "\"parallel\"",
         "\"host_cores\"",
-        "\"workers\": 8",
         "\"profile\"",
     ] {
         assert!(json.contains(key), "emitted report lost schema key {key}");
@@ -561,9 +458,5 @@ fn main() {
     eprintln!("wrote {out}");
     eprintln!(
         "headline d8_rho0.8: calendar vs seed baseline {headline_seed:.2}x, vs heap backend {headline_heap:.2}x"
-    );
-    eprintln!(
-        "sharded self-speedup at 8 workers (host has {host_cores} core(s)): \
-         hypercube d12 {d12_w8:.2}x, smallworld n{sparse_n} {sw_w8:.2}x"
     );
 }

@@ -1,9 +1,9 @@
 //! Shared plumbing for the table-regenerating bench targets.
 //!
-//! Every experiment from DESIGN.md's index has a `harness = false` bench
-//! target whose `main` calls [`run_table_bench`]: it executes the
-//! experiment, prints the paper-vs-measured table, and reports wall-clock
-//! time. `cargo bench` therefore regenerates every table.
+//! Every experiment in `hyperroute_experiments::all_experiments` has a
+//! `harness = false` bench target whose `main` calls [`run_table_bench`]:
+//! it executes the experiment, prints the paper-vs-measured table, and
+//! reports wall-clock time. `cargo bench` therefore regenerates every table.
 //!
 //! Scale control: set `HYPERROUTE_SCALE=full` for the EXPERIMENTS.md grids
 //! (long horizons); the default `quick` keeps a full `cargo bench` run in

@@ -17,7 +17,6 @@
 use crate::engine::{Advance, ArcChoice, Engine, EngineCfg, EnginePacket, EngineSpec, Spawn};
 use crate::observe::{NullObserver, Observer};
 use crate::packet::sample_flip_mask;
-use crate::parallel::{ParallelEngine, ShardSpec, ShardableSpec};
 use crate::scenario::{ButterflyExt, Report, ReportExt, Scenario, Topology};
 use hyperroute_desim::{SimRng, Tally};
 use hyperroute_topology::{ArcKind, Butterfly, ButterflyArc};
@@ -140,58 +139,10 @@ impl EngineSpec for ButterflySpec {
     }
 }
 
-impl ShardSpec for ButterflySpec {}
-
-impl ShardableSpec for ButterflySpec {
-    type Shard = ButterflySpec;
-
-    fn shard(&self) -> ButterflySpec {
-        ButterflySpec {
-            dim: self.dim,
-            p: self.p,
-            straight_arrivals: vec![0; self.dim],
-            vertical_arrivals: vec![0; self.dim],
-            // Shards never see deliveries in replay order; the mean
-            // vertical-hop tally accrues on the primary spec via
-            // `note_deliver` during record replay.
-            vertical_stats: Tally::new(),
-        }
-    }
-
-    fn num_nodes(&self) -> usize {
-        // Engine nodes encode `level·2^d + row` for levels `0..d` (the
-        // level-`d` boundary is a delivery, never a node).
-        self.dim << self.dim
-    }
-
-    fn arc_tail(&self, arc: usize) -> u32 {
-        // Dense arc index is `tail_node·2 + kind`.
-        (arc >> 1) as u32
-    }
-
-    fn absorb(&mut self, shard: &ButterflySpec) {
-        for (total, &part) in self
-            .straight_arrivals
-            .iter_mut()
-            .zip(&shard.straight_arrivals)
-        {
-            *total += part;
-        }
-        for (total, &part) in self
-            .vertical_arrivals
-            .iter_mut()
-            .zip(&shard.vertical_arrivals)
-        {
-            *total += part;
-        }
-    }
-}
-
 /// The butterfly simulator: a [`ButterflySpec`] driven by the generic
 /// [`Engine`].
 pub struct ButterflySim {
     engine: Engine<ButterflySpec>,
-    workers: usize,
 }
 
 impl ButterflySim {
@@ -221,7 +172,6 @@ impl ButterflySim {
         };
         ButterflySim {
             engine: Engine::new(spec, cfg),
-            workers: s.run.intra_workers(),
         }
     }
 
@@ -235,37 +185,13 @@ impl ButterflySim {
     /// The observer never changes the simulation — reports are
     /// bit-identical to an unobserved [`ButterflySim::run`].
     pub fn run_observed<O: Observer>(mut self, obs: &mut O) -> Report {
-        if self.workers > 1 {
-            let (spec, cfg) = self.engine.into_spec_cfg();
-            let mut par = ParallelEngine::new(spec, cfg, self.workers);
-            par.drive(obs);
-            return Self::assemble(
-                par.spec(),
-                par.cfg(),
-                par.collector(),
-                par.events_processed(),
-            );
-        }
         self.engine.drive(obs);
         self.report()
     }
 
     fn report(&self) -> Report {
         let engine = &self.engine;
-        Self::assemble(
-            engine.spec(),
-            engine.cfg(),
-            engine.collector(),
-            engine.events_processed(),
-        )
-    }
-
-    fn assemble(
-        spec: &ButterflySpec,
-        cfg: &EngineCfg,
-        collector: &crate::metrics::MetricsCollector,
-        events: u64,
-    ) -> Report {
+        let (spec, cfg, collector) = (engine.spec(), engine.cfg(), engine.collector());
         let span = cfg.horizon - cfg.warmup;
         let arcs_per_level = (1usize << spec.dim) as f64;
         let straight: Vec<f64> = spec
@@ -286,7 +212,7 @@ impl ButterflySim {
             little_error: collector.little_check(cfg.horizon).relative_error(),
             generated: collector.generated(),
             delivered: collector.delivered_total(),
-            events,
+            events: engine.events_processed(),
             ext: ReportExt::Butterfly(ButterflyExt {
                 rho: cfg.lambda * spec.p.max(1.0 - spec.p),
                 mean_vertical_hops: spec.vertical_stats.mean(),

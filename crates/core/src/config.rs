@@ -251,18 +251,6 @@ impl fmt::Display for Scheme {
     }
 }
 
-impl Scheme {
-    /// Human-readable name used in experiment tables.
-    #[deprecated(since = "0.2.0", note = "format with `Display` instead")]
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheme::Greedy => "greedy",
-            Scheme::RandomOrder => "random-order",
-            Scheme::TwoPhaseValiant => "two-phase-valiant",
-        }
-    }
-}
-
 /// How packets are generated (paper §1.1 vs §3.4).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
 pub enum ArrivalModel {
@@ -332,18 +320,6 @@ impl fmt::Display for ContentionPolicy {
             ContentionPolicy::Lifo => "lifo",
             ContentionPolicy::Random => "random",
         })
-    }
-}
-
-impl ContentionPolicy {
-    /// Human-readable name used in experiment tables.
-    #[deprecated(since = "0.2.0", note = "format with `Display` instead")]
-    pub fn name(self) -> &'static str {
-        match self {
-            ContentionPolicy::Fifo => "fifo",
-            ContentionPolicy::Lifo => "lifo",
-            ContentionPolicy::Random => "random",
-        }
     }
 }
 
@@ -721,21 +697,6 @@ mod tests {
         ];
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_name_matches_display() {
-        for scheme in [Scheme::Greedy, Scheme::RandomOrder, Scheme::TwoPhaseValiant] {
-            assert_eq!(scheme.name(), scheme.to_string());
-        }
-        for policy in [
-            ContentionPolicy::Fifo,
-            ContentionPolicy::Lifo,
-            ContentionPolicy::Random,
-        ] {
-            assert_eq!(policy.name(), policy.to_string());
-        }
     }
 
     #[test]

@@ -590,14 +590,6 @@ impl<T: EngineSpec> Engine<T> {
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
-
-    /// Take the spec and run parameters back out of a **not-yet-driven**
-    /// engine — the hand-off point to the sharded executor
-    /// ([`crate::parallel::ParallelEngine`]), which rebuilds the RNGs and
-    /// collector from `cfg.seed` exactly as [`Engine::new`] did.
-    pub fn into_spec_cfg(self) -> (T, EngineCfg) {
-        (self.spec, self.cfg)
-    }
 }
 
 #[cfg(test)]

@@ -44,7 +44,6 @@ use crate::engine::{Advance, ArcChoice, Engine, EngineCfg, EnginePacket, EngineS
 use crate::metrics::{MetricsCollector, ShardedArcTally};
 use crate::observe::{NullObserver, Observer};
 use crate::packet::sample_flip_mask;
-use crate::parallel::{ParallelEngine, ShardSpec, ShardableSpec};
 use crate::scenario::{GraphExt, OutcomeExt, Report, ReportExt, Scenario, StretchExt};
 use hyperroute_desim::{splitmix64, SimRng};
 use hyperroute_topology::RoutingTopology;
@@ -194,12 +193,8 @@ const MULTIPATH_DEFLECTION_CAP: u16 = 64;
 
 /// The realised dead-arc set, the adjacency index the detour-style
 /// fallbacks scan, and the pre-drawn dynamic fault-arrival schedule.
-/// `Clone` hands every shard worker its own copy: the mask and schedule
-/// are functions of the fault seeds alone, and arcs only ever die, so
-/// each shard advancing `apply_until` along its own (monotone) event
-/// times sees the same mask the single-threaded run would at the same
-/// instant.
-#[derive(Clone)]
+/// The mask and schedule are functions of the fault seeds alone, so a
+/// rerun with the same seeds sees the same dead arcs at every instant.
 struct FaultState {
     dead: Vec<bool>,
     dead_count: u64,
@@ -434,10 +429,10 @@ impl FaultState {
     /// Equidistant candidates break by a per-packet splitmix hash
     /// (`salt` mixes the packet's trace id with its paid-hop count), so
     /// stuck packets revisiting a plateau spread over different
-    /// neighbours instead of all herding down the lowest arc index —
-    /// without touching any shared RNG stream, which keeps the walk a
-    /// pure function of packet state (replayable across shard workers
-    /// and bit-identical across reruns). Returns the arc and its head's
+    /// neighbours instead of all herding down the lowest arc index.
+    /// The hash touches no shared RNG stream, so the walk is a pure
+    /// function of packet state: the order in which other packets'
+    /// events interleave cannot change it. Returns the arc and its head's
     /// quantised distance, or `None` when every out-arc is dead (a dead
     /// end). The caller decides paid-vs-free against the TTL.
     fn escape<T: RoutingTopology>(
@@ -853,121 +848,6 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
     }
 }
 
-/// Drop-taxonomy wire codes ([`ShardSpec::take_drop_code`] →
-/// [`ShardableSpec::replay_drop`]).
-const DROP_PLAIN: u8 = 0;
-const DROP_LOCAL_MINIMUM: u8 = 1;
-const DROP_DEAD_END: u8 = 2;
-
-impl<T: RoutingTopology> ShardSpec for GraphSpec<T> {
-    fn take_drop_code(&mut self) -> u8 {
-        match self.pending_drop.take() {
-            None => DROP_PLAIN,
-            Some(DropKind::LocalMinimum) => DROP_LOCAL_MINIMUM,
-            Some(DropKind::DeadEnd) => DROP_DEAD_END,
-        }
-    }
-}
-
-impl<T> ShardableSpec for GraphSpec<T>
-where
-    T: RoutingTopology + Clone + Send + Sync,
-{
-    type Shard = GraphSpec<T>;
-
-    fn shard(&self) -> GraphSpec<T> {
-        GraphSpec {
-            topo: self.topo.clone(),
-            dest: self.dest.clone(),
-            faults: self.faults.clone(),
-            hint: self.hint,
-            arc_arrivals: ShardedArcTally::new(self.topo.num_arcs()),
-            dropped_in_window: 0,
-            stretch_on: self.stretch_on,
-            outcomes: OutcomeTally::default(),
-            stretch: StretchTally::default(),
-            pending_drop: None,
-        }
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.topo.num_nodes()
-    }
-
-    fn arc_tail(&self, arc: usize) -> u32 {
-        self.topo.arc_tail(arc) as u32
-    }
-
-    fn replay_drop(&mut self, pkt: &GraphPacket, in_window: bool, code: u8) {
-        self.pending_drop = match code {
-            DROP_LOCAL_MINIMUM => Some(DropKind::LocalMinimum),
-            DROP_DEAD_END => Some(DropKind::DeadEnd),
-            _ => None,
-        };
-        self.note_drop(pkt, in_window);
-    }
-
-    fn absorb(&mut self, shard: &GraphSpec<T>) {
-        // Per-arc arrival counts are the one shard-side tally; the
-        // outcome/stretch/drop accounting accrues on the primary spec
-        // through `note_deliver`/`replay_drop` during record replay.
-        self.arc_arrivals.absorb(&shard.arc_arrivals);
-    }
-
-    fn finish(&mut self, t_last: f64) {
-        // Catch the primary mask up to the last routing decision so the
-        // reported `dead_arcs` matches the single-threaded run (whose
-        // mask advanced inside every `choose_arc`).
-        if let Some(faults) = self.faults.as_mut() {
-            faults.apply_until(t_last);
-        }
-    }
-}
-
-impl<T: RoutingTopology> GraphSpec<T> {
-    /// Move the topology behind an [`std::sync::Arc`] so shard workers
-    /// can share one copy ([`ShardableSpec::shard`] clones the handle,
-    /// not the graph). The single-threaded path never pays the
-    /// indirection — the conversion happens only on the `workers > 1`
-    /// branch.
-    fn into_shared(self) -> GraphSpec<std::sync::Arc<T>> {
-        GraphSpec {
-            topo: std::sync::Arc::new(self.topo),
-            dest: self.dest,
-            faults: self.faults,
-            hint: self.hint,
-            arc_arrivals: self.arc_arrivals,
-            dropped_in_window: self.dropped_in_window,
-            stretch_on: self.stretch_on,
-            outcomes: self.outcomes,
-            stretch: self.stretch,
-            pending_drop: self.pending_drop,
-        }
-    }
-}
-
-impl<T: RoutingTopology> GraphSpec<std::sync::Arc<T>> {
-    /// Reclaim the topology after a sharded run (every worker has
-    /// dropped its handle by the time the drive returns).
-    fn into_owned(self) -> GraphSpec<T> {
-        let Ok(topo) = std::sync::Arc::try_unwrap(self.topo) else {
-            unreachable!("shard workers outlived the drive");
-        };
-        GraphSpec {
-            topo,
-            dest: self.dest,
-            faults: self.faults,
-            hint: self.hint,
-            arc_arrivals: self.arc_arrivals,
-            dropped_in_window: self.dropped_in_window,
-            stretch_on: self.stretch_on,
-            outcomes: self.outcomes,
-            stretch: self.stretch,
-            pending_drop: self.pending_drop,
-        }
-    }
-}
-
 /// How a [`GraphSim`] renders its per-topology report extension.
 pub type ExtBuilder<T> = fn(&GraphSpec<T>, &EngineCfg, &MetricsCollector) -> ReportExt;
 
@@ -978,7 +858,6 @@ pub type ExtBuilder<T> = fn(&GraphSpec<T>, &EngineCfg, &MetricsCollector) -> Rep
 pub struct GraphSim<T: RoutingTopology> {
     engine: Engine<GraphSpec<T>>,
     ext: ExtBuilder<T>,
-    workers: usize,
 }
 
 impl<T: RoutingTopology> GraphSim<T> {
@@ -1014,49 +893,20 @@ impl<T: RoutingTopology> GraphSim<T> {
         GraphSim {
             engine: Engine::new(spec, cfg),
             ext,
-            workers: s.run.intra_workers(),
         }
     }
 
     /// Run to completion and summarise.
-    pub fn run(self) -> Report
-    where
-        T: Send + Sync,
-    {
+    pub fn run(self) -> Report {
         self.run_observed(&mut NullObserver)
     }
 
     /// Run to completion under a streaming [`Observer`] and summarise
     /// (bit-identical to an unobserved run).
-    pub fn run_observed<O: Observer>(mut self, obs: &mut O) -> Report
-    where
-        T: Send + Sync,
-    {
-        if self.workers > 1 {
-            let (spec, cfg) = self.engine.into_spec_cfg();
-            let mut par = ParallelEngine::new(spec.into_shared(), cfg, self.workers);
-            par.drive(obs);
-            let (spec, cfg, collector, events) = par.into_parts();
-            return Self::assemble(&spec.into_owned(), &cfg, &collector, events, self.ext);
-        }
+    pub fn run_observed<O: Observer>(mut self, obs: &mut O) -> Report {
         self.engine.drive(obs);
         let engine = &self.engine;
-        Self::assemble(
-            engine.spec(),
-            engine.cfg(),
-            engine.collector(),
-            engine.events_processed(),
-            self.ext,
-        )
-    }
-
-    fn assemble(
-        spec: &GraphSpec<T>,
-        cfg: &EngineCfg,
-        collector: &MetricsCollector,
-        events: u64,
-        ext: ExtBuilder<T>,
-    ) -> Report {
+        let (spec, cfg, collector) = (engine.spec(), engine.cfg(), engine.collector());
         Report {
             delay: collector.delay_stats(),
             mean_in_system: collector.mean_in_system(cfg.horizon),
@@ -1065,8 +915,8 @@ impl<T: RoutingTopology> GraphSim<T> {
             little_error: collector.little_check(cfg.horizon).relative_error(),
             generated: collector.generated(),
             delivered: collector.delivered_total(),
-            events,
-            ext: ext(spec, cfg, collector),
+            events: engine.events_processed(),
+            ext: (self.ext)(spec, cfg, collector),
             telemetry: None,
         }
     }

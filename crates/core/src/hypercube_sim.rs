@@ -18,7 +18,6 @@ use crate::config::{DestinationSpec, Scheme};
 use crate::engine::{Advance, ArcChoice, Engine, EngineCfg, EnginePacket, EngineSpec, Spawn};
 use crate::observe::{NullObserver, Observer};
 use crate::packet::{next_dim, sample_flip_mask, MaskSampler, Packet, NO_SECOND_LEG};
-use crate::parallel::{ParallelEngine, ShardSpec, ShardableSpec};
 use crate::scenario::{HypercubeExt, Report, ReportExt, Scenario, Topology};
 use hyperroute_desim::{SimRng, TimeIntegral};
 use hyperroute_topology::Hypercube;
@@ -184,58 +183,11 @@ impl EngineSpec for HypercubeSpec {
     fn note_deliver(&mut self, _pkt: &Packet, _in_window: bool) {}
 }
 
-impl ShardSpec for HypercubeSpec {}
-
-impl ShardableSpec for HypercubeSpec {
-    type Shard = HypercubeSpec;
-
-    fn shard(&self) -> HypercubeSpec {
-        HypercubeSpec {
-            dim: self.dim,
-            p: self.p,
-            scheme: self.scheme,
-            // Shards never generate packets (the coordinator owns the
-            // destination law), so the sampler stays primary-side.
-            mask_sampler: None,
-            warmup: self.warmup,
-            horizon: self.horizon,
-            dim_arrivals: vec![0; self.dim],
-            dim_occupancy: (0..self.dim).map(|_| TimeIntegral::new(0.0, 0.0)).collect(),
-            dim_occ_reset_done: self.dim_occ_reset_done,
-        }
-    }
-
-    fn num_nodes(&self) -> usize {
-        1 << self.dim
-    }
-
-    fn arc_tail(&self, arc: usize) -> u32 {
-        (arc / self.dim) as u32
-    }
-
-    fn replay_hop(&mut self, t: f64, arc: u32) {
-        // Per-dimension arrival counts are absorbed shard-side; only the
-        // order-dependent occupancy integral replays here.
-        self.bump_dim_occupancy(t, arc as usize % self.dim, 1.0);
-    }
-
-    fn replay_service_end(&mut self, t: f64, arc: u32) {
-        self.bump_dim_occupancy(t, arc as usize % self.dim, -1.0);
-    }
-
-    fn absorb(&mut self, shard: &HypercubeSpec) {
-        for (total, &part) in self.dim_arrivals.iter_mut().zip(&shard.dim_arrivals) {
-            *total += part;
-        }
-    }
-}
-
 /// The hypercube simulator: a [`HypercubeSpec`] driven by the generic
 /// [`Engine`]. Built by the scenario layer; run with [`HypercubeSim::run`]
 /// or [`HypercubeSim::run_observed`].
 pub struct HypercubeSim {
     engine: Engine<HypercubeSpec>,
-    workers: usize,
 }
 
 impl HypercubeSim {
@@ -276,7 +228,6 @@ impl HypercubeSim {
         debug_assert_eq!(cube.num_arcs(), dim << dim);
         HypercubeSim {
             engine: Engine::new(spec, cfg),
-            workers: s.run.intra_workers(),
         }
     }
 
@@ -291,37 +242,13 @@ impl HypercubeSim {
     /// delivery; it never changes the simulation — reports are
     /// bit-identical to an unobserved [`HypercubeSim::run`].
     pub fn run_observed<O: Observer>(mut self, obs: &mut O) -> Report {
-        if self.workers > 1 {
-            let (spec, cfg) = self.engine.into_spec_cfg();
-            let mut par = ParallelEngine::new(spec, cfg, self.workers);
-            par.drive(obs);
-            return Self::assemble(
-                par.spec(),
-                par.cfg(),
-                par.collector(),
-                par.events_processed(),
-            );
-        }
         self.engine.drive(obs);
         self.report()
     }
 
     fn report(&self) -> Report {
         let engine = &self.engine;
-        Self::assemble(
-            engine.spec(),
-            engine.cfg(),
-            engine.collector(),
-            engine.events_processed(),
-        )
-    }
-
-    fn assemble(
-        spec: &HypercubeSpec,
-        cfg: &EngineCfg,
-        collector: &crate::metrics::MetricsCollector,
-        events: u64,
-    ) -> Report {
+        let (spec, cfg, collector) = (engine.spec(), engine.cfg(), engine.collector());
         let span = cfg.horizon - cfg.warmup;
         let arcs_per_dim = (1usize << spec.dim) as f64;
         let per_dim_arc_rate: Vec<f64> = spec
@@ -342,7 +269,7 @@ impl HypercubeSim {
             little_error: collector.little_check(cfg.horizon).relative_error(),
             generated: collector.generated(),
             delivered: collector.delivered_total(),
-            events,
+            events: engine.events_processed(),
             ext: ReportExt::Hypercube(HypercubeExt {
                 rho: cfg.lambda * spec.p,
                 mean_hops: collector.mean_hops(),

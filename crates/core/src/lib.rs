@@ -175,33 +175,6 @@
 //! touching the simulation's random draws; high-frequency consumers
 //! batch the per-event virtual call with [`observe::BufferedObserver`].
 //!
-//! # Parallel execution
-//!
-//! One run can shard across cores: [`scenario::RunControl::workers`]
-//! (scenario JSON `run.workers`, builder `.workers(n)`) routes every
-//! engine-backed topology through [`parallel::ParallelEngine`] instead
-//! of the single-threaded [`engine::Engine`]. The design is
-//! conservative parallel discrete-event simulation with **lookahead 1**
-//! from the paper's unit transmission times: nodes are partitioned
-//! across shard workers (degree-balanced contiguous ranges), time
-//! advances in windows `[k, k+1)`, and every completion scheduled in a
-//! window fires in the next one — so a coordinator can sort each
-//! window's full event population into the exact single-threaded pop
-//! order before it runs, hand each shard its slice as an explicit
-//! agenda, and replay the shards' effect records in that same order.
-//! The payoff is the determinism contract: a sharded report is
-//! **byte-identical** to the single-threaded one — same delay stats,
-//! same event count, same observer call sequence — for every worker
-//! count, so `workers` is purely an execution knob (the differential
-//! proptest suite and a `workers=2` corpus arm enforce this).
-//! Configurations whose per-hop decisions draw shared randomness
-//! (random-order routing, random contention, slotted arrival batches)
-//! are rejected by validation at `workers > 1`; everything else —
-//! faults, fallbacks, escape walks, observers, telemetry — just works.
-//! Sharding pays a two-channel barrier per simulated time unit, so it
-//! wins on large, busy graphs and loses on small ones; sweeps that
-//! already saturate cores across points should keep `workers` unset.
-//!
 //! # Observability
 //!
 //! The [`observe::Observer`] trait is the engine's only tap: default
@@ -244,7 +217,6 @@ pub mod hypercube_sim;
 pub mod metrics;
 pub mod observe;
 pub mod packet;
-pub mod parallel;
 pub mod pipelined;
 pub mod pool;
 pub mod profile;

@@ -334,24 +334,6 @@ impl ShardedArcTally {
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.len).map(move |arc| self.get(arc))
     }
-
-    /// Saturating element-wise merge of a worker's tally into this one.
-    ///
-    /// Shards the other tally never touched stay untouched here too, so
-    /// merging preserves the lazy-allocation footprint; counters saturate
-    /// exactly as repeated [`bump`](Self::bump)s would.
-    pub fn absorb(&mut self, other: &ShardedArcTally) {
-        assert_eq!(self.len, other.len, "absorbing tally of different size");
-        for (shard, counters) in other.shards.iter().enumerate() {
-            let Some(theirs) = counters else { continue };
-            let span = self.shard_span(shard);
-            let ours =
-                self.shards[shard].get_or_insert_with(|| vec![0u32; span].into_boxed_slice());
-            for (o, &t) in ours.iter_mut().zip(theirs.iter()) {
-                *o = o.saturating_add(t);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

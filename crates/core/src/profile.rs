@@ -26,24 +26,13 @@ pub enum Phase {
     Metrics = 2,
     /// Per-event observer dispatch.
     Observer = 3,
-    /// Sharded-run window synchronisation: the coordinator's
-    /// send/receive barrier around each lookahead window
-    /// ([`crate::parallel::ParallelEngine`]); zero on single-threaded
-    /// runs.
-    ShardSync = 4,
 }
 
 /// Number of phases (array size for the accumulators).
-const PHASES: usize = 5;
+const PHASES: usize = 4;
 
 /// Phase names in `Phase` discriminant order, as emitted in bench JSON.
-pub const PHASE_NAMES: [&str; PHASES] = [
-    "sched_pop",
-    "arc_choice",
-    "metrics",
-    "observer",
-    "shard_sync",
-];
+pub const PHASE_NAMES: [&str; PHASES] = ["sched_pop", "arc_choice", "metrics", "observer"];
 
 /// Whether this build carries the timers.
 pub const fn enabled() -> bool {
@@ -199,22 +188,16 @@ mod tests {
     fn timed_engine_charges_every_phase() {
         use crate::scenario::{Scenario, Topology};
         let _ = take(); // discard anything earlier tests left behind
-        let build = |workers| {
-            Scenario::builder(Topology::Hypercube { dim: 4 })
-                .lambda(1.0)
-                .p(0.5)
-                .horizon(200.0)
-                .warmup(50.0)
-                .seed(3)
-                .workers(workers)
-                .build()
-                .expect("valid scenario")
-        };
-        // A single-threaded drive charges the four hot-loop phases; a
-        // sharded one charges the window barrier on the coordinator
-        // thread (which is this thread, so `take` sees it).
-        build(1).run().expect("runs");
-        build(2).run().expect("runs sharded");
+        Scenario::builder(Topology::Hypercube { dim: 4 })
+            .lambda(1.0)
+            .p(0.5)
+            .horizon(200.0)
+            .warmup(50.0)
+            .seed(3)
+            .build()
+            .expect("valid scenario")
+            .run()
+            .expect("runs");
         let summary = take();
         assert!(summary.enabled);
         for stat in &summary.phases {

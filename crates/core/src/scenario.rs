@@ -342,21 +342,6 @@ pub struct RunControl {
     /// After the horizon, keep serving until every in-flight packet is
     /// delivered. Disable for instability probes.
     pub drain: bool,
-    /// Shard this one run across this many OS threads sharing a single
-    /// simulated clock ([`crate::parallel::ParallelEngine`]). `None`
-    /// (the default) and `Some(1)` run the classic single-threaded
-    /// engine; any value yields byte-identical reports. Only
-    /// engine-backed topologies under Poisson arrivals shard — see the
-    /// [`crate::parallel`] module docs for the exact gate.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub workers: Option<std::num::NonZeroUsize>,
-}
-
-impl RunControl {
-    /// The effective intra-run worker count (`1` when unset).
-    pub fn intra_workers(&self) -> usize {
-        self.workers.map_or(1, |w| w.get())
-    }
 }
 
 impl Default for RunControl {
@@ -367,7 +352,6 @@ impl Default for RunControl {
             seed: 0x5CE9A810,
             scheduler: SchedulerKind::default(),
             drain: true,
-            workers: None,
         }
     }
 }
@@ -411,43 +395,6 @@ impl Scenario {
                 feature: feature.to_string(),
             })
         };
-        if self.run.intra_workers() > 1 {
-            // Sharded execution keeps reports byte-identical by replaying
-            // shard records in a deterministic merge order; combinations
-            // whose tie-breaking or randomness is inherently sequential
-            // are rejected rather than silently diverging (the gate is
-            // documented in the `parallel` module).
-            if matches!(
-                self.topology,
-                Topology::EqNet { .. } | Topology::Pipelined { .. }
-            ) {
-                return unsupported("sharded execution (run.workers > 1; no engine backend)");
-            }
-            if matches!(self.topology, Topology::Butterfly { .. }) && w.faults.is_some() {
-                return unsupported(
-                    "fault masks under sharded execution (ranked alternates re-enter \
-                     foreign rows, breaking shard-local arc ownership)",
-                );
-            }
-            if w.arrivals != ArrivalModel::Poisson {
-                return unsupported(
-                    "slotted arrivals under sharded execution (batch ties have no \
-                     deterministic cross-shard order)",
-                );
-            }
-            if pol.contention == ContentionPolicy::Random {
-                return unsupported("Random contention under sharded execution");
-            }
-            if pol.scheme == Scheme::RandomOrder {
-                return unsupported(
-                    "the RandomOrder scheme under sharded execution (per-hop route \
-                     randomness is drawn in pop order)",
-                );
-            }
-            if !self.run.drain {
-                return unsupported("drain = false under sharded execution");
-            }
-        }
         match &self.topology {
             Topology::Hypercube { dim } => {
                 if pol.discipline != Discipline::Fifo {
@@ -969,10 +916,23 @@ impl Scenario {
     ///
     /// Parse failures carry the 1-based line and column of the offending
     /// byte, so file-driven harnesses (the `hyperroute-grid` corpus
-    /// runner) can report `file:line:column` locations.
+    /// runner) can report `file:line:column` locations. Unknown keys are
+    /// ignored, except the removed `run.workers`, which is rejected
+    /// ([`ScenarioFileError::Removed`]) so an old file cannot silently
+    /// run differently from what it asks for.
     pub fn from_json(text: &str) -> Result<Scenario, ScenarioFileError> {
+        let doc = serde_json::parse(text).map_err(|e| ScenarioFileError::parse(text, e))?;
+        if doc.get("run").and_then(|run| run.get("workers")).is_some() {
+            return Err(ScenarioFileError::Removed {
+                key: "run.workers",
+                reason: "intra-run sharding was slower than one thread at every worker \
+                         count measured, so every run is single-threaded; run independent \
+                         scenarios in parallel through a sweep or the hyperroute-grid \
+                         backends instead",
+            });
+        }
         let scenario: Scenario =
-            serde_json::from_str(text).map_err(|e| ScenarioFileError::parse(text, e))?;
+            serde_json::from_value(&doc).map_err(|e| ScenarioFileError::parse(text, e))?;
         scenario.validate().map_err(ScenarioFileError::Invalid)?;
         Ok(scenario)
     }
@@ -984,7 +944,7 @@ impl Scenario {
     /// whatever JSON text the scenario was parsed from), two scenario
     /// files that differ only in field order, whitespace, or explicitly-
     /// `null` optional fields hash identically, while **any** semantic
-    /// field change (a different seed, λ, `run.workers`, …) changes the
+    /// field change (a different seed, λ, scheduler, …) changes the
     /// key. Folding in the engine fingerprint invalidates every key when
     /// an engine change moves report bytes — a stale content-addressed
     /// cache can never serve reports from an older engine.
@@ -1173,6 +1133,13 @@ pub enum ScenarioFileError {
     },
     /// The parsed scenario fails validation.
     Invalid(ConfigError),
+    /// The file sets a key that no longer exists.
+    Removed {
+        /// Dotted path of the key, e.g. `run.workers`.
+        key: &'static str,
+        /// Why it was removed and what to use instead.
+        reason: &'static str,
+    },
 }
 
 impl ScenarioFileError {
@@ -1213,6 +1180,9 @@ impl std::fmt::Display for ScenarioFileError {
                 "scenario file does not parse at line {line}, column {column}: {error}"
             ),
             ScenarioFileError::Invalid(e) => write!(f, "scenario file is invalid: {e}"),
+            ScenarioFileError::Removed { key, reason } => {
+                write!(f, "scenario file sets `{key}`, which was removed: {reason}")
+            }
         }
     }
 }
@@ -1307,13 +1277,6 @@ impl ScenarioBuilder {
     /// Enable or disable the post-horizon drain.
     pub fn drain(mut self, drain: bool) -> Self {
         self.scenario.run.drain = drain;
-        self
-    }
-
-    /// Shard the run across `workers` threads (`1` restores the
-    /// single-threaded engine; reports are byte-identical either way).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.scenario.run.workers = std::num::NonZeroUsize::new(workers);
         self
     }
 
@@ -1781,7 +1744,7 @@ impl Simulator for ButterflySim {
     }
 }
 
-impl<T: RoutingTopology + Send + Sync> Simulator for GraphSim<T> {
+impl<T: RoutingTopology> Simulator for GraphSim<T> {
     fn run_boxed(self: Box<Self>, obs: &mut dyn Observer) -> Report {
         self.run_observed(&mut &mut *obs)
     }
@@ -2072,12 +2035,6 @@ mod tests {
         let mut reseeded = s.clone();
         reseeded.run.seed += 1;
         assert_ne!(reseeded.canonical_hash(), hash);
-        // So does sharded execution: workers is a run-control field the
-        // engine reads, so it belongs in the key even though reports are
-        // proven byte-identical across worker counts.
-        let mut sharded = s.clone();
-        sharded.run.workers = std::num::NonZeroUsize::new(2);
-        assert_ne!(sharded.canonical_hash(), hash);
     }
 
     #[test]
@@ -2400,6 +2357,24 @@ mod tests {
             panic!("expected a parse error");
         };
         assert_eq!((line, column), (1, 14));
+    }
+
+    #[test]
+    fn from_json_rejects_the_removed_workers_key() {
+        let text = hypercube_scenario().to_json().replacen(
+            "\"run\": {",
+            "\"run\": {\n    \"workers\": 4,",
+            1,
+        );
+        assert!(text.contains("\"workers\": 4"), "{text}");
+        let err = Scenario::from_json(&text).unwrap_err();
+        let ScenarioFileError::Removed { key, .. } = err else {
+            panic!("expected a removed-key error, got {err:?}");
+        };
+        assert_eq!(key, "run.workers");
+        let message = err.to_string();
+        assert!(message.contains("`run.workers`"), "{message}");
+        assert!(message.contains("slower than one thread"), "{message}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! E19 — scheme ablation (§5 discussion + design-choice ablation from
-//! DESIGN.md): increasing dimension order vs per-hop random order vs
+//! E19 — scheme ablation (§5 discussion + a design-choice ablation):
+//! increasing dimension order vs per-hop random order vs
 //! two-phase Valiant "mixing".
 //!
 //! Findings the table demonstrates:

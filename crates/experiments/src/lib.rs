@@ -1,7 +1,7 @@
 //! Experiment harnesses reproducing every claim of the paper.
 //!
-//! Each `eNN_*` module regenerates one row of the experiment index in
-//! DESIGN.md §4: it sweeps the relevant parameters, runs the exact
+//! Each `eNN_*` module regenerates one row of the experiment index
+//! ([`all_experiments`]): it sweeps the relevant parameters, runs the exact
 //! simulators from `hyperroute-core`, puts the measured values next to the
 //! paper's closed-form predictions from `hyperroute-analysis`, and returns
 //! a [`table::Table`]. The bench harness (`crates/bench`) prints these

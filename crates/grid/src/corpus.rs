@@ -126,18 +126,6 @@ impl CorpusOutcome {
 /// Optional knobs for [`run_corpus_with`] beyond the common defaults.
 #[derive(Clone, Default)]
 pub struct CorpusOptions {
-    /// Override every scenario's `run.workers` before running — the
-    /// sharded-execution corpus arm: reports must stay bit-identical
-    /// to the same baselines the single-threaded gate checks, because
-    /// [`hyperroute_core::parallel`] is an execution strategy, not a
-    /// model change. Scenarios the workers gate rejects (randomised
-    /// contention, EqNet/Pipelined, …) surface as `Invalid`, so the
-    /// arm is pointed at compatible scenarios via [`Self::only`].
-    pub intra_workers: Option<std::num::NonZeroUsize>,
-    /// Restrict the run to these scenario stems (in file order, not
-    /// list order). Naming a stem with no matching file is an error —
-    /// a typo must not silently shrink the gate.
-    pub only: Option<Vec<String>>,
     /// Consult (and populate) this content-addressed report cache
     /// before simulating any scenario. Cached reports still diff
     /// against the baselines — a poisoned cache fails the gate exactly
@@ -156,8 +144,6 @@ pub struct CorpusOptions {
 impl std::fmt::Debug for CorpusOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CorpusOptions")
-            .field("intra_workers", &self.intra_workers)
-            .field("only", &self.only)
             .field("cache", &self.cache.as_ref().map(|c| c.stats()))
             .field("require_all_hits", &self.require_all_hits)
             .field("via_service", &self.via_service)
@@ -192,24 +178,7 @@ pub fn run_corpus_with(
     update: bool,
     opts: &CorpusOptions,
 ) -> Result<CorpusOutcome, GridError> {
-    let mut files = scenario_files(scenario_dir)?;
-    if let Some(only) = &opts.only {
-        for stem in only {
-            if !files
-                .iter()
-                .any(|p| p.file_stem().is_some_and(|s| *s == **stem))
-            {
-                return Err(GridError::Corpus(format!(
-                    "--only names `{stem}` but {}/{stem}.json does not exist",
-                    scenario_dir.display()
-                )));
-            }
-        }
-        files.retain(|p| {
-            p.file_stem()
-                .is_some_and(|s| only.iter().any(|stem| *s == **stem))
-        });
-    }
+    let files = scenario_files(scenario_dir)?;
     if files.is_empty() {
         return Err(GridError::Corpus(format!(
             "no scenario files (*.json) in {}",
@@ -231,7 +200,7 @@ pub fn run_corpus_with(
             .expect("scenario_files yields *.json only")
             .to_string_lossy()
             .into_owned();
-        let status = match load_scenario(path).and_then(|s| reshard(s, opts, path)) {
+        let status = match load_scenario(path) {
             Ok(scenario) => {
                 runnable.push((entries.len(), scenario));
                 CorpusStatus::Match // placeholder until the diff below
@@ -487,18 +456,6 @@ fn scenario_files(dir: &Path) -> Result<Vec<PathBuf>, GridError> {
     Ok(files)
 }
 
-/// Apply the [`CorpusOptions::intra_workers`] override, re-running
-/// validation so scenarios the sharding gate rejects report as
-/// `Invalid` with the gate's own message.
-fn reshard(mut s: Scenario, opts: &CorpusOptions, path: &Path) -> Result<Scenario, String> {
-    if let Some(w) = opts.intra_workers {
-        s.run.workers = Some(w);
-        s.validate()
-            .map_err(|e| format!("{}: workers={w} rejected: {e}", path.display()))?;
-    }
-    Ok(s)
-}
-
 /// Load one scenario file, rendering failures as `file:line:column:`
 /// messages.
 fn load_scenario(path: &Path) -> Result<Scenario, String> {
@@ -507,7 +464,9 @@ fn load_scenario(path: &Path) -> Result<Scenario, String> {
         ScenarioFileError::Parse { line, column, .. } => {
             format!("{}:{line}:{column}: {e}", path.display())
         }
-        ScenarioFileError::Invalid(_) => format!("{}: {e}", path.display()),
+        ScenarioFileError::Invalid(_) | ScenarioFileError::Removed { .. } => {
+            format!("{}: {e}", path.display())
+        }
     })
 }
 
@@ -830,66 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_arm_matches_single_threaded_baselines() {
-        // Baselines written by single-threaded runs must verify
-        // bit-exactly when re-run sharded (`--intra-workers 2`) — the
-        // corpus is the end-to-end differential gate for the parallel
-        // engine. `--only` narrows the arm and rejects typos.
-        let dir = temp_dir("sharded-arm");
-        let baselines = dir.join("baselines");
-        write_scenario(&dir, "a", 1);
-        write_scenario(&dir, "b", 2);
-        run_corpus(&dir, &baselines, 0, true).unwrap();
-
-        let opts = CorpusOptions {
-            intra_workers: std::num::NonZeroUsize::new(2),
-            only: Some(vec!["a".into()]),
-            ..CorpusOptions::default()
-        };
-        let outcome = run_corpus_with(&dir, &baselines, 1, false, &opts).unwrap();
-        assert!(outcome.passed(), "{}", outcome.summary());
-        assert_eq!(outcome.entries.len(), 1, "--only did not narrow the run");
-        assert_eq!(outcome.entries[0].name, "a");
-
-        let typo = CorpusOptions {
-            only: Some(vec!["nope".into()]),
-            ..CorpusOptions::default()
-        };
-        assert!(run_corpus_with(&dir, &baselines, 1, false, &typo).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn gate_rejected_scenario_is_invalid_under_sharding() {
-        // A scenario the workers>1 validation gate rejects must fail
-        // the sharded arm loudly (Invalid), never run-and-diverge.
-        let dir = temp_dir("sharded-gate");
-        let baselines = dir.join("baselines");
-        let mut s = Scenario::builder(Topology::Hypercube { dim: 3 })
-            .lambda(0.9)
-            .horizon(50.0)
-            .warmup(10.0)
-            .seed(5)
-            .build()
-            .unwrap();
-        s.policy.contention = hyperroute_core::ContentionPolicy::Random;
-        std::fs::write(dir.join("random.json"), format!("{}\n", s.to_json())).unwrap();
-        run_corpus(&dir, &baselines, 0, true).unwrap();
-
-        let opts = CorpusOptions {
-            intra_workers: std::num::NonZeroUsize::new(2),
-            ..CorpusOptions::default()
-        };
-        let outcome = run_corpus_with(&dir, &baselines, 1, false, &opts).unwrap();
-        assert!(!outcome.passed());
-        let CorpusStatus::Invalid { message } = &outcome.entries[0].status else {
-            panic!("expected Invalid, got {:?}", outcome.entries[0]);
-        };
-        assert!(message.contains("workers=2"), "{message}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn cache_differential_second_pass_is_all_hits() {
         use crate::cache::MemoryCache;
         let dir = temp_dir("cache-arm");
@@ -977,7 +876,6 @@ mod tests {
             cache: Some(cache.clone()),
             via_service: true,
             require_all_hits: true,
-            ..CorpusOptions::default()
         };
         let outcome = run_corpus_with(&dir, &baselines, 1, false, &again).unwrap();
         assert!(outcome.passed(), "{}", outcome.summary());

@@ -24,14 +24,10 @@
 //!     EXEC:"hyperroute-grid serve"`.
 //!
 //! hyperroute-grid run-corpus [--scenarios DIR] [--baselines DIR]
-//!     [--workers N] [--update] [--intra-workers N] [--only a,b,c]
-//!     [--cache-dir DIR] [--require-all-hits] [--via-service]
+//!     [--workers N] [--update] [--cache-dir DIR] [--require-all-hits]
+//!     [--via-service]
 //!     Run every scenario in DIR (default `scenarios/`) and diff the
 //!     reports against DIR/baselines; exit 1 on any difference.
-//!     `--intra-workers N` shards each run across N threads
-//!     (`RunControl::workers`) while diffing against the *same*
-//!     baselines — the bit-exactness gate for the parallel engine;
-//!     `--only` restricts the gate to named scenario stems.
 //!     `--cache-dir` serves repeats from a disk report cache;
 //!     `--require-all-hits` fails any scenario that had to simulate
 //!     (the cache-differential arm's second pass); `--via-service`
@@ -42,6 +38,10 @@
 //!     `to_json`; exit 1 on files that parse but are not bit-exactly
 //!     canonical (hand-edited drift). `--fix` rewrites them instead.
 //! ```
+//!
+//! Every subcommand rejects arguments it does not know with the usage
+//! text and exit status 2, so a misspelt flag cannot silently switch a
+//! gate off.
 
 use hyperroute_core::scenario::Sweep;
 use hyperroute_grid::{
@@ -60,7 +60,7 @@ fn main() {
 
 fn dispatch(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
-        Some("worker") => cmd_worker(),
+        Some("worker") => cmd_worker(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("run-corpus") => cmd_run_corpus(&args[1..]),
@@ -79,43 +79,57 @@ fn usage(problem: &str) -> i32 {
          hyperroute-grid serve [--backend threads|subprocess] [--workers N] \
          [--slice-len N] [--queue N] [--cache-dir DIR] [--cache-capacity N]\n  \
          hyperroute-grid run-corpus [--scenarios DIR] [--baselines DIR] \
-         [--workers N] [--update] [--intra-workers N] [--only a,b,c] \
-         [--cache-dir DIR] [--require-all-hits] [--via-service]\n  \
+         [--workers N] [--update] [--cache-dir DIR] [--require-all-hits] \
+         [--via-service]\n  \
          hyperroute-grid validate-corpus [--scenarios DIR] [--fix]"
     );
     2
 }
 
-/// Pull `--flag value` pairs and bare `--switch`es out of `args`.
+/// A subcommand's parsed command line: `--flag value` pairs and bare
+/// `--switch`es, each checked against the flags the subcommand declares.
 struct Flags<'a> {
-    args: &'a [String],
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
-impl Flags<'_> {
-    fn value(&self, flag: &str) -> Result<Option<&str>, String> {
-        let mut found = None;
-        let mut i = 0;
-        while i < self.args.len() {
-            if self.args[i] == flag {
-                let v = self
-                    .args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("{flag} needs a value"))?;
-                found = Some(v.as_str());
-                i += 2;
+impl<'a> Flags<'a> {
+    /// Parse `args` against the declared value flags and switches; any
+    /// other argument is an error.
+    fn parse(args: &'a [String], values: &[&str], switches: &[&str]) -> Result<Flags<'a>, String> {
+        let mut flags = Flags {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut iter = args.iter().map(String::as_str);
+        while let Some(arg) = iter.next() {
+            if values.contains(&arg) {
+                let value = iter.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                flags.values.push((arg, value));
+            } else if switches.contains(&arg) {
+                flags.switches.push(arg);
             } else {
-                i += 1;
+                return Err(format!("unknown argument `{arg}`"));
             }
         }
-        Ok(found)
+        Ok(flags)
+    }
+
+    /// The flag's value (the last one, if given more than once).
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
     }
 
     fn switch(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
+        self.switches.contains(&flag)
     }
 
     fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.value(flag)? {
+        match self.value(flag) {
             None => Ok(default),
             Some(text) => text
                 .parse()
@@ -124,7 +138,10 @@ impl Flags<'_> {
     }
 }
 
-fn cmd_worker() -> i32 {
+fn cmd_worker(args: &[String]) -> i32 {
+    if let Err(e) = Flags::parse(args, &[], &[]) {
+        return usage(&e);
+    }
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     match run_worker(stdin.lock(), stdout.lock()) {
@@ -137,7 +154,22 @@ fn cmd_worker() -> i32 {
 }
 
 fn cmd_run(args: &[String]) -> i32 {
-    let flags = Flags { args };
+    let flags = match Flags::parse(
+        args,
+        &[
+            "--sweep",
+            "--backend",
+            "--workers",
+            "--slice-len",
+            "--checkpoint",
+            "--timeout-secs",
+            "--out",
+        ],
+        &[],
+    ) {
+        Ok(flags) => flags,
+        Err(e) => return usage(&e),
+    };
     match try_run(&flags) {
         Ok(()) => 0,
         Err(message) => {
@@ -148,28 +180,25 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn try_run(flags: &Flags) -> Result<(), String> {
-    let sweep_path = flags
-        .value("--sweep")?
-        .ok_or("--sweep FILE is required")?
-        .to_string();
+    let sweep_path = flags.value("--sweep").ok_or("--sweep FILE is required")?;
     let workers: usize = flags.parsed("--workers", 0)?;
     let slice_len: usize = flags.parsed("--slice-len", 1)?;
     if slice_len == 0 {
         return Err("--slice-len must be positive".into());
     }
     let timeout_secs: u64 = flags.parsed("--timeout-secs", 600)?;
-    let backend_name = flags.value("--backend")?.unwrap_or("threads").to_string();
+    let backend_name = flags.value("--backend").unwrap_or("threads");
 
-    let text = std::fs::read_to_string(&sweep_path).map_err(|e| format!("{sweep_path}: {e}"))?;
+    let text = std::fs::read_to_string(sweep_path).map_err(|e| format!("{sweep_path}: {e}"))?;
     let sweep: Sweep = serde_json::from_str(&text)
         .map_err(|e| format!("{sweep_path}: sweep does not parse: {e}"))?;
 
     let mut campaign = Campaign::new(sweep, slice_len);
-    if let Some(dir) = flags.value("--checkpoint")? {
+    if let Some(dir) = flags.value("--checkpoint") {
         campaign = campaign.with_checkpoint(PathBuf::from(dir));
     }
 
-    let backend: Box<dyn ExecBackend> = match backend_name.as_str() {
+    let backend: Box<dyn ExecBackend> = match backend_name {
         "threads" => Box::new(ThreadPoolBackend::new(workers)),
         "subprocess" => Box::new(
             SubprocessBackend::self_workers(workers)
@@ -193,7 +222,7 @@ fn try_run(flags: &Flags) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let mut rendered = serde_json::to_string_pretty(&reports).expect("reports always serialise");
     rendered.push('\n');
-    match flags.value("--out")? {
+    match flags.value("--out") {
         Some(path) => std::fs::write(path, rendered).map_err(|e| format!("{path}: {e}",))?,
         None => print!("{rendered}"),
     }
@@ -206,7 +235,21 @@ fn try_run(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> i32 {
-    let flags = Flags { args };
+    let flags = match Flags::parse(
+        args,
+        &[
+            "--backend",
+            "--workers",
+            "--slice-len",
+            "--queue",
+            "--cache-dir",
+            "--cache-capacity",
+        ],
+        &[],
+    ) {
+        Ok(flags) => flags,
+        Err(e) => return usage(&e),
+    };
     match try_serve(&flags) {
         Ok(()) => 0,
         Err(message) => {
@@ -223,8 +266,7 @@ fn try_serve(flags: &Flags) -> Result<(), String> {
         return Err("--slice-len must be positive".into());
     }
     let queue_capacity: usize = flags.parsed("--queue", 16)?;
-    let backend_name = flags.value("--backend")?.unwrap_or("threads").to_string();
-    let worker_cmd = match backend_name.as_str() {
+    let worker_cmd = match flags.value("--backend").unwrap_or("threads") {
         "threads" => None,
         "subprocess" => {
             let me = std::env::current_exe()
@@ -233,7 +275,7 @@ fn try_serve(flags: &Flags) -> Result<(), String> {
         }
         other => return Err(format!("--backend: unknown backend `{other}`")),
     };
-    let cache: Arc<dyn ReportCache> = match flags.value("--cache-dir")? {
+    let cache: Arc<dyn ReportCache> = match flags.value("--cache-dir") {
         Some(dir) => Arc::new(DiskCache::open(PathBuf::from(dir)).map_err(|e| e.to_string())?),
         None => {
             let capacity: usize = flags.parsed("--cache-capacity", 4096)?;
@@ -264,43 +306,34 @@ fn try_serve(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_run_corpus(args: &[String]) -> i32 {
-    let flags = Flags { args };
-    let scenarios = match flags.value("--scenarios") {
-        Ok(v) => v.unwrap_or("scenarios").to_string(),
+    let flags = match Flags::parse(
+        args,
+        &["--scenarios", "--baselines", "--workers", "--cache-dir"],
+        &["--update", "--require-all-hits", "--via-service"],
+    ) {
+        Ok(flags) => flags,
         Err(e) => return usage(&e),
     };
+    let scenarios = flags.value("--scenarios").unwrap_or("scenarios");
     let baselines = match flags.value("--baselines") {
-        Ok(v) => v
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("{scenarios}/baselines")),
-        Err(e) => return usage(&e),
+        Some(dir) => dir.to_string(),
+        None => format!("{scenarios}/baselines"),
     };
     let workers = match flags.parsed("--workers", 0usize) {
         Ok(w) => w,
         Err(e) => return usage(&e),
     };
-    let update = flags.switch("--update");
-    let intra: usize = match flags.parsed("--intra-workers", 1usize) {
-        Ok(n) => n,
-        Err(e) => return usage(&e),
-    };
     let cache: Option<Arc<dyn ReportCache>> = match flags.value("--cache-dir") {
-        Ok(Some(dir)) => match DiskCache::open(PathBuf::from(dir)) {
+        Some(dir) => match DiskCache::open(PathBuf::from(dir)) {
             Ok(c) => Some(Arc::new(c)),
             Err(e) => {
                 eprintln!("hyperroute-grid run-corpus: {e}");
                 return 1;
             }
         },
-        Ok(None) => None,
-        Err(e) => return usage(&e),
+        None => None,
     };
     let opts = CorpusOptions {
-        intra_workers: std::num::NonZeroUsize::new(intra).filter(|n| n.get() > 1),
-        only: match flags.value("--only") {
-            Ok(v) => v.map(|list| list.split(',').map(str::to_string).collect()),
-            Err(e) => return usage(&e),
-        },
         cache,
         require_all_hits: flags.switch("--require-all-hits"),
         via_service: flags.switch("--via-service"),
@@ -310,7 +343,7 @@ fn cmd_run_corpus(args: &[String]) -> i32 {
         scenarios.as_ref(),
         baselines.as_ref(),
         workers,
-        update,
+        flags.switch("--update"),
         &opts,
     ) {
         Ok(outcome) => {
@@ -338,13 +371,12 @@ fn cmd_run_corpus(args: &[String]) -> i32 {
 }
 
 fn cmd_validate_corpus(args: &[String]) -> i32 {
-    let flags = Flags { args };
-    let scenarios = match flags.value("--scenarios") {
-        Ok(v) => v.unwrap_or("scenarios").to_string(),
+    let flags = match Flags::parse(args, &["--scenarios"], &["--fix"]) {
+        Ok(flags) => flags,
         Err(e) => return usage(&e),
     };
-    let fix = flags.switch("--fix");
-    match validate_corpus(scenarios.as_ref(), fix) {
+    let scenarios = flags.value("--scenarios").unwrap_or("scenarios");
+    match validate_corpus(scenarios.as_ref(), flags.switch("--fix")) {
         Ok(outcome) => {
             print!("{}", outcome.summary());
             if outcome.passed() {

@@ -560,3 +560,56 @@ fn cli_checked_in_corpus_matches_baselines() {
         String::from_utf8_lossy(&output.stderr)
     );
 }
+
+#[test]
+fn cli_rejects_unknown_flags_with_usage() {
+    // A misspelt flag must not be dropped: `--require-all-hit` would
+    // silently turn the cache-differential gate off, and the removed
+    // `--intra-workers` would silently run single-threaded.
+    let dir = temp_dir("cli-flags");
+    let scenarios = dir.join("scenarios");
+    std::fs::create_dir_all(&scenarios).unwrap();
+    let s = Scenario::builder(Topology::Hypercube { dim: 3 })
+        .lambda(0.8)
+        .horizon(40.0)
+        .warmup(10.0)
+        .seed(9)
+        .build()
+        .unwrap();
+    std::fs::write(scenarios.join("tiny.json"), s.to_json()).unwrap();
+    let scenarios = scenarios.to_str().unwrap();
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    let grid = |args: &[&str]| {
+        std::process::Command::new(grid_bin())
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap()
+    };
+    let corpus = |extra: &[&str]| {
+        let mut args = vec!["run-corpus", "--scenarios", scenarios];
+        args.extend_from_slice(extra);
+        grid(&args)
+    };
+    assert!(corpus(&["--update"]).status.success());
+    // The correctly spelt gate fails on a fresh cache: nothing was served.
+    let strict = corpus(&["--cache-dir", cache, "--require-all-hits"]);
+    assert_eq!(strict.status.code(), Some(1));
+
+    for bad in [
+        corpus(&["--cache-dir", cache, "--require-all-hit"]),
+        corpus(&["--intra-workers", "2"]),
+        corpus(&["--only", "tiny"]),
+        grid(&["run", "--sweep", "missing.json", "--worker", "2"]),
+        grid(&["serve", "--cache", cache]),
+        grid(&["validate-corpus", "--scenarios", scenarios, "--fixx"]),
+        grid(&["worker", "--fast"]),
+    ] {
+        let stderr = String::from_utf8_lossy(&bad.stderr);
+        assert_eq!(bad.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("unknown argument"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -6,7 +6,7 @@
 //! so two JSON files that spell the same simulation differently (field
 //! order, explicit `null` optionals, float formatting) must collide on
 //! one key, while any change that could alter a single report byte
-//! (λ, p, seed, horizon, topology size, intra-run `workers`, …) must
+//! (λ, p, seed, horizon, topology size, drain, …) must
 //! produce a different key. A false split only costs a re-simulation;
 //! a false merge silently serves the wrong report, which is why the
 //! separating direction gets a per-field sweep.
@@ -15,7 +15,6 @@ use hyperroute_core::scenario::{Scenario, Topology};
 use hyperroute_grid::CacheKey;
 use proptest::prelude::*;
 use serde_json::Value;
-use std::num::NonZeroUsize;
 
 /// A valid scenario drawn from the sampled knobs (hypercube keeps every
 /// field below meaningful — butterflies ignore `scheme`, say).
@@ -26,18 +25,15 @@ fn scenario(
     horizon: f64,
     warmup_frac: f64,
     seed: u64,
-    workers: usize,
 ) -> Scenario {
-    let mut s = Scenario::builder(Topology::Hypercube { dim })
+    Scenario::builder(Topology::Hypercube { dim })
         .lambda(lambda)
         .p(p)
         .horizon(horizon)
         .warmup(horizon * warmup_frac)
         .seed(seed)
         .build()
-        .expect("sampled scenario must validate");
-    s.run.workers = NonZeroUsize::new(workers).filter(|w| w.get() > 1);
-    s
+        .expect("sampled scenario must validate")
 }
 
 fn key(s: &Scenario) -> CacheKey {
@@ -123,9 +119,8 @@ proptest! {
         horizon in 50.0f64..500.0,
         warmup_frac in 0.0f64..0.5,
         seed in any::<u64>(),
-        workers in 1usize..5,
     ) {
-        let s = scenario(dim, lambda, p, horizon, warmup_frac, seed, workers);
+        let s = scenario(dim, lambda, p, horizon, warmup_frac, seed);
         let canonical = s.to_json();
         let doc = serde_json::parse(&canonical).expect("canonical JSON parses");
 
@@ -141,17 +136,16 @@ proptest! {
         prop_assert_eq!(key(&reparsed), key(&s));
     }
 
-    /// `"workers": null` / `"stretch": null` spell the same scenario as
-    /// leaving the keys out entirely; the key must not see the difference.
+    /// `"stretch": null` spells the same scenario as leaving the key out
+    /// entirely; the key must not see the difference.
     #[test]
     fn explicit_null_optionals_hash_like_absent_ones(
         dim in 2usize..9,
         lambda in 0.05f64..1.2,
         seed in any::<u64>(),
     ) {
-        let s = scenario(dim, lambda, 0.5, 100.0, 0.2, seed, 1);
+        let s = scenario(dim, lambda, 0.5, 100.0, 0.2, seed);
         let mut doc = serde_json::parse(&s.to_json()).unwrap();
-        add_null_field(&mut doc, "run", "workers");
         add_null_field(&mut doc, "workload", "stretch");
         let mut text = String::new();
         render_reversed(&doc, &mut text);
@@ -160,9 +154,7 @@ proptest! {
     }
 
     /// Every semantic knob separates: change exactly one field, get a
-    /// new key. `workers` is on the list on purpose — sharding is
-    /// byte-identical by design, but the fingerprint treats it as part
-    /// of the contract under test, never to be assumed.
+    /// new key.
     #[test]
     fn any_single_semantic_change_changes_the_key(
         dim in 2usize..8,
@@ -170,18 +162,16 @@ proptest! {
         p in 0.1f64..0.9,
         horizon in 50.0f64..400.0,
         seed in any::<u64>(),
-        workers in 1usize..4,
     ) {
-        let base = scenario(dim, lambda, p, horizon, 0.25, seed, workers);
+        let base = scenario(dim, lambda, p, horizon, 0.25, seed);
         let k0 = key(&base);
 
         let mutations: Vec<(&str, Scenario)> = vec![
-            ("dim", scenario(dim + 1, lambda, p, horizon, 0.25, seed, workers)),
-            ("lambda", scenario(dim, lambda + 0.01, p, horizon, 0.25, seed, workers)),
-            ("p", scenario(dim, lambda, p + 0.01, horizon, 0.25, seed, workers)),
-            ("horizon", scenario(dim, lambda, p, horizon + 1.0, 0.25, seed, workers)),
-            ("seed", scenario(dim, lambda, p, horizon, 0.25, seed ^ 1, workers)),
-            ("workers", scenario(dim, lambda, p, horizon, 0.25, seed, workers + 1)),
+            ("dim", scenario(dim + 1, lambda, p, horizon, 0.25, seed)),
+            ("lambda", scenario(dim, lambda + 0.01, p, horizon, 0.25, seed)),
+            ("p", scenario(dim, lambda, p + 0.01, horizon, 0.25, seed)),
+            ("horizon", scenario(dim, lambda, p, horizon + 1.0, 0.25, seed)),
+            ("seed", scenario(dim, lambda, p, horizon, 0.25, seed ^ 1)),
             ("drain", {
                 let mut s = base.clone();
                 s.run.drain = !s.run.drain;

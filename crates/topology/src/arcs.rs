@@ -2,7 +2,7 @@
 //!
 //! Both simulators are *arc-indexed*: every directed arc of the network maps
 //! to a dense integer so that per-arc queue state lives in flat vectors
-//! (cache-friendly, no hashing — see the engine design notes in DESIGN.md).
+//! (cache-friendly, no hashing).
 
 use crate::node::NodeId;
 use serde::{Deserialize, Serialize};

@@ -168,50 +168,40 @@ pub trait RoutingTopology {
     }
 }
 
-/// Forward every trait method (including defaulted ones, so overrides like
-/// the butterfly's `num_sources` or a CSR graph's `out_arc_range` survive
-/// the indirection).
-macro_rules! forward_routing_topology {
-    () => {
-        fn num_nodes(&self) -> usize {
-            (**self).num_nodes()
-        }
-        fn num_arcs(&self) -> usize {
-            (**self).num_arcs()
-        }
-        fn next_arc(&self, node: u64, dest: u64) -> Option<usize> {
-            (**self).next_arc(node, dest)
-        }
-        fn arc_tail(&self, arc: usize) -> u64 {
-            (**self).arc_tail(arc)
-        }
-        fn arc_head(&self, arc: usize) -> u64 {
-            (**self).arc_head(arc)
-        }
-        fn distance(&self, node: u64, dest: u64) -> usize {
-            (**self).distance(node, dest)
-        }
-        fn alternate_arcs(&self, node: u64, dest: u64, out: &mut Vec<usize>) {
-            (**self).alternate_arcs(node, dest, out)
-        }
-        fn num_sources(&self) -> usize {
-            (**self).num_sources()
-        }
-        fn out_arc_range(&self, node: u64) -> Option<std::ops::Range<usize>> {
-            (**self).out_arc_range(node)
-        }
-        fn mean_distance_hint(&self) -> f64 {
-            (**self).mean_distance_hint()
-        }
-    };
-}
-
+/// A borrowed topology routes like the owned one. Every trait method is
+/// forwarded, including defaulted ones, so overrides like the butterfly's
+/// `num_sources` or a CSR graph's `out_arc_range` survive the indirection.
 impl<T: RoutingTopology + ?Sized> RoutingTopology for &T {
-    forward_routing_topology!();
-}
-
-impl<T: RoutingTopology + ?Sized> RoutingTopology for std::sync::Arc<T> {
-    forward_routing_topology!();
+    fn num_nodes(&self) -> usize {
+        (**self).num_nodes()
+    }
+    fn num_arcs(&self) -> usize {
+        (**self).num_arcs()
+    }
+    fn next_arc(&self, node: u64, dest: u64) -> Option<usize> {
+        (**self).next_arc(node, dest)
+    }
+    fn arc_tail(&self, arc: usize) -> u64 {
+        (**self).arc_tail(arc)
+    }
+    fn arc_head(&self, arc: usize) -> u64 {
+        (**self).arc_head(arc)
+    }
+    fn distance(&self, node: u64, dest: u64) -> usize {
+        (**self).distance(node, dest)
+    }
+    fn alternate_arcs(&self, node: u64, dest: u64, out: &mut Vec<usize>) {
+        (**self).alternate_arcs(node, dest, out)
+    }
+    fn num_sources(&self) -> usize {
+        (**self).num_sources()
+    }
+    fn out_arc_range(&self, node: u64) -> Option<std::ops::Range<usize>> {
+        (**self).out_arc_range(node)
+    }
+    fn mean_distance_hint(&self) -> f64 {
+        (**self).mean_distance_hint()
+    }
 }
 
 impl RoutingTopology for Hypercube {

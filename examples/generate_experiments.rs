@@ -1,4 +1,4 @@
-//! Regenerate EXPERIMENTS.md: run every experiment in DESIGN.md's index
+//! Regenerate EXPERIMENTS.md: run every experiment in `all_experiments()`
 //! and archive the paper-vs-measured tables.
 //!
 //! `cargo run --release --example generate_experiments` (add `--quick` for
@@ -40,7 +40,7 @@ fn main() -> std::io::Result<()> {
         "Reproduction record for *The Efficiency of Greedy Routing in Hypercubes and\n\
          Butterflies* (Stamoulis & Tsitsiklis, SPAA 1991). Every table below was\n\
          generated by the simulators in this repository; the experiment ids match\n\
-         DESIGN.md §4 and each `eNN_*` bench target regenerates the corresponding\n\
+         `all_experiments()` and each `eNN_*` bench target regenerates the corresponding\n\
          table (`HYPERROUTE_SCALE=full cargo bench -p hyperroute-bench --bench eNN_...`).\n\n",
     );
     let _ = writeln!(
