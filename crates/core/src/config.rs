@@ -123,6 +123,22 @@ pub enum ConfigError {
         /// The rejected rate.
         f64,
     ),
+    /// An equivalent network's rates or routing probabilities break the
+    /// levelled-network invariants (`LevelledNetwork::validate`).
+    LevelledNetwork(
+        /// The first broken invariant.
+        String,
+    ),
+    /// Occupancy tracking would need more bins (cap × servers) than the
+    /// supported maximum.
+    OccupancyBins {
+        /// The rejected per-server cap.
+        cap: usize,
+        /// Servers of the network.
+        servers: usize,
+        /// Largest accepted bin count.
+        max: usize,
+    },
     /// The requested combination is meaningless for the chosen topology
     /// (e.g. a routing scheme on the butterfly, whose paths are unique).
     Unsupported {
@@ -212,6 +228,11 @@ impl fmt::Display for ConfigError {
             ConfigError::FaultRate(r) => {
                 write!(f, "fault arrival rate {r} must be finite and non-negative")
             }
+            ConfigError::LevelledNetwork(e) => write!(f, "invalid levelled network: {e}"),
+            ConfigError::OccupancyBins { cap, servers, max } => write!(
+                f,
+                "occupancy cap {cap} on {servers} servers exceeds the supported {max} bins"
+            ),
             ConfigError::Unsupported { topology, feature } => {
                 write!(f, "the {topology} topology does not support {feature}")
             }

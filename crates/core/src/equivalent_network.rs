@@ -52,6 +52,15 @@ impl std::fmt::Display for Discipline {
     }
 }
 
+/// Largest accepted occupancy tracking size of [`Topology::EqNet`]:
+/// `occupancy_cap` times the network's server count (`d·2^d` for
+/// `HypercubeQ`, `d·2^(d+1)` for `ButterflyR`, 3 for `Fig2`). Tracking
+/// allocates every bin up front (8 bytes each) and the report carries one
+/// fraction per bin, so an absurd cap or a large network would abort the
+/// process on allocation instead of failing validation. The largest use
+/// in the repository is 24 servers × 8 bins.
+pub const MAX_OCCUPANCY_BINS: usize = 1 << 22;
+
 /// Run parameters extracted from the scenario.
 #[derive(Clone, Copy, Debug)]
 struct Params {

@@ -170,10 +170,8 @@
 //! shard across processes and machines: the `hyperroute-grid` crate cuts
 //! sweeps into serialisable slices, runs them on thread-pool or
 //! subprocess-worker backends, and merges results byte-identical to
-//! [`scenario::Sweep::run`]. Live runs are tapped through the composable
-//! [`observe`] probes (time series, occupancy, delay reservoirs) without
-//! touching the simulation's random draws; high-frequency consumers
-//! batch the per-event virtual call with [`observe::BufferedObserver`].
+//! [`scenario::Sweep::run`]. Live runs are tapped through composable
+//! [`observe`] hooks without touching the simulation's random draws.
 //!
 //! # Observability
 //!
@@ -227,9 +225,7 @@ pub mod telemetry;
 
 pub use config::{ArrivalModel, ConfigError, ContentionPolicy, DestinationSpec, Scheme};
 pub use metrics::DelayStats;
-pub use observe::{
-    BufferedObserver, NullObserver, Observer, OccupancyProbe, ReservoirProbe, TimeSeriesProbe,
-};
+pub use observe::{NullObserver, Observer, TimeSeriesProbe};
 pub use scenario::{
     Report, Scenario, ScenarioHash, Simulator, Sweep, Topology, ENGINE_FINGERPRINT,
 };

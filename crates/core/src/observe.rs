@@ -9,22 +9,11 @@
 //! existed.
 //!
 //! Probes are composable: tuples of observers are observers, so
-//! `(&mut series, &mut reservoir)` threads two probes through one run.
-//! The stock probes are
-//!
-//! * [`TimeSeriesProbe`] — the `(t, N(t))` trajectory at a fixed sampling
-//!   interval;
-//! * [`OccupancyProbe`] — the time-weighted distribution of the total
-//!   number in system;
-//! * [`ReservoirProbe`] — a deterministic reservoir sample of individual
-//!   packet delays (full-resolution tails without unbounded memory).
-//!
-//! High-frequency consumers behind a type-erased `&mut dyn Observer` can
-//! interpose a [`BufferedObserver`], which batches observations and
-//! replays them in order, amortising the per-event virtual call without
-//! changing any probe's output.
-
-use hyperroute_desim::{OccupancyHistogram, Reservoir};
+//! `(&mut series, &mut telemetry)` threads two probes through one run.
+//! The one probe here is [`TimeSeriesProbe`], the `(t, N(t))`
+//! trajectory at a fixed sampling interval. Per-arc occupancy, delay
+//! histograms and hop traces come from the `hyperroute-telemetry`
+//! crate's `TelemetryProbe` and `FlightRecorder`.
 
 /// A streaming hook into a simulation run.
 ///
@@ -263,263 +252,6 @@ impl Observer for TimeSeriesProbe {
     }
 }
 
-/// Time-weighted histogram of the total number in system.
-///
-/// [`Observer::on_event`] reports the *pre-event* occupancy at time `t` —
-/// the value that has held since the previous event (occupancy only
-/// changes at events). The probe therefore attributes each reported value
-/// back to the previous event time, so intervals land on the value that
-/// actually occupied them rather than lagging one inter-event gap behind.
-#[derive(Clone, Debug)]
-pub struct OccupancyProbe {
-    hist: OccupancyHistogram,
-    cap: usize,
-    /// Time of the previous `on_event` call — where the currently-reported
-    /// occupancy became current.
-    last_event_t: f64,
-    horizon: f64,
-}
-
-impl OccupancyProbe {
-    /// Track occupancies `0..cap` (time at `cap - 1` and above is pooled
-    /// into the last queryable bin, `fraction(cap - 1)`) over
-    /// `[0, horizon]`.
-    pub fn new(cap: usize, horizon: f64) -> OccupancyProbe {
-        assert!(cap >= 1, "occupancy cap must be at least 1");
-        OccupancyProbe {
-            hist: OccupancyHistogram::new(0.0, 0, cap),
-            cap,
-            last_event_t: 0.0,
-            horizon,
-        }
-    }
-
-    /// Fraction of time spent with exactly `n` in system (`n < cap`).
-    pub fn fraction(&self, n: usize) -> f64 {
-        self.hist.fraction(n, self.horizon)
-    }
-}
-
-impl Observer for OccupancyProbe {
-    #[inline]
-    fn on_event(&mut self, t: f64, in_system: f64) {
-        // Clamp to the last queryable bin: the histogram's bins are
-        // 0..cap, and anything pushed at >= cap would land in its
-        // internal overflow bucket, which `fraction` cannot read.
-        let n = (in_system.max(0.0) as usize).min(self.cap - 1);
-        if n != self.hist.current() {
-            // `in_system` held throughout [last_event_t, t): it became
-            // current at the previous event, so record the change there.
-            self.hist.set(self.last_event_t.min(self.horizon), n);
-        }
-        self.last_event_t = t;
-    }
-}
-
-/// One buffered observation of a [`BufferedObserver`]: the two hook
-/// methods share a single ordered buffer so replay preserves the exact
-/// interleaving of events and deliveries.
-#[derive(Clone, Copy, Debug)]
-enum Buffered {
-    /// An `on_event(t, in_system)` call.
-    Event(f64, f64),
-    /// An `on_delivered(t, born)` call.
-    Delivered(f64, f64),
-    /// An `on_generated(t, packet_id, source)` call.
-    Generated(f64, u64, u32),
-    /// An `on_hop(t, packet_id, node, arc, queue_depth)` call.
-    Hop(f64, u64, u32, u32, u32),
-    /// An `on_escape_hop(t, packet_id, node)` call.
-    EscapeHop(f64, u64, u32),
-    /// An `on_drop(t, packet_id, node)` call.
-    Drop(f64, u64, u32),
-    /// An `on_service_end(t, arc, queue_depth)` call.
-    ServiceEnd(f64, u32, u32),
-    /// An `on_packet_delivered(t, packet_id, born, hops, deflections)` call.
-    PacketDelivered(f64, u64, f64, u16, u16),
-}
-
-/// Batches observations before the `&mut dyn Observer` virtual call.
-///
-/// `Scenario::run_observed` necessarily drives a type-erased
-/// `&mut dyn Observer`, which costs one indirect call per simulation
-/// event. Probes are fine with that, but a high-frequency consumer (a
-/// tracer writing every event somewhere) pays the indirection on the
-/// simulator's hot loop. This adapter sits in between: the event loop
-/// sees a concrete `BufferedObserver` whose hooks are plain `Vec` pushes,
-/// and the wrapped observer receives the same calls in the same order in
-/// batches of `capacity`, amortising the virtual dispatch.
-///
-/// The adapter never reorders or drops observations —
-/// [`BufferedObserver::flush`] (called automatically when the buffer
-/// fills and on drop) replays them in arrival order, so any wrapped
-/// observer produces output identical to being driven directly.
-///
-/// ```
-/// use hyperroute_core::observe::{BufferedObserver, Observer, TimeSeriesProbe};
-///
-/// let mut probe = TimeSeriesProbe::new(1.0, 10.0);
-/// {
-///     let mut buffered = BufferedObserver::new(&mut probe, 64);
-///     buffered.on_event(2.5, 1.0);
-///     buffered.on_event(4.0, 3.0);
-/// } // dropping flushes
-/// assert_eq!(probe.samples, vec![(1.0, 1.0), (2.0, 1.0), (3.0, 3.0), (4.0, 3.0)]);
-/// ```
-pub struct BufferedObserver<'a> {
-    inner: &'a mut dyn Observer,
-    buf: Vec<Buffered>,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for BufferedObserver<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BufferedObserver")
-            .field("buffered", &self.buf.len())
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> BufferedObserver<'a> {
-    /// Buffer up to `capacity` (> 0) observations ahead of `inner`.
-    pub fn new(inner: &'a mut dyn Observer, capacity: usize) -> BufferedObserver<'a> {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        BufferedObserver {
-            inner,
-            buf: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Replay every buffered observation into the wrapped observer, in
-    /// arrival order. Called automatically when the buffer fills and on
-    /// drop; call it manually to checkpoint mid-run.
-    pub fn flush(&mut self) {
-        for obs in self.buf.drain(..) {
-            match obs {
-                Buffered::Event(t, in_system) => self.inner.on_event(t, in_system),
-                Buffered::Delivered(t, born) => self.inner.on_delivered(t, born),
-                Buffered::Generated(t, id, source) => self.inner.on_generated(t, id, source),
-                Buffered::Hop(t, id, node, arc, depth) => {
-                    self.inner.on_hop(t, id, node, arc, depth)
-                }
-                Buffered::EscapeHop(t, id, node) => self.inner.on_escape_hop(t, id, node),
-                Buffered::Drop(t, id, node) => self.inner.on_drop(t, id, node),
-                Buffered::ServiceEnd(t, arc, depth) => self.inner.on_service_end(t, arc, depth),
-                Buffered::PacketDelivered(t, id, born, hops, deflections) => self
-                    .inner
-                    .on_packet_delivered(t, id, born, hops, deflections),
-            }
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, obs: Buffered) {
-        self.buf.push(obs);
-        if self.buf.len() >= self.capacity {
-            self.flush();
-        }
-    }
-}
-
-impl Observer for BufferedObserver<'_> {
-    #[inline]
-    fn on_event(&mut self, t: f64, in_system: f64) {
-        self.push(Buffered::Event(t, in_system));
-    }
-
-    #[inline]
-    fn on_delivered(&mut self, t: f64, born: f64) {
-        self.push(Buffered::Delivered(t, born));
-    }
-
-    #[inline]
-    fn on_generated(&mut self, t: f64, packet_id: u64, source: u32) {
-        self.push(Buffered::Generated(t, packet_id, source));
-    }
-
-    #[inline]
-    fn on_hop(&mut self, t: f64, packet_id: u64, node: u32, arc: u32, queue_depth: u32) {
-        self.push(Buffered::Hop(t, packet_id, node, arc, queue_depth));
-    }
-
-    #[inline]
-    fn on_escape_hop(&mut self, t: f64, packet_id: u64, node: u32) {
-        self.push(Buffered::EscapeHop(t, packet_id, node));
-    }
-
-    #[inline]
-    fn on_drop(&mut self, t: f64, packet_id: u64, node: u32) {
-        self.push(Buffered::Drop(t, packet_id, node));
-    }
-
-    #[inline]
-    fn on_service_end(&mut self, t: f64, arc: u32, queue_depth: u32) {
-        self.push(Buffered::ServiceEnd(t, arc, queue_depth));
-    }
-
-    #[inline]
-    fn on_packet_delivered(
-        &mut self,
-        t: f64,
-        packet_id: u64,
-        born: f64,
-        hops: u16,
-        deflections: u16,
-    ) {
-        self.push(Buffered::PacketDelivered(
-            t,
-            packet_id,
-            born,
-            hops,
-            deflections,
-        ));
-    }
-}
-
-impl Drop for BufferedObserver<'_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// Deterministic reservoir sample of per-packet delays.
-///
-/// Keeps a fixed-size uniform sample of `t - born` over all deliveries
-/// seen, independent of run length; quantiles come out via
-/// [`ReservoirProbe::quantile`].
-#[derive(Clone, Debug)]
-pub struct ReservoirProbe {
-    reservoir: Reservoir,
-}
-
-impl ReservoirProbe {
-    /// Reservoir of the given capacity, seeded deterministically.
-    pub fn new(capacity: usize, seed: u64) -> ReservoirProbe {
-        ReservoirProbe {
-            reservoir: Reservoir::new(capacity, seed),
-        }
-    }
-
-    /// Empirical `q`-quantile of the sampled delays (`None` when empty).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.reservoir.quantile(q)
-    }
-
-    /// Number of deliveries offered to the reservoir.
-    pub fn observed(&self) -> u64 {
-        self.reservoir.seen()
-    }
-}
-
-impl Observer for ReservoirProbe {
-    #[inline]
-    fn on_delivered(&mut self, t: f64, born: f64) {
-        self.reservoir.push(t - born);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,131 +286,5 @@ mod tests {
         pair.on_event(4.5, 2.0);
         assert_eq!(pair.0.samples.len(), 4);
         assert_eq!(pair.1.samples.len(), 2);
-    }
-
-    #[test]
-    fn occupancy_probe_attributes_pre_event_values() {
-        // The observer reports the PRE-event occupancy: an arrival at
-        // t = 2 raises N to 1, which the probe only learns at the next
-        // event (t = 6, reporting "N was 1"). The interval [2, 6) must be
-        // booked as occupancy 1, not lag until t = 6.
-        let mut p = OccupancyProbe::new(4, 10.0);
-        p.on_event(2.0, 0.0); // N was 0 over [0, 2); arrival fires at 2
-        p.on_event(6.0, 1.0); // N was 1 over [2, 6); completion at 6
-        p.on_event(10.0, 0.0); // N was 0 over [6, 10)
-        assert!((p.fraction(0) - 0.6).abs() < 1e-12, "{}", p.fraction(0));
-        assert!((p.fraction(1) - 0.4).abs() < 1e-12, "{}", p.fraction(1));
-    }
-
-    #[test]
-    fn occupancy_probe_pools_excess_into_last_bin() {
-        // cap = 2: bins are {0, 1}; occupancy 5 must pool into bin 1, not
-        // vanish into an unreachable overflow bucket.
-        let mut p = OccupancyProbe::new(2, 10.0);
-        p.on_event(4.0, 0.0); // N was 0 over [0, 4)
-        p.on_event(10.0, 5.0); // N was 5 over [4, 10)
-        assert!((p.fraction(0) - 0.4).abs() < 1e-12, "{}", p.fraction(0));
-        assert!((p.fraction(1) - 0.6).abs() < 1e-12, "{}", p.fraction(1));
-    }
-
-    #[test]
-    fn occupancy_probe_matches_eqnet_histogram_on_real_run() {
-        // Couple the probe to a real simulation and compare against the
-        // engine's own exact-change-time occupancy machinery: total
-        // network occupancy fractions from the probe must agree with a
-        // TimeSeriesProbe-derived reference to within event granularity.
-        use crate::scenario::{EqNetSpec, Scenario, Topology};
-        let scenario = Scenario::builder(Topology::EqNet {
-            net: EqNetSpec::Fig2 {
-                rate1: 0.3,
-                rate2: 0.3,
-                rate3: 0.2,
-                q1: 0.5,
-                q2: 0.5,
-            },
-            record_departures: false,
-            occupancy_cap: 0,
-        })
-        .horizon(2_000.0)
-        .warmup(1.0)
-        .seed(7)
-        .build()
-        .unwrap();
-        let mut occupancy = OccupancyProbe::new(16, 2_000.0);
-        let mut series = TimeSeriesProbe::new(0.25, 2_000.0);
-        scenario
-            .run_observed(&mut (&mut occupancy, &mut series))
-            .unwrap();
-        let samples = series.into_samples();
-        for n in 0..3usize {
-            let reference = samples.iter().filter(|&&(_, v)| v as usize == n).count() as f64
-                / samples.len() as f64;
-            let measured = occupancy.fraction(n);
-            assert!(
-                (measured - reference).abs() < 0.02,
-                "occupancy {n}: probe {measured} vs sampled reference {reference}"
-            );
-        }
-    }
-
-    #[test]
-    fn buffered_observer_flushes_on_capacity_and_drop() {
-        let mut probe = TimeSeriesProbe::new(1.0, 100.0);
-        let mut buffered = BufferedObserver::new(&mut probe, 2);
-        buffered.on_event(1.5, 1.0);
-        assert!(buffered.buf.len() == 1, "below capacity: still buffered");
-        buffered.on_event(2.5, 2.0); // second push hits capacity → flush
-        assert!(buffered.buf.is_empty());
-        buffered.on_event(3.5, 5.0);
-        drop(buffered); // drop flushes the straggler
-        assert_eq!(probe.samples, vec![(1.0, 1.0), (2.0, 2.0), (3.0, 5.0)]);
-    }
-
-    #[test]
-    fn buffered_observer_output_identical_to_unbuffered() {
-        // Same simulation, same probes, once direct and once through the
-        // batching adapter with a deliberately awkward capacity: every
-        // probe output (and the report) must be identical.
-        use crate::scenario::{Scenario, Topology};
-        let scenario = Scenario::builder(Topology::Hypercube { dim: 4 })
-            .lambda(1.2)
-            .p(0.5)
-            .horizon(400.0)
-            .warmup(80.0)
-            .seed(33)
-            .build()
-            .unwrap();
-
-        let mut direct_series = TimeSeriesProbe::new(7.0, 400.0);
-        let mut direct_reservoir = ReservoirProbe::new(128, 5);
-        let direct_report = scenario
-            .run_observed(&mut (&mut direct_series, &mut direct_reservoir))
-            .unwrap();
-
-        let mut buffered_series = TimeSeriesProbe::new(7.0, 400.0);
-        let mut buffered_reservoir = ReservoirProbe::new(128, 5);
-        let mut pair = (&mut buffered_series, &mut buffered_reservoir);
-        let mut buffered = BufferedObserver::new(&mut pair, 97);
-        let buffered_report = scenario.run_observed(&mut buffered).unwrap();
-        drop(buffered);
-
-        assert_eq!(direct_report, buffered_report);
-        assert_eq!(direct_series.samples, buffered_series.samples);
-        assert_eq!(direct_reservoir.observed(), buffered_reservoir.observed());
-        assert_eq!(
-            direct_reservoir.quantile(0.9),
-            buffered_reservoir.quantile(0.9)
-        );
-    }
-
-    #[test]
-    fn reservoir_probe_quantiles() {
-        let mut p = ReservoirProbe::new(64, 9);
-        for i in 0..10 {
-            p.on_delivered(i as f64 + 1.0, i as f64);
-        }
-        // All delays are exactly 1.
-        assert_eq!(p.quantile(0.5), Some(1.0));
-        assert_eq!(p.observed(), 10);
     }
 }

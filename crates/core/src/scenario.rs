@@ -47,7 +47,7 @@ use crate::config::{
     ArrivalModel, ContentionPolicy, DestinationSpec, FaultFallback, FaultSpec, Scheme,
 };
 use crate::engine::EngineCfg;
-use crate::equivalent_network::{Discipline, EqNetSim};
+use crate::equivalent_network::{Discipline, EqNetSim, MAX_OCCUPANCY_BINS};
 use crate::graph_sim::{graph_ext, sparse_ext, GraphDestination, GraphSim, GraphSpec};
 use crate::hypercube_sim::HypercubeSim;
 use crate::metrics::{DelayStats, MetricsCollector};
@@ -90,7 +90,8 @@ pub enum Topology {
         /// Record every departure epoch (for `B(t)` dominance checks).
         record_departures: bool,
         /// Track per-server occupancy histograms up to this many customers
-        /// (0 disables tracking).
+        /// (0 disables tracking; at most [`MAX_OCCUPANCY_BINS`] in total
+        /// over the network's servers).
         occupancy_cap: usize,
     },
     /// The §2.3 non-greedy pipelined Valiant–Brebner scheme on the
@@ -269,6 +270,16 @@ impl EqNetSpec {
                 q1,
                 q2,
             } => LevelledNetwork::fig2_network(rate1, rate2, rate3, q1, q2),
+        }
+    }
+
+    /// Server count of the network [`EqNetSpec::build`] returns, without
+    /// building it. The dimension must already be validated.
+    fn num_servers(&self) -> usize {
+        match *self {
+            EqNetSpec::HypercubeQ { dim } => Hypercube::new(dim).num_arcs(),
+            EqNetSpec::ButterflyR { dim } => Butterfly::new(dim).num_arcs(),
+            EqNetSpec::Fig2 { .. } => 3,
         }
     }
 }
@@ -470,7 +481,9 @@ impl Scenario {
                     None,
                 )
             }
-            Topology::EqNet { net, .. } => {
+            Topology::EqNet {
+                net, occupancy_cap, ..
+            } => {
                 if pol.scheme != Scheme::Greedy {
                     return unsupported("routing schemes (routing is Markovian)");
                 }
@@ -494,6 +507,30 @@ impl Scenario {
                             max: 20,
                         });
                     }
+                }
+                // Fig. 2 takes its rates and probabilities verbatim: check
+                // them by the rules its constructor enforces by panicking.
+                if let EqNetSpec::Fig2 {
+                    rate1,
+                    rate2,
+                    rate3,
+                    q1,
+                    q2,
+                } = *net
+                {
+                    LevelledNetwork::try_fig2_network(rate1, rate2, rate3, q1, q2)
+                        .map_err(ConfigError::LevelledNetwork)?;
+                }
+                let servers = net.num_servers();
+                if occupancy_cap
+                    .checked_mul(servers)
+                    .is_none_or(|bins| bins > MAX_OCCUPANCY_BINS)
+                {
+                    return Err(ConfigError::OccupancyBins {
+                        cap: *occupancy_cap,
+                        servers,
+                        max: MAX_OCCUPANCY_BINS,
+                    });
                 }
                 crate::config::check_workload_window(
                     w.lambda,
@@ -2375,6 +2412,110 @@ mod tests {
         let message = err.to_string();
         assert!(message.contains("`run.workers`"), "{message}");
         assert!(message.contains("slower than one thread"), "{message}");
+    }
+
+    /// The corpus's Fig. 2 scenario file.
+    const FIG2_FILE: &str = include_str!("../../../scenarios/eqnet_fig2_occupancy.json");
+
+    #[test]
+    fn from_json_rejects_malformed_eqnet_scenarios() {
+        // Each edit must fail validation: building the simulator from it
+        // panics, or aborts allocating gigabytes for the occupancy bins.
+        Scenario::from_json(FIG2_FILE).unwrap();
+        for (field, bad) in [
+            ("\"q1\": 0.5", "\"q1\": 64"),
+            ("\"q2\": 0.5", "\"q2\": 2"),
+            ("\"rate1\": 0.3", "\"rate1\": -1"),
+            (
+                "\"occupancy_cap\": 8",
+                "\"occupancy_cap\": 18446744073709551615",
+            ),
+            ("\"occupancy_cap\": 8", "\"occupancy_cap\": 10000000000"),
+        ] {
+            assert!(FIG2_FILE.contains(field), "{field}");
+            let err = Scenario::from_json(&FIG2_FILE.replacen(field, bad, 1)).unwrap_err();
+            assert!(matches!(err, ScenarioFileError::Invalid(_)), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn occupancy_bins_are_bounded_over_all_servers() {
+        // The bound is on cap × servers: a cap harmless on Fig. 2's three
+        // servers is rejected on a large network `Q` (d = 16: 2^20
+        // servers, 8 GiB of bins at cap 1024).
+        let q_file = include_str!("../../../scenarios/eqnet_hypercube_q_fifo.json");
+        let with = |dim: usize, cap: usize| {
+            q_file
+                .replacen("\"dim\": 3", &format!("\"dim\": {dim}"), 1)
+                .replacen(
+                    "\"occupancy_cap\": 0",
+                    &format!("\"occupancy_cap\": {cap}"),
+                    1,
+                )
+        };
+        let err = Scenario::from_json(&with(16, 1024)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ScenarioFileError::Invalid(ConfigError::OccupancyBins {
+                    cap: 1024,
+                    servers: 1_048_576,
+                    ..
+                })
+            ),
+            "{err}"
+        );
+        // d = 2 has 8 servers: the bound is exact.
+        Scenario::from_json(&with(2, MAX_OCCUPANCY_BINS / 8)).unwrap();
+        Scenario::from_json(&with(2, MAX_OCCUPANCY_BINS / 8 + 1)).unwrap_err();
+        Scenario::from_json(&with(16, 0)).unwrap();
+        // The server count validation uses is the built network's.
+        for spec in [
+            EqNetSpec::HypercubeQ { dim: 1 },
+            EqNetSpec::HypercubeQ { dim: 4 },
+            EqNetSpec::ButterflyR { dim: 1 },
+            EqNetSpec::ButterflyR { dim: 4 },
+            EqNetSpec::Fig2 {
+                rate1: 0.3,
+                rate2: 0.3,
+                rate3: 0.2,
+                q1: 0.5,
+                q2: 0.5,
+            },
+        ] {
+            assert_eq!(
+                spec.num_servers(),
+                spec.build(0.5, 0.5).num_servers(),
+                "{spec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn absent_required_fields_are_missing_not_nan() {
+        // An absent `f64` is a missing field, not the NaN an explicit
+        // `null` reads as.
+        let no_q2 = FIG2_FILE
+            .replacen("\"q1\": 0.5,", "\"q1\": 0.5", 1)
+            .lines()
+            .filter(|line| !line.contains("\"q2\""))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let no_lambda = hypercube_scenario()
+            .to_json()
+            .lines()
+            .filter(|line| !line.contains("\"lambda\""))
+            .collect::<Vec<_>>()
+            .join("\n");
+        for (text, key) in [(no_q2, "q2"), (no_lambda, "lambda")] {
+            let err = Scenario::from_json(&text).unwrap_err();
+            assert!(matches!(err, ScenarioFileError::Parse { .. }), "{err}");
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("missing field `{key}`")),
+                "{message}"
+            );
+        }
     }
 
     #[test]

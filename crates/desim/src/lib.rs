@@ -10,14 +10,12 @@
 //!   with the same deterministic order at amortized `O(1)` per event,
 //!   exploiting the model's unit service times;
 //! * [`sched::Scheduler`] — runtime selection between the two backends;
-//! * [`engine`] — a minimal process/run-loop abstraction;
 //! * [`rng::SimRng`] — seedable RNG streams with the exponential /
 //!   Poisson / Bernoulli samplers the model needs (implemented here, no
 //!   external distribution crate);
 //! * [`stats`] — streaming statistics: Welford moments, time-weighted
 //!   averages, occupancy histograms, reservoir quantiles and batch-means
-//!   confidence intervals;
-//! * [`slotted`] — the slotted-time clock of paper §3.4.
+//!   confidence intervals.
 //!
 //! Everything is deterministic given a seed, which the property tests rely
 //! on heavily.
@@ -26,17 +24,13 @@
 #![forbid(unsafe_code)]
 
 pub mod calendar;
-pub mod engine;
 pub mod events;
 pub mod rng;
 pub mod sched;
-pub mod slotted;
 pub mod stats;
 pub mod time;
-pub mod warmup;
 
 pub use calendar::CalendarQueue;
-pub use engine::{run_until, Process, StopReason};
 pub use events::EventQueue;
 pub use rng::{splitmix64, SimRng};
 pub use sched::{Scheduler, SchedulerKind};

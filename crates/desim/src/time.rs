@@ -8,40 +8,3 @@
 
 /// Simulation time, in unit packet-transmission times.
 pub type SimTime = f64;
-
-/// The unit packet transmission (service) time from the paper's model.
-pub const SERVICE_TIME: SimTime = 1.0;
-
-/// Assert that a timestamp is usable (finite, non-negative).
-#[inline]
-pub fn check(t: SimTime) -> SimTime {
-    debug_assert!(t.is_finite() && t >= 0.0, "bad simulation time {t}");
-    t
-}
-
-/// Approximate equality for derived time quantities (integrals, averages).
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unit_service_is_exact() {
-        let mut t = 0.0;
-        for _ in 0..1_000_000 {
-            t += SERVICE_TIME;
-        }
-        assert_eq!(t, 1_000_000.0);
-    }
-
-    #[test]
-    fn approx_eq_scales() {
-        assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-9));
-        assert!(!approx_eq(1.0, 1.01, 1e-9));
-        assert!(approx_eq(1e12, 1e12 + 1.0, 1e-9));
-    }
-}

@@ -4,11 +4,11 @@
 //! ([`all_experiments`]): it sweeps the relevant parameters, runs the exact
 //! simulators from `hyperroute-core`, puts the measured values next to the
 //! paper's closed-form predictions from `hyperroute-analysis`, and returns
-//! a [`table::Table`]. The bench harness (`crates/bench`) prints these
-//! tables; EXPERIMENTS.md archives them.
+//! a [`table::Table`]. The `generate_experiments` example prints these
+//! tables into EXPERIMENTS.md.
 //!
 //! Every experiment takes a [`Scale`]: `Quick` keeps runtimes test-friendly
-//! (small `d`, short horizons), `Full` is the bench/EXPERIMENTS.md setting.
+//! (small `d`, short horizons), `Full` is the EXPERIMENTS.md setting.
 //! Both run the same code path — only grids and horizons change.
 
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ pub mod figures;
 
 pub use table::Table;
 
-/// Experiment size: `Quick` for tests, `Full` for the bench harness.
+/// Experiment size: `Quick` for tests, `Full` for EXPERIMENTS.md.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Small grids and horizons (seconds, debug-build friendly).

@@ -36,11 +36,12 @@
 //! unix socket via any stream relay), and keeps two things warm between
 //! campaigns —
 //!
-//! * **Workers.** Subprocess workers speak protocol v2 (a handshake plus
-//!   tagged [`WorkerRequest`] frames) and are parked in a [`WorkerPool`]
-//!   when a campaign drains rather than killed; the next campaign checks
-//!   them out, so process spawn + monomorphisation cost is paid once per
-//!   fleet, not once per campaign. Dispatch is throughput-weighted:
+//! * **Workers.** Subprocess workers speak the worker protocol (a
+//!   version handshake plus tagged [`WorkerRequest`] frames) and are
+//!   parked in a [`WorkerPool`] when a campaign drains rather than
+//!   killed; the next campaign checks them out, so process spawn +
+//!   monomorphisation cost is paid once per fleet, not once per
+//!   campaign. Dispatch is throughput-weighted:
 //!   per-worker points/sec is measured and the longest pending slices go
 //!   to the fastest workers (classic LPT), which keeps heterogeneous
 //!   fleets busy — scheduling never affects output bytes, only wall
@@ -57,8 +58,8 @@
 //!
 //! `hyperroute-grid worker` answers one terminal JSON [`WorkerReply`]
 //! per job line, with throttled `Progress` heartbeat lines interleaved
-//! while a long slice runs (see [`subprocess`] for the exact framing,
-//! the v1/v2 coexistence rules, and the fault model). The
+//! while a long slice runs (see [`subprocess`] for the exact framing
+//! and the fault model). The
 //! [`SubprocessBackend`] speaks this protocol to any argv you give it —
 //! the bundled binary for multi-core, or an ssh/container wrapper for
 //! multi-machine — and treats heartbeats as keep-alives, so its timeout

@@ -10,18 +10,12 @@
 //! speaks the same lines, which is why the backend takes a plain argv
 //! vector rather than a path.
 //!
-//! Two request framings coexist:
-//!
-//! * **v1 (legacy)** — a bare JSON [`GridSlice`] per line. This is what
-//!   an unpooled [`SubprocessBackend`] still sends, so any stub that
-//!   only understands slices keeps working.
-//! * **v2 (session)** — a tagged [`WorkerRequest`] per line. The
-//!   dispatcher opens the session with `Hello` (protocol version
-//!   handshake), marks campaign boundaries with `CampaignSubmit`,
-//!   parks an idle worker with `Drain`, and retires it with
-//!   `Shutdown`. [`run_worker`] answers both framings on the same
-//!   stdin, so one worker binary serves pooled and unpooled
-//!   dispatchers alike.
+//! Every request line is a tagged [`WorkerRequest`]. The dispatcher
+//! opens the session with `Hello` (protocol version handshake), marks
+//! campaign boundaries with `CampaignSubmit`, parks an idle worker with
+//! `Drain`, and retires it with `Shutdown`. A line that does not parse
+//! as a request (a bare [`GridSlice`] included) is answered with a
+//! [`WorkerReply::Err`] whose id is `u64::MAX`.
 //!
 //! ```text
 //! dispatcher → worker:  {"Hello":{"version":2}}\n
@@ -47,20 +41,22 @@
 //!
 //! # Warm pools and weighted scheduling
 //!
-//! Attach a [`crate::WorkerPool`] with [`SubprocessBackend::with_pool`]
-//! and the backend switches to v2 framing: at campaign start it checks
-//! idle workers out of the pool (re-pinging each with `CampaignSubmit`
-//! and discarding any that died while parked) instead of spawning, and
-//! at campaign end it parks healthy workers back with `Drain` instead
-//! of killing them. Respawn becomes the exception, not the per-campaign
-//! rule. The pool also carries each parked worker's measured throughput
-//! (grid points per second, learned from round timings), which feeds the
-//! dispatcher's **throughput-weighted queue**: pending slices are kept
-//! sorted by length, and a worker whose measured rate is at or above the
-//! fleet mean takes the longest pending slice while a slower worker
-//! takes the shortest — classic longest-processing-time scheduling,
-//! weighted by who is asking. Results still merge deterministically, so
-//! scheduling policy can never change campaign output, only wall time.
+//! Every backend keeps its workers in a [`crate::WorkerPool`]: a private
+//! one made by [`SubprocessBackend::new`], or one shared across backends
+//! through [`SubprocessBackend::with_pool`]. At campaign start the
+//! backend checks idle workers out of the pool (re-pinging each with
+//! `CampaignSubmit` and discarding any that died while parked) instead
+//! of spawning, and at campaign end it parks healthy workers back with
+//! `Drain` instead of killing them. Respawn becomes the exception, not
+//! the per-campaign rule. The pool also carries each parked worker's
+//! measured throughput (grid points per second, learned from round
+//! timings), which feeds the dispatcher's **throughput-weighted queue**:
+//! pending slices are kept sorted by length, and a worker whose measured
+//! rate is at or above the fleet mean takes the longest pending slice
+//! while a slower worker takes the shortest — classic
+//! longest-processing-time scheduling, weighted by who is asking.
+//! Results still merge deterministically, so scheduling policy can never
+//! change campaign output, only wall time.
 //!
 //! # Fault handling
 //!
@@ -72,10 +68,10 @@
 //! only then does the campaign abort with [`GridError::SliceLost`]. A
 //! well-formed [`WorkerReply::Err`] is different: the worker is healthy
 //! and the slice itself is bad, so it fails the campaign immediately
-//! ([`GridError::SliceFailed`]) instead of burning retries. When a pool
-//! is attached, worker losses also bump a pool-wide failure streak that
-//! stretches the respawn backoff — and the streak is reset at every
-//! campaign boundary, so one bad campaign can never slow down the next.
+//! ([`GridError::SliceFailed`]) instead of burning retries. Worker
+//! losses also bump a pool-wide failure streak that stretches the
+//! respawn backoff — and the streak is reset at every campaign boundary,
+//! so one bad campaign can never slow down the next.
 
 use crate::backend::ExecBackend;
 use crate::error::GridError;
@@ -91,15 +87,12 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Version of the session (v2) framing spoken by this build. A
-/// dispatcher opens every pooled worker with `Hello` and refuses to pool
-/// a worker that answers with a different version.
+/// Version of the worker protocol spoken by this build. A dispatcher
+/// opens every worker with `Hello` and refuses one that answers with a
+/// different version.
 pub const PROTOCOL_VERSION: u32 = 2;
 
-/// One request line of the v2 worker protocol.
-///
-/// v1 dispatchers send a bare [`GridSlice`] instead; [`run_worker`]
-/// accepts both framings on the same stream.
+/// One request line of the worker protocol.
 // Wire enum: boxing `Slice` would complicate the stable NDJSON framing
 // for a transient, one-per-line value.
 #[allow(clippy::large_enum_variant)]
@@ -111,7 +104,7 @@ pub enum WorkerRequest {
         /// Dispatcher protocol version (see [`PROTOCOL_VERSION`]).
         version: u32,
     },
-    /// Execute one slice (v2 framing of the v1 bare-slice line).
+    /// Execute one slice.
     Slice(GridSlice),
     /// The worker is now serving this campaign. Doubles as the liveness
     /// ping when a worker is checked out of a warm pool: a parked
@@ -186,27 +179,15 @@ pub const DEFAULT_HEARTBEAT: Duration = Duration::from_secs(5);
 /// corpse for minutes.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Parse one inbound line: v2 [`WorkerRequest`] first, then the v1 bare
-/// [`GridSlice`] fallback.
-fn parse_request(line: &str) -> Result<WorkerRequest, String> {
-    if let Ok(req) = serde_json::from_str::<WorkerRequest>(line) {
-        return Ok(req);
-    }
-    serde_json::from_str::<GridSlice>(line)
-        .map(WorkerRequest::Slice)
-        .map_err(|e| format!("job line does not parse: {e}"))
-}
-
 /// Serve the worker side of the protocol until `input` reaches EOF,
 /// heartbeating at [`DEFAULT_HEARTBEAT`].
 ///
 /// Every request line in is answered by exactly one **terminal** line
 /// out (flushed), so a dispatcher can pipeline jobs without framing
 /// ambiguity; long slices additionally interleave throttled
-/// [`WorkerReply::Progress`] lines before the terminal reply. Both v1
-/// (bare slice) and v2 ([`WorkerRequest`]) framings are accepted on the
-/// same stream. IO errors on the streams end the loop — the dispatcher
-/// treats a vanished worker as a retryable loss.
+/// [`WorkerReply::Progress`] lines before the terminal reply. IO errors
+/// on the streams end the loop — the dispatcher treats a vanished worker
+/// as a retryable loss.
 pub fn run_worker(input: impl BufRead, output: impl Write) -> std::io::Result<()> {
     run_worker_with(input, output, DEFAULT_HEARTBEAT)
 }
@@ -228,7 +209,7 @@ pub fn run_worker_with(
             continue;
         }
         let mut retire = false;
-        let reply = match parse_request(&line) {
+        let reply = match serde_json::from_str::<WorkerRequest>(&line) {
             Ok(WorkerRequest::Hello { version: _ }) => WorkerReply::HelloOk {
                 version: PROTOCOL_VERSION,
             },
@@ -265,9 +246,9 @@ pub fn run_worker_with(
                     },
                 }
             }
-            Err(message) => WorkerReply::Err {
+            Err(e) => WorkerReply::Err {
                 id: u64::MAX,
-                message,
+                message: format!("request line does not parse: {e}"),
             },
         };
         let text = serde_json::to_string(&reply).expect("replies always serialise");
@@ -285,9 +266,9 @@ pub fn run_worker_with(
 /// Spawns up to [`SubprocessBackend::workers`] copies of
 /// [`SubprocessBackend::worker_cmd`] and feeds each one slice at a time,
 /// so grids scale across cores (or, with an ssh/container wrapper as the
-/// command, across machines) without sharing memory. With a
-/// [`WorkerPool`] attached ([`SubprocessBackend::with_pool`]), worker
-/// processes outlive the campaign and are reused by the next one.
+/// command, across machines) without sharing memory. Worker processes
+/// outlive the campaign: they park in a [`WorkerPool`] (private unless
+/// [`SubprocessBackend::with_pool`] shares one) and serve the next one.
 #[derive(Clone, Debug)]
 pub struct SubprocessBackend {
     /// argv of the worker command (program first).
@@ -308,15 +289,14 @@ pub struct SubprocessBackend {
     pub backoff_base: Duration,
     /// Ceiling on the un-jittered respawn delay.
     pub backoff_cap: Duration,
-    /// Warm pool that keeps workers alive between campaigns (v2
-    /// protocol); `None` runs the classic spawn-per-campaign v1 path.
-    pool: Option<Arc<WorkerPool>>,
+    /// Warm pool that keeps workers alive between campaigns.
+    pool: Arc<WorkerPool>,
 }
 
 impl SubprocessBackend {
     /// Backend running `worker_cmd` on `workers` processes, with a
-    /// 10-minute per-slice timeout, 2 retries, and a 50 ms–2 s
-    /// jittered-exponential respawn backoff.
+    /// 10-minute per-slice timeout, 2 retries, a 50 ms–2 s
+    /// jittered-exponential respawn backoff, and a private warm pool.
     pub fn new(worker_cmd: Vec<String>, workers: usize) -> SubprocessBackend {
         SubprocessBackend {
             worker_cmd,
@@ -325,7 +305,7 @@ impl SubprocessBackend {
             max_retries: 2,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
-            pool: None,
+            pool: Arc::new(WorkerPool::new()),
         }
     }
 
@@ -363,17 +343,10 @@ impl SubprocessBackend {
         self
     }
 
-    /// Keep workers warm in `pool` between campaigns (builder style).
-    ///
-    /// Switches the dispatcher to the v2 session protocol: fresh workers
-    /// are version-handshaked with `Hello`, campaign boundaries are
-    /// marked with `CampaignSubmit`, and at campaign end healthy workers
-    /// are parked back into the pool with `Drain` instead of being
-    /// killed. The worker command must therefore speak v2 —
-    /// `hyperroute-grid worker` does; a v1-only stub will fail the
-    /// handshake.
+    /// Park workers in `pool` instead of the private pool, so every
+    /// backend given the same pool reuses one fleet (builder style).
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> SubprocessBackend {
-        self.pool = Some(pool);
+        self.pool = pool;
         self
     }
 
@@ -607,16 +580,11 @@ impl SchedQueue {
 impl SubprocessBackend {
     /// Obtain a worker for this campaign: checked out of the warm pool
     /// (re-pinged, stale corpses discarded) when one is available,
-    /// freshly spawned (and, in pooled mode, version-handshaked)
-    /// otherwise. Returns the worker plus its remembered throughput, if
-    /// the pool knew one.
+    /// freshly spawned and version-handshaked otherwise. Returns the
+    /// worker plus its remembered throughput, if the pool knew one.
     fn acquire(&self, campaign: u64) -> Result<(WorkerProc, Option<f64>), RoundOutcome> {
-        let Some(pool) = &self.pool else {
-            let proc = WorkerProc::spawn(&self.worker_cmd).map_err(RoundOutcome::Fatal)?;
-            return Ok((proc, None));
-        };
         let key = pool_key(&self.worker_cmd);
-        while let Some(mut idle) = pool.check_out(key) {
+        while let Some(mut idle) = self.pool.check_out(key) {
             // Liveness ping doubling as the campaign marker: a worker
             // that died while parked answers nothing and is discarded
             // (drop kills), falling through to the next idle one.
@@ -627,12 +595,12 @@ impl SubprocessBackend {
                 .control(&submit, self.handshake_timeout(), ack)
                 .is_ok()
             {
-                pool.note_reuse();
+                self.pool.note_reuse();
                 return Ok((idle.proc, idle.points_per_sec));
             }
         }
         let mut proc = WorkerProc::spawn(&self.worker_cmd).map_err(RoundOutcome::Fatal)?;
-        pool.note_spawn();
+        self.pool.note_spawn();
         let hello = WorkerRequest::Hello {
             version: PROTOCOL_VERSION,
         };
@@ -662,12 +630,11 @@ impl SubprocessBackend {
         Ok((proc, None))
     }
 
-    /// Park a healthy worker back into the pool at campaign end (v2:
-    /// `Drain` → `Drained`), or let drop kill it when unpooled, draining
-    /// fails, or the campaign was cancelled.
+    /// Park a healthy worker back into the pool at campaign end (`Drain`
+    /// → `Drained`), or let drop kill it when draining fails or the
+    /// campaign was cancelled.
     fn release(&self, proc: Option<WorkerProc>, points_per_sec: Option<f64>, cancelled: bool) {
         let Some(mut proc) = proc else { return };
-        let Some(pool) = &self.pool else { return };
         if cancelled {
             return; // failed campaign: don't trust the worker's state
         }
@@ -677,7 +644,7 @@ impl SubprocessBackend {
             })
             .is_ok();
         if drained {
-            pool.check_in(
+            self.pool.check_in(
                 pool_key(&self.worker_cmd),
                 IdleWorker {
                     proc,
@@ -708,15 +675,10 @@ impl SubprocessBackend {
             }
         }
         let worker = proc.as_mut().expect("acquired above");
-        // v2 sessions frame the slice as a tagged request; v1 sends the
-        // bare slice so legacy stub workers keep parsing.
+        // The `WorkerRequest::Slice` frame, written around the borrowed
+        // slice instead of cloning it into a request.
         let slice_json = serde_json::to_string(slice).expect("slices always serialise");
-        let job_line = if self.pool.is_some() {
-            format!("{{\"Slice\":{slice_json}}}")
-        } else {
-            slice_json
-        };
-        if let Err(e) = worker.send_line(&job_line) {
+        if let Err(e) = worker.send_line(&format!("{{\"Slice\":{slice_json}}}")) {
             return RoundOutcome::Lost(e);
         }
         // Heartbeats are keep-alives: each Progress line for the pending
@@ -762,7 +724,7 @@ impl SubprocessBackend {
     /// One manager loop: own a worker process, pull jobs off the shared
     /// weighted queue, retry lost slices (back onto the queue, so
     /// another manager may pick them up) until the queue drains or the
-    /// campaign cancels; then park the worker in the warm pool, if any.
+    /// campaign cancels; then park the worker in the warm pool.
     fn manage_worker(
         &self,
         jobs: &[GridSlice],
@@ -826,10 +788,8 @@ impl SubprocessBackend {
                     // otherwise respawn in a tight fork loop. A pool-wide
                     // failure streak (reset each campaign) stretches the
                     // envelope when the whole fleet is struggling.
-                    let streak = self.pool.as_ref().map_or(0, |p| {
-                        p.note_loss();
-                        p.loss_streak().min(8)
-                    });
+                    self.pool.note_loss();
+                    let streak = self.pool.loss_streak().min(8);
                     std::thread::sleep(respawn_backoff(
                         jobs[job.index].id,
                         attempts + streak,
@@ -865,10 +825,10 @@ impl ExecBackend for SubprocessBackend {
         let workers = if self.workers == 0 { hw } else { self.workers }
             .min(jobs.len())
             .max(1);
-        // Campaign boundary: tag the campaign for the v2 protocol and
-        // wipe the pool-wide failure streak so this campaign's backoff
-        // starts from a clean slate.
-        let campaign = self.pool.as_ref().map_or(0, |pool| pool.begin_campaign());
+        // Campaign boundary: tag the campaign and wipe the pool-wide
+        // failure streak so this campaign's backoff starts from a clean
+        // slate.
+        let campaign = self.pool.begin_campaign();
         let sched = SchedQueue::new(jobs, workers);
         let cancelled = AtomicBool::new(false);
         let (tx, rx) = mpsc::channel::<Result<SliceResult, GridError>>();
@@ -934,14 +894,18 @@ mod tests {
         Sweep::new(base, vec![Axis::new(SweepParam::Lambda, vec![0.4, 0.8])])
     }
 
+    /// One `WorkerRequest::Slice` line per slice.
+    fn slice_lines(slices: &[GridSlice]) -> String {
+        slices
+            .iter()
+            .map(|s| serde_json::to_string(&WorkerRequest::Slice(s.clone())).unwrap() + "\n")
+            .collect()
+    }
+
     #[test]
     fn worker_answers_each_job_line() {
         let slices = partition(&small_sweep(), 1);
-        let mut input = String::new();
-        for s in &slices {
-            input.push_str(&serde_json::to_string(s).unwrap());
-            input.push('\n');
-        }
+        let input = slice_lines(&slices);
         let mut output = Vec::new();
         run_worker(Cursor::new(input), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
@@ -1014,24 +978,23 @@ mod tests {
     }
 
     #[test]
-    fn v2_framed_slice_and_v1_bare_slice_produce_identical_results() {
+    fn bare_slice_lines_are_rejected() {
+        // A slice must arrive framed as `WorkerRequest::Slice`; a bare
+        // slice line is a malformed request, answered without running.
         let slices = partition(&small_sweep(), 1);
-        let slice = &slices[0];
-        let bare = format!("{}\n", serde_json::to_string(slice).unwrap());
-        let framed = format!(
-            "{}\n",
-            serde_json::to_string(&WorkerRequest::Slice(slice.clone())).unwrap()
-        );
-        let run = |input: String| -> WorkerReply {
-            let mut output = Vec::new();
-            run_worker(Cursor::new(input), &mut output).unwrap();
-            let text = String::from_utf8(output).unwrap();
-            text.lines()
-                .map(|l| serde_json::from_str(l).unwrap())
-                .find(|r| !matches!(r, WorkerReply::Progress { .. }))
-                .unwrap()
+        let bare = format!("{}\n", serde_json::to_string(&slices[0]).unwrap());
+        let mut output = Vec::new();
+        run_worker_with(Cursor::new(bare), &mut output, Duration::ZERO).unwrap();
+        let replies: Vec<WorkerReply> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        let [WorkerReply::Err { id, message }] = replies.as_slice() else {
+            panic!("expected one Err reply and no heartbeat, got {replies:?}");
         };
-        assert_eq!(run(bare), run(framed));
+        assert_eq!(*id, u64::MAX);
+        assert!(message.contains("does not parse"), "{message}");
     }
 
     #[test]
@@ -1039,7 +1002,7 @@ mod tests {
         let slices = partition(&small_sweep(), 100); // one slice, 2 points
         assert_eq!(slices.len(), 1);
         let slice = &slices[0];
-        let input = format!("{}\n", serde_json::to_string(slice).unwrap());
+        let input = slice_lines(&slices);
         let mut output = Vec::new();
         run_worker_with(Cursor::new(input), &mut output, Duration::ZERO).unwrap();
         let replies: Vec<WorkerReply> = String::from_utf8(output)
@@ -1078,8 +1041,11 @@ mod tests {
         // through it: each heartbeat restarts the clock, so the
         // dispatcher must wait for the terminal reply instead of
         // declaring the worker lost (retries are disabled, so a spurious
-        // timeout would fail the whole batch).
+        // timeout would fail the whole batch). It answers the handshake
+        // and the first campaign's marker before reading the slice.
         let script = concat!(
+            r#"read line; echo '{"HelloOk":{"version":2}}'; "#,
+            r#"read line; echo '{"CampaignAck":{"campaign":0}}'; "#,
             "read line; ",
             r#"for i in 1 2 3 4; do "#,
             r#"echo "{\"Progress\":{\"id\":0,\"done\":$i,\"total\":4,\"rows_per_sec\":1.0}}"; "#,
@@ -1219,19 +1185,19 @@ mod tests {
     fn v1_only_stub_fails_the_pooled_handshake_and_never_enters_the_pool() {
         // Warm reuse with the real binary is covered in
         // tests/grid_exec.rs (CARGO_BIN_EXE is integration-test only);
-        // here: a v1-only stub cannot pass the v2 handshake, so the
-        // slice burns its retries and the stub is never parked.
-        let pool = Arc::new(WorkerPool::new());
+        // here: a stub that answers every line with an error cannot pass
+        // the handshake, so the slice burns its retries and the stub is
+        // never parked.
         let script = r#"read line; echo '{"Err":{"id":18446744073709551615,"message":"v1 stub"}}'"#;
         let backend = SubprocessBackend::new(vec!["sh".into(), "-c".into(), script.into()], 1)
             .with_backoff(Duration::ZERO, Duration::ZERO)
             .with_timeout(Duration::from_secs(5))
-            .with_max_retries(0)
-            .with_pool(Arc::clone(&pool));
+            .with_max_retries(0);
         let jobs = partition(&small_sweep(), 1);
         let err = backend.execute(&jobs, &mut |_| Ok(())).unwrap_err();
         assert!(matches!(err, GridError::SliceLost { .. }), "{err}");
         // The failed handshake never parks the stub in the pool.
+        let pool = &backend.pool;
         assert_eq!(pool.idle_workers(), 0);
         assert!(pool.spawns() >= 1);
         assert_eq!(pool.reuses(), 0);

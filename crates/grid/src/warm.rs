@@ -1,15 +1,16 @@
 //! Warm worker pools: keep subprocess workers alive between campaigns.
 //!
-//! A [`crate::SubprocessBackend`] without a pool spawns its worker fleet
-//! at campaign start and kills it at campaign end — fine for one-shot
-//! runs, wasteful for a sweep service executing many campaigns back to
-//! back. A [`WorkerPool`] turns the fleet into a reusable resource:
-//! at campaign end healthy workers are *drained* (protocol `Drain` →
-//! `Drained`) and parked here, keyed by a hash of the worker argv, and
-//! the next campaign with the same argv checks them out again (re-pinged
-//! with `CampaignSubmit`, so a process that died while parked is
-//! discarded, never trusted). Respawn becomes the exception: it happens
-//! only on first use, after a worker loss, or when the pool ran dry.
+//! A [`WorkerPool`] turns a [`crate::SubprocessBackend`]'s worker fleet
+//! into a reusable resource: at campaign end healthy workers are
+//! *drained* (protocol `Drain` → `Drained`) and parked here, keyed by a
+//! hash of the worker argv, and the next campaign with the same argv
+//! checks them out again (re-pinged with `CampaignSubmit`, so a process
+//! that died while parked is discarded, never trusted). Respawn becomes
+//! the exception: it happens only on first use, after a worker loss, or
+//! when the pool ran dry. Every backend owns a private pool;
+//! [`crate::SubprocessBackend::with_pool`] shares one across backends,
+//! which is how the sweep service keeps one fleet warm while it builds a
+//! fresh backend per campaign.
 //!
 //! The pool also remembers each parked worker's measured throughput
 //! (grid points per second), which seeds the dispatcher's

@@ -239,24 +239,63 @@ fn kill_and_resume_recomputes_only_unfinished_slices() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A stub worker that answers the handshake of a fresh backend's first
+/// campaign (`Hello`, then `CampaignSubmit` for campaign 0), so that
+/// whatever `then` does happens after a slice was sent.
+fn handshaking_stub(then: &str) -> String {
+    format!(
+        concat!(
+            r#"read line; echo '{{"HelloOk":{{"version":2}}}}'; "#,
+            r#"read line; echo '{{"CampaignAck":{{"campaign":0}}}}'; "#,
+            "{then}"
+        ),
+        then = then
+    )
+}
+
 #[test]
 fn crashed_worker_slice_is_retried_on_a_fresh_process() {
-    // First spawn: consume one job and exit without replying (a crash).
-    // Every later spawn: the real worker. The campaign must still produce
-    // byte-identical output.
+    // First spawn: complete the handshake, accept one slice, record it
+    // in the marker and exit without replying (a crash mid-slice). Every
+    // later spawn: the real worker. Without retries the campaign reports
+    // the crash; with them it still produces byte-identical output.
     let dir = temp_dir("flaky");
     let marker = dir.join("crashed-once");
+    let crash = handshaking_stub(&format!(
+        r#"read line; printf '%s\n' "$line" > {m}; exit 0"#,
+        m = marker.display()
+    ));
     let script = format!(
-        "if [ ! -e {m} ]; then : > {m}; head -n 1 > /dev/null; exit 0; fi; exec {bin} worker",
+        "if [ ! -e {m} ]; then : > {m}; {crash}; fi; exec {bin} worker",
         m = marker.display(),
         bin = grid_bin()
     );
+    let cmd = vec!["sh".to_string(), "-c".to_string(), script];
     let sweep = hypercube_sweep();
+
+    let err = Campaign::new(sweep.clone(), 3)
+        .run(&SubprocessBackend::new(cmd.clone(), 1).with_max_retries(0))
+        .unwrap_err();
+    let GridError::SliceLost {
+        attempts,
+        last_error,
+        ..
+    } = err
+    else {
+        panic!("expected SliceLost, got {err:?}");
+    };
+    assert_eq!(attempts, 1);
+    assert_eq!(last_error, "worker exited before replying");
+
+    std::fs::remove_file(&marker).unwrap();
     let direct = sweep.run(1).unwrap();
-    let backend =
-        SubprocessBackend::new(vec!["sh".into(), "-c".into(), script], 1).with_max_retries(2);
+    let backend = SubprocessBackend::new(cmd, 1).with_max_retries(2);
     let got = Campaign::new(sweep, 3).run(&backend).unwrap();
-    assert!(marker.exists(), "the flaky first worker did run");
+    let accepted = std::fs::read_to_string(&marker).unwrap();
+    assert!(
+        accepted.starts_with("{\"Slice\":"),
+        "the flaky worker must crash holding a slice, got {accepted:?}"
+    );
     assert_eq!(got, direct);
     assert_eq!(as_json(&got), as_json(&direct));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -264,9 +303,9 @@ fn crashed_worker_slice_is_retried_on_a_fresh_process() {
 
 #[test]
 fn unresponsive_worker_times_out_and_exhausts_retries() {
-    // A worker that swallows jobs forever: every attempt times out, and
-    // after the retry budget the campaign aborts with SliceLost instead
-    // of hanging.
+    // A worker that completes the handshake, then swallows jobs forever:
+    // every attempt times out on the slice, and after the retry budget
+    // the campaign aborts with SliceLost instead of hanging.
     let sweep = Sweep::new(
         Scenario::builder(Topology::Hypercube { dim: 3 })
             .horizon(40.0)
@@ -275,19 +314,22 @@ fn unresponsive_worker_times_out_and_exhausts_retries() {
             .unwrap(),
         vec![Axis::new(SweepParam::Lambda, vec![0.5])],
     );
-    let backend =
-        SubprocessBackend::new(vec!["sh".into(), "-c".into(), "cat > /dev/null".into()], 1)
-            .with_timeout(Duration::from_millis(150))
-            .with_max_retries(1);
+    let stub = handshaking_stub("cat > /dev/null");
+    let backend = SubprocessBackend::new(vec!["sh".into(), "-c".into(), stub], 1)
+        .with_timeout(Duration::from_millis(500))
+        .with_max_retries(1);
     let err = Campaign::new(sweep, 1).run(&backend).unwrap_err();
     let GridError::SliceLost {
-        slice, attempts, ..
+        slice,
+        attempts,
+        last_error,
     } = err
     else {
         panic!("expected SliceLost, got {err:?}");
     };
     assert_eq!(slice, 0);
     assert_eq!(attempts, 2, "one original attempt + one retry");
+    assert_eq!(last_error, "no reply or heartbeat within 0.5s");
 }
 
 // ---------------------------------------------------------------------
@@ -357,7 +399,7 @@ fn cold_warm_and_cached_paths_byte_identical_at_1_2_8_workers() {
     let sweep = hypercube_sweep();
     let direct = sweep.run(1).unwrap();
     for workers in [1, 2, 8] {
-        // Cold: fresh processes per campaign (the pre-v2 behaviour).
+        // Cold: a fresh backend, whose private pool starts empty.
         let cold = Campaign::new(sweep.clone(), 2)
             .run(&SubprocessBackend::new(
                 vec![grid_bin(), "worker".into()],
@@ -366,7 +408,7 @@ fn cold_warm_and_cached_paths_byte_identical_at_1_2_8_workers() {
             .unwrap();
         assert_eq!(as_json(&cold), as_json(&direct), "cold workers={workers}");
 
-        // Warm: same campaign through a worker pool (protocol v2).
+        // Warm: same campaign through a shared worker pool.
         let pool = Arc::new(WorkerPool::new());
         let warm_backend = SubprocessBackend::new(vec![grid_bin(), "worker".into()], workers)
             .with_pool(Arc::clone(&pool));
@@ -418,6 +460,33 @@ fn warm_pool_reuses_real_workers_across_campaigns() {
     );
     pool.shutdown();
     assert_eq!(pool.idle_workers(), 0, "shutdown drains the pool");
+}
+
+#[test]
+fn backend_without_a_shared_pool_reuses_its_own_workers() {
+    // `SubprocessBackend::new` parks its workers in a private pool, so a
+    // second campaign on the same backend spawns nothing. Every spawn
+    // appends a line to the log, and no worker starts serving until two
+    // have been spawned: that barrier makes the first campaign start
+    // both workers.
+    let dir = temp_dir("private-pool");
+    let log = dir.join("spawns.log");
+    let script = format!(
+        "echo spawn >> {log}; until [ \"$(wc -l < {log})\" -ge 2 ]; do sleep 0.01; done; \
+         exec {bin} worker",
+        log = log.display(),
+        bin = grid_bin()
+    );
+    let sweep = hypercube_sweep();
+    let direct = sweep.run(1).unwrap();
+    let backend = SubprocessBackend::new(vec!["sh".into(), "-c".into(), script], 2);
+    for pass in 0..2 {
+        let got = Campaign::new(sweep.clone(), 1).run(&backend).unwrap();
+        assert_eq!(as_json(&got), as_json(&direct), "pass {pass}");
+    }
+    let spawns = std::fs::read_to_string(&log).unwrap().lines().count();
+    assert_eq!(spawns, 2, "the second campaign must reuse both workers");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------

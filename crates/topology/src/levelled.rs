@@ -40,13 +40,26 @@ impl LevelledNetwork {
     ///
     /// Panics when the data violate the levelled-network invariants
     /// (see [`LevelledNetwork::validate`]); the long-form constructors below
-    /// are the usual entry points.
+    /// are the usual entry points, and [`LevelledNetwork::try_new`] is the
+    /// fallible form.
     pub fn new(
         level: Vec<usize>,
         external_rate: Vec<f64>,
         routing: Vec<Vec<(ServerId, f64)>>,
         labels: Vec<String>,
     ) -> LevelledNetwork {
+        LevelledNetwork::try_new(level, external_rate, routing, labels)
+            .unwrap_or_else(|e| panic!("invalid levelled network: {e}"))
+    }
+
+    /// Build a network from raw parts, returning the first broken
+    /// invariant (see [`LevelledNetwork::validate`]) as an error.
+    pub fn try_new(
+        level: Vec<usize>,
+        external_rate: Vec<f64>,
+        routing: Vec<Vec<(ServerId, f64)>>,
+        labels: Vec<String>,
+    ) -> Result<LevelledNetwork, String> {
         let num_levels = level.iter().copied().max().map_or(0, |m| m + 1);
         let net = LevelledNetwork {
             level,
@@ -55,10 +68,8 @@ impl LevelledNetwork {
             labels,
             num_levels,
         };
-        if let Err(e) = net.validate() {
-            panic!("invalid levelled network: {e}");
-        }
-        net
+        net.validate()?;
+        Ok(net)
     }
 
     /// Number of servers.
@@ -286,8 +297,24 @@ impl LevelledNetwork {
     /// The three-server network `G` of Lemma 9 (paper Fig. 2a): servers
     /// `S1`, `S2` on level 0 feeding server `S3` on level 1 with
     /// probabilities `q1`, `q2`; independent external arrivals at all three.
+    ///
+    /// Panics on a negative or non-finite rate or a probability outside
+    /// `[0, 1]`; [`LevelledNetwork::try_fig2_network`] is the fallible form.
     pub fn fig2_network(rate1: f64, rate2: f64, rate3: f64, q1: f64, q2: f64) -> LevelledNetwork {
-        LevelledNetwork::new(
+        LevelledNetwork::try_fig2_network(rate1, rate2, rate3, q1, q2)
+            .unwrap_or_else(|e| panic!("invalid levelled network: {e}"))
+    }
+
+    /// [`LevelledNetwork::fig2_network`], returning the first broken
+    /// invariant as an error instead of panicking.
+    pub fn try_fig2_network(
+        rate1: f64,
+        rate2: f64,
+        rate3: f64,
+        q1: f64,
+        q2: f64,
+    ) -> Result<LevelledNetwork, String> {
+        LevelledNetwork::try_new(
             vec![0, 0, 1],
             vec![rate1, rate2, rate3],
             vec![vec![(ServerId(2), q1)], vec![(ServerId(2), q2)], Vec::new()],

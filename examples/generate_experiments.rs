@@ -1,12 +1,15 @@
 //! Regenerate EXPERIMENTS.md: run every experiment in `all_experiments()`
-//! and archive the paper-vs-measured tables.
+//! (E01–E29) plus the structural-figures table and archive the
+//! paper-vs-measured tables. This is the one runner of the experiment
+//! tables.
 //!
 //! `cargo run --release --example generate_experiments` (add `--quick` for
 //! the small grids; the checked-in file uses the full grids). Set
 //! `HYPERROUTE_ONLY=E21,E22` to run a subset and append it to the existing
-//! EXPERIMENTS.md instead of rewriting it.
+//! EXPERIMENTS.md instead of rewriting it; the name `figures` selects the
+//! structural-figures table.
 
-use hyperroute::experiments::{all_experiments, figures, Scale};
+use hyperroute::experiments::{all_experiments, figures, ExperimentEntry, Scale};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -16,10 +19,13 @@ fn main() -> std::io::Result<()> {
     if let Ok(only) = std::env::var("HYPERROUTE_ONLY") {
         let wanted: Vec<&str> = only.split(',').map(str::trim).collect();
         let mut md = String::new();
-        for (name, f) in all_experiments() {
+        let figures_entry: ExperimentEntry = ("figures", figures::run);
+        let mut ran = 0;
+        for (name, f) in std::iter::once(figures_entry).chain(all_experiments()) {
             if !wanted.contains(&name) {
                 continue;
             }
+            ran += 1;
             eprintln!("running {name} ...");
             let start = Instant::now();
             let table = f(scale);
@@ -30,7 +36,7 @@ fn main() -> std::io::Result<()> {
         let mut existing = std::fs::read_to_string("EXPERIMENTS.md").unwrap_or_default();
         existing.push_str(&md);
         std::fs::write("EXPERIMENTS.md", existing)?;
-        eprintln!("appended {} experiment(s) to EXPERIMENTS.md", wanted.len());
+        eprintln!("appended {ran} table(s) to EXPERIMENTS.md");
         return Ok(());
     }
 
@@ -40,8 +46,8 @@ fn main() -> std::io::Result<()> {
         "Reproduction record for *The Efficiency of Greedy Routing in Hypercubes and\n\
          Butterflies* (Stamoulis & Tsitsiklis, SPAA 1991). Every table below was\n\
          generated by the simulators in this repository; the experiment ids match\n\
-         `all_experiments()` and each `eNN_*` bench target regenerates the corresponding\n\
-         table (`HYPERROUTE_SCALE=full cargo bench -p hyperroute-bench --bench eNN_...`).\n\n",
+         `all_experiments()`, and `HYPERROUTE_ONLY=ENN cargo run --release --example\n\
+         generate_experiments` regenerates one table (appended to this file).\n\n",
     );
     let _ = writeln!(
         md,

@@ -6,7 +6,7 @@
 //! exact packet-level simulators for the paper's dynamic routing model,
 //! every closed-form bound as a documented function, the levelled
 //! equivalent queueing networks with FIFO/PS coupling, baseline schemes,
-//! and a bench harness that regenerates every experiment.
+//! and an example that regenerates every experiment table.
 //!
 //! ## The model in one paragraph
 //!
@@ -33,7 +33,7 @@
 //! | [`routing`] | the topology-generic engine, the scenario API, and the per-topology simulator specs (crate `hyperroute-core`) |
 //! | [`sparse`] | seeded million-node graph generators (Kleinberg small-world, hyperbolic disk, configuration-model scale-free/expander) on a streaming CSR with metric greedy routing (crate `hyperroute-sparse`) |
 //! | [`grid`] | sharded sweep campaigns: slice jobs, thread-pool/subprocess backends, checkpointed manifests, the scenario-corpus regression gate (crate `hyperroute-grid`) |
-//! | [`experiments`] | the E01–E26 harnesses and result tables |
+//! | [`experiments`] | the E01–E29 harnesses and result tables |
 //!
 //! ## Quick start
 //!
@@ -108,9 +108,7 @@ pub mod prelude {
     pub use hyperroute_analysis::load::{butterfly_load_factor, hypercube_load_factor};
     pub use hyperroute_core::config::{FaultArrivals, FaultFallback, FaultMode, FaultSpec};
     pub use hyperroute_core::equivalent_network::Discipline;
-    pub use hyperroute_core::observe::{
-        BufferedObserver, NullObserver, Observer, OccupancyProbe, ReservoirProbe, TimeSeriesProbe,
-    };
+    pub use hyperroute_core::observe::{NullObserver, Observer, TimeSeriesProbe};
     pub use hyperroute_core::scenario::{
         Axis, ConfigError, EqNetSpec, GraphExt, OutcomeExt, Report, ReportExt, Scenario,
         ScenarioFileError, Simulator, StretchExt, Sweep, SweepParam, Topology,
