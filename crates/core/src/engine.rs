@@ -47,7 +47,6 @@ use crate::config::{ArrivalModel, ContentionPolicy};
 use crate::metrics::MetricsCollector;
 use crate::observe::Observer;
 use crate::pool::{ArcBag, ArcFifo, SlabPool};
-use crate::profile::{Phase, PhaseTimers, Tick};
 use hyperroute_desim::{Scheduler, SchedulerKind, SimRng};
 
 /// Busy flag of a packed per-arc routing word: set while a packet occupies
@@ -264,9 +263,6 @@ pub struct Engine<T: EngineSpec> {
     route_rng: SimRng,
     contention_rng: SimRng,
     collector: MetricsCollector,
-    /// Hot-loop phase timers; a zero-sized no-op unless the crate is
-    /// built with `--features profile`.
-    timers: PhaseTimers,
 }
 
 impl<T: EngineSpec> Engine<T> {
@@ -329,7 +325,6 @@ impl<T: EngineSpec> Engine<T> {
             route_rng,
             contention_rng,
             collector,
-            timers: PhaseTimers::new(),
         }
     }
 
@@ -345,12 +340,10 @@ impl<T: EngineSpec> Engine<T> {
             // ties (`pop_at_or_before` is inclusive) — see the module
             // docs for why this reproduces the retired in-queue arrival
             // order.
-            let tick = Tick::start();
             let popped = match self.next_stream {
                 Some(stream_t) => self.events.pop_at_or_before(stream_t),
                 None => self.events.pop(),
             };
-            self.timers.record(Phase::SchedPop, tick);
             let t = match popped {
                 Some((t, (arc, pkt))) => {
                     // Software prefetch (PR-1 follow-up): peek the next
@@ -362,18 +355,14 @@ impl<T: EngineSpec> Engine<T> {
                     if let Some(next) = self.events.peek_payload() {
                         std::hint::black_box(next);
                     }
-                    let tick = Tick::start();
                     obs.on_event(t, self.collector.current_in_system());
-                    self.timers.record(Phase::Observer, tick);
                     self.events_processed += 1;
                     self.on_complete(t, arc as usize, pkt, obs);
                     t
                 }
                 None => match self.next_stream {
                     Some(t) => {
-                        let tick = Tick::start();
                         obs.on_event(t, self.collector.current_in_system());
-                        self.timers.record(Phase::Observer, tick);
                         self.events_processed += 1;
                         match self.cfg.arrivals {
                             ArrivalModel::Poisson => self.on_merged_arrival(t, obs),
@@ -388,7 +377,6 @@ impl<T: EngineSpec> Engine<T> {
                 break;
             }
         }
-        self.timers.flush();
     }
 
     /// Poisson arrivals drawn per refill batch (the per-event-class RNG
@@ -445,9 +433,7 @@ impl<T: EngineSpec> Engine<T> {
         // this packet is recorded. Deterministic, and costs no RNG draw,
         // so traced and untraced runs stay byte-identical.
         let id = self.collector.generated();
-        let tick = Tick::start();
         self.collector.on_generated(t);
-        self.timers.record(Phase::Metrics, tick);
         match self.spec.generate(t, source, &mut self.dest_rng) {
             Spawn::SelfDeliver => {
                 obs.on_generated(t, id, source);
@@ -474,11 +460,9 @@ impl<T: EngineSpec> Engine<T> {
     /// (`generated == delivered + dropped`) holds at drain.
     fn enqueue<O: Observer>(&mut self, t: f64, node: u32, mut pkt: T::Pkt, obs: &mut O) {
         let in_window = t >= self.cfg.warmup && t < self.cfg.horizon;
-        let tick = Tick::start();
         let choice = self
             .spec
             .choose_arc(t, in_window, node, &mut pkt, &mut self.route_rng);
-        self.timers.record(Phase::ArcChoice, tick);
         let arc = match choice {
             ArcChoice::Arc(arc) => arc as usize,
             ArcChoice::Drop => {
@@ -560,9 +544,7 @@ impl<T: EngineSpec> Engine<T> {
                 let born = pkt.born();
                 let in_window = born >= self.cfg.warmup && born < self.cfg.horizon;
                 self.spec.note_deliver(&pkt, in_window);
-                let tick = Tick::start();
                 self.collector.on_delivered(t, born, hops);
-                self.timers.record(Phase::Metrics, tick);
                 obs.on_delivered(t, born);
                 obs.on_packet_delivered(t, pkt.trace_id() as u64, born, hops, pkt.deflections());
             }

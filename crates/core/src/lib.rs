@@ -195,12 +195,11 @@
 //! [`scenario::Report`] only through an explicit post-run call, keeping
 //! unobserved baselines byte-identical.
 //!
-//! Wall-clock profiling is deliberately separate from all of the above
-//! (timings never enter a `Report`): building with `--features profile`
-//! compiles phase timers into the engine's hot loop ([`profile`]), and
-//! the bench harness drains them into the `profile` section of
-//! `BENCH_engine.json`. Default builds compile the timer call sites to
-//! nothing.
+//! Wall-clock timing lives outside the engine, in the repository's
+//! `perfbench/` harness (declared by `BENCHMARK.json`). Its traced mode
+//! puts spans around public calls — scenario parse, topology build,
+//! engine run, report serialisation, cache and grid operations — so no
+//! timer sits in the event loop and timings never enter a `Report`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -217,7 +216,6 @@ pub mod observe;
 pub mod packet;
 pub mod pipelined;
 pub mod pool;
-pub mod profile;
 pub mod runner;
 pub mod scenario;
 pub mod stability;

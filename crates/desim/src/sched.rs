@@ -26,7 +26,7 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Human-readable name used in benchmark output.
+    /// Lower-case name (`heap`, `calendar`), also the [`Display`](std::fmt::Display) form.
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Heap => "heap",

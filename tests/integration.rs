@@ -231,11 +231,10 @@ fn sweep_matches_pointwise_runs() {
     assert_eq!(grid, pointwise);
 }
 
-/// The experiment harness end-to-end: every registered experiment renders
-/// a non-empty table at Quick scale. (This is the bench harness's code
-/// path, exercised in CI.)
+/// The experiment harness end-to-end: every registered experiment
+/// (E01–E29) renders a non-empty table at Quick scale, the scale
+/// `examples/generate_experiments.rs --quick` runs.
 #[test]
-#[ignore = "slow: runs all 20 experiment harnesses; use --ignored to include"]
 fn all_experiments_render() {
     for (name, f) in hyperroute::experiments::all_experiments() {
         let t = f(Scale::Quick);

@@ -262,3 +262,34 @@ fn instability_probe_without_drain_identical() {
         "expected backlog at ρ = 1.3"
     );
 }
+
+/// Every corpus scenario (`scenarios/*.json`) under each backend, compared
+/// as report JSON bytes. The only heap/calendar check for the torus,
+/// de Bruijn, fat tree and sparse topologies, and for the faulty,
+/// dynamic-fault, `Escape` and hub-index runs.
+#[test]
+fn corpus_reports_byte_identical_under_both_backends() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("scenario directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no scenarios in {dir}");
+    for path in &paths {
+        let text = std::fs::read_to_string(path).expect("readable scenario");
+        let report_json = |kind| {
+            let mut scenario = Scenario::from_json(&text).expect("corpus scenario parses");
+            scenario.run.scheduler = kind;
+            let report = scenario.run().expect("scenario runs");
+            serde_json::to_string_pretty(&report).expect("reports serialise")
+        };
+        assert_eq!(
+            report_json(SchedulerKind::Heap),
+            report_json(SchedulerKind::Calendar),
+            "backends diverged on {}",
+            path.display()
+        );
+    }
+}
