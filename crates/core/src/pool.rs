@@ -9,16 +9,11 @@
 //! implementation — one `VecDeque<Packet>` per arc, i.e. `d·2^d` separate
 //! ring buffers scattered across the heap.
 //!
-//! The lists are doubly linked, which buys two things:
-//!
-//! * LIFO service ([`ArcFifo::pop_back`]) stays `O(1)`, matching the
-//!   `VecDeque` ablation it replaces.
-//! * [`ArcFifo::take_nth`] (the `ContentionPolicy::Random` pick) unlinks in
-//!   `O(1)` after walking from the nearer end — replacing the seed's
-//!   `VecDeque::remove(idx)` memmove with a walk of equal asymptotics (see
-//!   `take_nth` for why constant time is out of reach on an intrusive
-//!   list). The walk preserves residual order, so random-policy sample
-//!   paths are unchanged from the seed implementation.
+//! The lists are doubly linked, so LIFO service ([`ArcFifo::pop_back`])
+//! stays `O(1)`, matching the `VecDeque` ablation it replaces. The
+//! `ContentionPolicy::Random` pick does not use these lists: it needs a
+//! uniformly random member, which an intrusive list cannot reach without
+//! walking, so that policy keeps each arc's packets in an [`ArcBag`].
 //!
 //! Items are `Copy` (packets are ≤ 24 bytes), which keeps the pool free of
 //! `unsafe`/`MaybeUninit`: a freed slot simply retains its stale payload
@@ -195,81 +190,20 @@ impl ArcFifo {
         self.len -= 1;
         Some(pool.release(idx))
     }
-
-    /// Remove and return the `n`-th item in arrival order (0 = head).
-    ///
-    /// Walks from the nearer end (`O(min(n, len-n))` link hops), then
-    /// unlinks in `O(1)` — the `ContentionPolicy::Random` replacement for
-    /// the seed's `VecDeque::remove(idx)`, trading its memmove for a walk
-    /// of the same asymptotics. (The constant-time swap-with-front trick
-    /// needs indexed storage; an intrusive list cannot reach a uniformly
-    /// random node without walking. Queues are `O(1)` long under any
-    /// stable load, so the walk only matters in instability probes.)
-    /// Residual order is preserved — under uniform random picks it would
-    /// not matter anyway.
-    pub fn take_nth<T: Copy>(&mut self, pool: &mut SlabPool<T>, n: usize) -> Option<T> {
-        if n >= self.len as usize {
-            return None;
-        }
-        if n == 0 {
-            return self.pop_front(pool);
-        }
-        if n + 1 == self.len as usize {
-            return self.pop_back(pool);
-        }
-        let idx = if n <= self.len as usize / 2 {
-            let mut idx = self.head;
-            for _ in 0..n {
-                idx = pool.slots[idx as usize].next;
-            }
-            idx
-        } else {
-            let mut idx = self.tail;
-            for _ in 0..(self.len as usize - 1 - n) {
-                idx = pool.slots[idx as usize].prev;
-            }
-            idx
-        };
-        // Interior node: both neighbours exist (head/tail handled above).
-        let Slot { next, prev, .. } = pool.slots[idx as usize];
-        pool.slots[prev as usize].next = next;
-        pool.slots[next as usize].prev = prev;
-        self.len -= 1;
-        Some(pool.release(idx))
-    }
-
-    /// The head item without removing it.
-    pub fn front<T: Copy>(self, pool: &SlabPool<T>) -> Option<T> {
-        if self.head == NIL {
-            None
-        } else {
-            Some(pool.slots[self.head as usize].item)
-        }
-    }
-
-    /// Iterate the items in arrival order (head to tail).
-    pub fn iter<T: Copy>(self, pool: &SlabPool<T>) -> ArcFifoIter<'_, T> {
-        ArcFifoIter {
-            pool,
-            at: self.head,
-        }
-    }
 }
 
 /// Indexed per-arc storage for constant-time uniform random picks.
 ///
-/// [`ArcFifo::take_nth`] walks `O(min(n, len−n))` links per pick because a
-/// uniformly random node of an intrusive list cannot be reached without
-/// walking. When [`crate::config::ContentionPolicy::Random`] is selected —
-/// and only then — the hypercube simulator swaps each arc's waiting list
-/// for one of these: a plain growable array where `take(i)` is
-/// `swap_remove`, i.e. `O(1)` regardless of queue length. The swap
-/// scrambles residual *order*, which FIFO/LIFO would care about but a
-/// policy that picks uniformly at random does not: every subsequent pick
-/// is uniform over the surviving set whatever its arrangement. Under
-/// unstable loads (the only regime with long queues — exactly where the
-/// Random ablation probes run) this removes the linked-list walk that the
-/// ROADMAP flagged after PR 1.
+/// A uniformly random node of an intrusive [`ArcFifo`] cannot be reached
+/// without walking the list. When
+/// [`crate::config::ContentionPolicy::Random`] is selected — and only
+/// then — the engine keeps each arc's waiting packets in one of these
+/// instead: a plain growable array where `take(i)` is `swap_remove`,
+/// i.e. `O(1)` regardless of queue length. The swap scrambles residual
+/// *order*, which FIFO/LIFO would care about but a policy that picks
+/// uniformly at random does not: every subsequent pick is uniform over
+/// the surviving set whatever its arrangement. Long queues occur only
+/// under unstable loads, exactly where the Random ablation probes run.
 ///
 /// Steady state performs zero allocation: the backing `Vec` retains its
 /// high-water capacity.
@@ -312,25 +246,6 @@ impl<T> ArcBag<T> {
         } else {
             None
         }
-    }
-}
-
-/// Iterator over an [`ArcFifo`]'s items in arrival order.
-pub struct ArcFifoIter<'a, T: Copy> {
-    pool: &'a SlabPool<T>,
-    at: u32,
-}
-
-impl<T: Copy> Iterator for ArcFifoIter<'_, T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        if self.at == NIL {
-            return None;
-        }
-        let slot = &self.pool.slots[self.at as usize];
-        self.at = slot.next;
-        Some(slot.item)
     }
 }
 
@@ -395,49 +310,14 @@ mod tests {
                 b.push_back(&mut pool, i);
             }
         }
-        assert_eq!(a.iter(&pool).collect::<Vec<_>>(), vec![0, 2, 4]);
-        assert_eq!(b.iter(&pool).collect::<Vec<_>>(), vec![1, 3, 5]);
+        assert_eq!(pool.len(), 6);
         assert_eq!(a.pop_front(&mut pool), Some(0));
         assert_eq!(b.pop_back(&mut pool), Some(5));
-        assert_eq!(a.iter(&pool).collect::<Vec<_>>(), vec![2, 4]);
-        assert_eq!(b.iter(&pool).collect::<Vec<_>>(), vec![1, 3]);
-    }
-
-    #[test]
-    fn take_nth_matches_vecdeque_remove() {
-        use std::collections::VecDeque;
-        let mut pool = SlabPool::with_capacity(32);
-        let mut q = ArcFifo::new();
-        let mut model: VecDeque<u32> = VecDeque::new();
-        // Deterministic pseudo-random interleaving of pushes and removals.
-        let mut x = 0x12345u64;
-        let mut rng = move |m: usize| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((x >> 33) as usize) % m
-        };
-        let mut serial = 0u32;
-        for _ in 0..5000 {
-            if model.is_empty() || rng(3) > 0 {
-                q.push_back(&mut pool, serial);
-                model.push_back(serial);
-                serial += 1;
-            } else {
-                let n = rng(model.len());
-                assert_eq!(q.take_nth(&mut pool, n), model.remove(n));
-            }
-            assert_eq!(q.len(), model.len());
-        }
-        assert_eq!(q.iter(&pool).collect::<Vec<_>>(), Vec::from(model));
-    }
-
-    #[test]
-    fn take_nth_out_of_range() {
-        let mut pool = SlabPool::with_capacity(2);
-        let mut q = ArcFifo::new();
-        q.push_back(&mut pool, 1);
-        assert_eq!(q.take_nth(&mut pool, 1), None);
-        assert_eq!(q.take_nth(&mut pool, 0), Some(1));
-        assert_eq!(q.take_nth(&mut pool, 0), None);
+        assert_eq!(a.pop_back(&mut pool), Some(4));
+        assert_eq!(b.pop_front(&mut pool), Some(1));
+        assert_eq!(a.pop_front(&mut pool), Some(2));
+        assert_eq!(b.pop_back(&mut pool), Some(3));
+        assert!(a.is_empty() && b.is_empty() && pool.is_empty());
     }
 
     #[test]
@@ -481,16 +361,5 @@ mod tests {
         assert_eq!(bag.take(0), Some(1));
         assert!(bag.is_empty());
         assert_eq!(bag.take(0), None::<i32>);
-    }
-
-    #[test]
-    fn front_peeks() {
-        let mut pool = SlabPool::with_capacity(2);
-        let mut q = ArcFifo::new();
-        assert_eq!(q.front(&pool), None::<u32>);
-        q.push_back(&mut pool, 9);
-        q.push_back(&mut pool, 10);
-        assert_eq!(q.front(&pool), Some(9));
-        assert_eq!(q.len(), 2);
     }
 }

@@ -3,7 +3,7 @@
 //! An [`ExecBackend`] takes a batch of [`GridSlice`] jobs and streams
 //! their [`SliceResult`]s back **as each slice completes, in any order**
 //! — the dispatcher ([`crate::campaign::Campaign`]) owns ordering (via
-//! [`crate::slice::merge`]) and checkpointing, so backends stay dumb
+//! [`crate::slice::merge`]) and caching, so backends stay dumb
 //! executors. Two implementations ship:
 //!
 //! * [`ThreadPoolBackend`] — in-process fan-out over scoped worker
@@ -39,8 +39,8 @@ pub trait ExecBackend {
 pub struct ProgressUpdate {
     /// Slices finished so far in this batch.
     pub done: usize,
-    /// Slices in this batch (pending only — checkpointed slices a
-    /// resumed campaign skips are not counted).
+    /// Slices in this batch (pending only — slices a cached campaign
+    /// serves from the report cache are not counted).
     pub total: usize,
     /// Grid points finished so far.
     pub points: usize,

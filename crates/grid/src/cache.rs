@@ -14,9 +14,9 @@
 //! * [`MemoryCache`] — a bounded in-memory LRU, the hot tier of a
 //!   long-running [`crate::service::SweepService`];
 //! * [`DiskCache`] — one `<hash>.report.json` per report, written with
-//!   the same atomic temp-file-and-rename discipline as campaign
-//!   checkpoints, so a cache directory survives kills and can be shared
-//!   across service restarts (and, over a network filesystem, machines).
+//!   an atomic temp-file-and-rename, so a cache directory survives kills,
+//!   resumes interrupted campaigns, and can be shared across service
+//!   restarts (and, over a network filesystem, machines).
 //!
 //! Every implementation counts hits, misses, and inserts
 //! ([`CacheStats`]); the service surfaces the counters through its
@@ -98,8 +98,9 @@ pub trait ReportCache: Send + Sync {
     /// Look up the report for `key`, counting a hit or a miss.
     fn get(&self, key: &CacheKey) -> Option<Report>;
 
-    /// Store `report` under `key`, counting an insert. Overwrites any
-    /// existing entry (by construction both hold the same bytes).
+    /// Store `report` under `key`, counting an insert if it was stored.
+    /// Overwrites any existing entry (by construction both hold the same
+    /// bytes).
     fn put(&self, key: &CacheKey, report: &Report);
 
     /// Cumulative counters.
@@ -198,11 +199,11 @@ impl ReportCache for MemoryCache {
 /// On-disk cache: one `<hash>.report.json` per report in a flat
 /// directory.
 ///
-/// Writes go through the campaign checkpoints' atomic
-/// write-then-rename, so a concurrent reader (another service process
-/// sharing the directory) only ever sees absent or complete files, and
-/// a kill mid-write leaves at worst an orphaned `.tmp`. Unparseable
-/// entries are misses, recomputed and overwritten.
+/// Writes go through an atomic write-then-rename, so a concurrent
+/// reader (another service process sharing the directory) only ever
+/// sees absent or complete files, and a kill mid-write leaves at worst
+/// an orphaned `.tmp`. Unparseable entries are misses, recomputed and
+/// overwritten.
 pub struct DiskCache {
     dir: PathBuf,
     hits: AtomicU64,
@@ -255,8 +256,9 @@ impl ReportCache for DiskCache {
         // Best-effort: a full disk degrades the cache to misses, it does
         // not fail the campaign (the simulation result is already in
         // hand when `put` runs).
-        let _ = crate::campaign::atomic_write(&self.entry_path(key), &text);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        if atomic_write(&self.entry_path(key), &text).is_ok() {
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn stats(&self) -> CacheStats {
@@ -266,6 +268,13 @@ impl ReportCache for DiskCache {
             inserts: self.inserts.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Write-then-rename so observers only ever see absent or complete files.
+fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -392,5 +401,15 @@ mod tests {
         assert_eq!(reopened.get(&key), Some(report));
         assert_eq!(reopened.stats().hits, 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn disk_cache_counts_only_inserts_it_stored() {
+        let dir = temp_dir("unwritable");
+        let cache = DiskCache::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let s = scenario(13);
+        cache.put(&CacheKey::for_scenario(&s), &s.run().unwrap());
+        assert_eq!(cache.stats().inserts, 0, "the write had nowhere to go");
     }
 }

@@ -10,11 +10,14 @@
 //! baselines with `update = true` (`hyperroute-grid run-corpus --update`)
 //! when an output change is intended, and let the diff reviewer see
 //! exactly which numbers moved.
+//!
+//! Every scenario runs as a one-point campaign through an in-process
+//! [`SweepService`], so the gate covers the service, the campaign
+//! dispatcher and the report cache on the way to each report.
 
-use crate::cache::{CacheKey, ReportCache};
+use crate::cache::ReportCache;
 use crate::error::GridError;
 use crate::service::{CampaignState, ServiceConfig, SweepService};
-use hyperroute_core::runner::parallel_map;
 use hyperroute_core::scenario::{Report, Scenario, ScenarioFileError, Sweep};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -135,10 +138,6 @@ pub struct CorpusOptions {
     /// (status [`CorpusStatus::CacheMiss`]) — the second pass of the
     /// cache-differential arm, asserting "zero simulations on repeat".
     pub require_all_hits: bool,
-    /// Route every scenario through a [`SweepService`] (as a one-point
-    /// sweep campaign) instead of running in-process — the end-to-end
-    /// gate for the service path, which must produce the same bytes.
-    pub via_service: bool,
 }
 
 impl std::fmt::Debug for CorpusOptions {
@@ -146,25 +145,21 @@ impl std::fmt::Debug for CorpusOptions {
         f.debug_struct("CorpusOptions")
             .field("cache", &self.cache.as_ref().map(|c| c.stats()))
             .field("require_all_hits", &self.require_all_hits)
-            .field("via_service", &self.via_service)
             .finish()
     }
 }
 
-/// Execute every scenario in `scenario_dir` (over `workers` threads; `0`
-/// = hardware parallelism) and diff its report against
+/// Execute every scenario in `scenario_dir` and diff its report against
 /// `baseline_dir/<stem>.report.json`. With `update`, baselines are
 /// rewritten instead of compared.
 pub fn run_corpus(
     scenario_dir: &Path,
     baseline_dir: &Path,
-    workers: usize,
     update: bool,
 ) -> Result<CorpusOutcome, GridError> {
     run_corpus_with(
         scenario_dir,
         baseline_dir,
-        workers,
         update,
         &CorpusOptions::default(),
     )
@@ -174,7 +169,6 @@ pub fn run_corpus(
 pub fn run_corpus_with(
     scenario_dir: &Path,
     baseline_dir: &Path,
-    workers: usize,
     update: bool,
     opts: &CorpusOptions,
 ) -> Result<CorpusOutcome, GridError> {
@@ -187,11 +181,11 @@ pub fn run_corpus_with(
     }
     if opts.require_all_hits && opts.cache.is_none() {
         return Err(GridError::Corpus(
-            "require_all_hits needs a report cache (--cache)".into(),
+            "require_all_hits needs a report cache (--cache-dir)".into(),
         ));
     }
 
-    // Load and validate serially (cheap), run the valid ones in parallel.
+    // Load and validate every file first, then run the valid ones.
     let mut entries: Vec<CorpusEntry> = Vec::with_capacity(files.len());
     let mut runnable: Vec<(usize, Scenario)> = Vec::new();
     for path in &files {
@@ -214,32 +208,7 @@ pub fn run_corpus_with(
         });
     }
 
-    // Three execution routes, same bytes: in-process, in-process behind
-    // the cache, or through a sweep service. Each run reports whether it
-    // was served from the cache (always `false` without one).
-    let reports: Vec<(usize, Report, f64, bool)> = if opts.via_service {
-        run_via_service(runnable, opts)?
-    } else {
-        let cache = opts.cache.clone();
-        parallel_map(runnable, workers, move |(idx, scenario)| {
-            let started = std::time::Instant::now();
-            let (report, cache_hit) = match &cache {
-                Some(cache) => {
-                    let key = CacheKey::for_scenario(&scenario);
-                    match cache.get(&key) {
-                        Some(report) => (report, true),
-                        None => {
-                            let report = scenario.run().expect("from_json validated");
-                            cache.put(&key, &report);
-                            (report, false)
-                        }
-                    }
-                }
-                None => (scenario.run().expect("from_json validated"), false),
-            };
-            (idx, report, started.elapsed().as_secs_f64(), cache_hit)
-        })
-    };
+    let reports = run_through_service(runnable, opts)?;
 
     if update {
         std::fs::create_dir_all(baseline_dir)
@@ -272,9 +241,10 @@ pub fn run_corpus_with(
 
 /// Execute corpus scenarios through a [`SweepService`], each wrapped as
 /// a one-point sweep (no axes, seed untouched), sequentially — campaign
-/// isolation is the point here, not cross-scenario parallelism. Returns
-/// `(entry index, report, wall seconds, served-from-cache)`.
-fn run_via_service(
+/// isolation is the point here, not cross-scenario parallelism. Without
+/// [`CorpusOptions::cache`] the service gets a private in-memory cache.
+/// Returns `(entry index, report, wall seconds, served-from-cache)`.
+fn run_through_service(
     runnable: Vec<(usize, Scenario)>,
     opts: &CorpusOptions,
 ) -> Result<Vec<(usize, Report, f64, bool)>, GridError> {
@@ -568,14 +538,14 @@ mod tests {
         write_scenario(&dir, "a", 1);
         write_scenario(&dir, "b", 2);
 
-        let updated = run_corpus(&dir, &baselines, 0, true).unwrap();
+        let updated = run_corpus(&dir, &baselines, true).unwrap();
         assert!(updated.passed());
         assert!(updated
             .entries
             .iter()
             .all(|e| e.status == CorpusStatus::Updated));
 
-        let verified = run_corpus(&dir, &baselines, 2, false).unwrap();
+        let verified = run_corpus(&dir, &baselines, false).unwrap();
         assert!(verified.passed(), "{}", verified.summary());
         assert!(verified
             .entries
@@ -618,7 +588,7 @@ mod tests {
         let dir = temp_dir("drift");
         let baselines = dir.join("baselines");
         write_scenario(&dir, "a", 1);
-        run_corpus(&dir, &baselines, 0, true).unwrap();
+        run_corpus(&dir, &baselines, true).unwrap();
         // Tamper with the stored baseline the way a regression would.
         let path = baselines.join("a.report.json");
         let tampered = std::fs::read_to_string(&path).unwrap().replacen(
@@ -627,7 +597,7 @@ mod tests {
             1,
         );
         std::fs::write(&path, tampered).unwrap();
-        let outcome = run_corpus(&dir, &baselines, 1, false).unwrap();
+        let outcome = run_corpus(&dir, &baselines, false).unwrap();
         assert!(!outcome.passed());
         assert!(matches!(
             outcome.entries[0].status,
@@ -642,8 +612,8 @@ mod tests {
         let baselines = dir.join("baselines");
         write_scenario(&dir, "good", 1);
         std::fs::write(dir.join("broken.json"), "{\n  \"topology\": nope\n}").unwrap();
-        run_corpus(&dir, &baselines, 0, true).unwrap();
-        let outcome = run_corpus(&dir, &baselines, 1, false).unwrap();
+        run_corpus(&dir, &baselines, true).unwrap();
+        let outcome = run_corpus(&dir, &baselines, false).unwrap();
         assert!(!outcome.passed());
         let CorpusStatus::Invalid { message } = &outcome.entries[0].status else {
             panic!("expected Invalid, got {:?}", outcome.entries[0]);
@@ -669,8 +639,8 @@ mod tests {
             .unwrap();
         bad.workload.lambda = -1.0; // invalid, but serialisable
         std::fs::write(dir.join("bad_combo.json"), bad.to_json()).unwrap();
-        run_corpus(&dir, &baselines, 0, true).unwrap();
-        let outcome = run_corpus(&dir, &baselines, 1, false).unwrap();
+        run_corpus(&dir, &baselines, true).unwrap();
+        let outcome = run_corpus(&dir, &baselines, false).unwrap();
         assert!(!outcome.passed());
         let CorpusStatus::Invalid { message } = &outcome.entries[0].status else {
             panic!("expected Invalid, got {:?}", outcome.entries[0]);
@@ -692,7 +662,7 @@ mod tests {
         write_scenario(&dir, "a", 1);
         write_scenario(&dir, "b", 2);
         write_scenario(&dir, "c", 3);
-        run_corpus(&dir, &baselines, 0, true).unwrap();
+        run_corpus(&dir, &baselines, true).unwrap();
         for name in ["a", "c"] {
             let path = baselines.join(format!("{name}.report.json"));
             let tampered = std::fs::read_to_string(&path).unwrap().replacen(
@@ -702,7 +672,7 @@ mod tests {
             );
             std::fs::write(&path, tampered).unwrap();
         }
-        let outcome = run_corpus(&dir, &baselines, 1, false).unwrap();
+        let outcome = run_corpus(&dir, &baselines, false).unwrap();
         assert!(!outcome.passed());
         assert!(matches!(
             outcome.entries[0].status,
@@ -728,10 +698,10 @@ mod tests {
         let baselines = dir.join("baselines");
         write_scenario(&dir, "a", 1);
         write_scenario(&dir, "b", 2);
-        run_corpus(&dir, &baselines, 0, true).unwrap();
+        run_corpus(&dir, &baselines, true).unwrap();
         std::fs::remove_file(baselines.join("a.report.json")).unwrap();
         std::fs::create_dir(baselines.join("a.report.json")).unwrap();
-        let outcome = run_corpus(&dir, &baselines, 1, false).unwrap();
+        let outcome = run_corpus(&dir, &baselines, false).unwrap();
         assert!(!outcome.passed());
         assert!(
             matches!(outcome.entries[0].status, CorpusStatus::Error { .. }),
@@ -795,7 +765,7 @@ mod tests {
         let baselines = dir.join("baselines");
         write_scenario(&dir, "a", 1);
         write_scenario(&dir, "b", 2);
-        run_corpus(&dir, &baselines, 0, true).unwrap();
+        run_corpus(&dir, &baselines, true).unwrap();
 
         let cache = Arc::new(MemoryCache::new(16));
         let first = CorpusOptions {
@@ -803,7 +773,7 @@ mod tests {
             ..CorpusOptions::default()
         };
         // Pass 1 populates the cache and must still verify baselines.
-        let outcome = run_corpus_with(&dir, &baselines, 1, false, &first).unwrap();
+        let outcome = run_corpus_with(&dir, &baselines, false, &first).unwrap();
         assert!(outcome.passed(), "{}", outcome.summary());
         assert_eq!(cache.stats().inserts, 2);
 
@@ -811,9 +781,8 @@ mod tests {
         let second = CorpusOptions {
             cache: Some(cache.clone()),
             require_all_hits: true,
-            ..CorpusOptions::default()
         };
-        let outcome = run_corpus_with(&dir, &baselines, 1, false, &second).unwrap();
+        let outcome = run_corpus_with(&dir, &baselines, false, &second).unwrap();
         assert!(outcome.passed(), "{}", outcome.summary());
         assert_eq!(cache.stats().hits, 2, "second pass must be pure hits");
         assert_eq!(cache.stats().inserts, 2, "second pass inserted nothing");
@@ -822,9 +791,8 @@ mod tests {
         let cold = CorpusOptions {
             cache: Some(Arc::new(MemoryCache::new(16))),
             require_all_hits: true,
-            ..CorpusOptions::default()
         };
-        let outcome = run_corpus_with(&dir, &baselines, 1, false, &cold).unwrap();
+        let outcome = run_corpus_with(&dir, &baselines, false, &cold).unwrap();
         assert!(!outcome.passed());
         assert!(outcome
             .entries
@@ -846,39 +814,8 @@ mod tests {
             require_all_hits: true,
             ..CorpusOptions::default()
         };
-        let err = run_corpus_with(&dir, &dir.join("baselines"), 1, false, &opts).unwrap_err();
+        let err = run_corpus_with(&dir, &dir.join("baselines"), false, &opts).unwrap_err();
         assert!(matches!(err, GridError::Corpus(_)), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn service_route_matches_in_process_baselines_byte_for_byte() {
-        use crate::cache::MemoryCache;
-        let dir = temp_dir("via-service");
-        let baselines = dir.join("baselines");
-        write_scenario(&dir, "a", 1);
-        write_scenario(&dir, "b", 2);
-        // Baselines come from the classic in-process route.
-        run_corpus(&dir, &baselines, 0, true).unwrap();
-
-        let cache = Arc::new(MemoryCache::new(16));
-        let via = CorpusOptions {
-            cache: Some(cache.clone()),
-            via_service: true,
-            ..CorpusOptions::default()
-        };
-        let outcome = run_corpus_with(&dir, &baselines, 1, false, &via).unwrap();
-        assert!(outcome.passed(), "{}", outcome.summary());
-
-        // The service's cache now holds both scenarios: a second
-        // service-routed pass serves them without simulating.
-        let again = CorpusOptions {
-            cache: Some(cache.clone()),
-            via_service: true,
-            require_all_hits: true,
-        };
-        let outcome = run_corpus_with(&dir, &baselines, 1, false, &again).unwrap();
-        assert!(outcome.passed(), "{}", outcome.summary());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -887,7 +824,7 @@ mod tests {
         let dir = temp_dir("missing");
         let baselines = dir.join("baselines");
         write_scenario(&dir, "a", 1);
-        let outcome = run_corpus(&dir, &baselines, 1, false).unwrap();
+        let outcome = run_corpus(&dir, &baselines, false).unwrap();
         assert!(!outcome.passed());
         assert_eq!(outcome.entries[0].status, CorpusStatus::MissingBaseline);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -13,7 +13,7 @@ use hyperroute_core::ConfigError;
 pub enum GridError {
     /// A scenario inside a slice failed validation.
     Config(ConfigError),
-    /// Filesystem trouble (checkpoint directory, corpus files, output).
+    /// Filesystem trouble (cache directory, corpus files, output).
     Io {
         /// The path involved.
         path: String,
@@ -43,12 +43,9 @@ pub enum GridError {
         /// The worker's error message.
         message: String,
     },
-    /// Slice results do not tile the grid (a dispatcher bug or a
-    /// tampered checkpoint directory).
+    /// Slice results do not tile the grid (a dispatcher bug, or a
+    /// worker reply that claims a range other than its slice's).
     Merge(String),
-    /// The checkpoint directory belongs to a different campaign or is
-    /// unreadable.
-    Checkpoint(String),
     /// The scenario corpus is malformed (no files, unreadable directory).
     Corpus(String),
     /// The sweep service refused a request (submit queue full, service
@@ -82,7 +79,6 @@ impl std::fmt::Display for GridError {
                 write!(f, "slice {slice} failed deterministically: {message}")
             }
             GridError::Merge(msg) => write!(f, "cannot merge slice results: {msg}"),
-            GridError::Checkpoint(msg) => write!(f, "checkpoint rejected: {msg}"),
             GridError::Corpus(msg) => write!(f, "corpus rejected: {msg}"),
             GridError::Service(msg) => write!(f, "service refused: {msg}"),
         }

@@ -23,7 +23,7 @@
 //! | execution | [`ExecBackend`]: [`ThreadPoolBackend`], [`SubprocessBackend`] | run slices in-process or on subprocess workers with retry/timeout |
 //! | warm pools | [`WorkerPool`] | park live workers between campaigns; reuse instead of respawn |
 //! | caching | [`ReportCache`]: [`MemoryCache`], [`DiskCache`] | serve reports by [`CacheKey`] (canonical-scenario × engine fingerprint) |
-//! | dispatch | [`Campaign`] | checkpoint every finished slice; probe the cache before simulating |
+//! | dispatch | [`Campaign`] | probe the cache before simulating; cache every finished slice |
 //! | service | [`SweepService`], [`serve`] | long-running daemon: submit/status/stream campaigns over NDJSON |
 //! | regression | [`run_corpus`] | execute `scenarios/` and diff reports against checked-in baselines |
 //!
@@ -41,11 +41,9 @@
 //!   parked in a [`WorkerPool`] when a campaign drains rather than
 //!   killed; the next campaign checks them out, so process spawn +
 //!   monomorphisation cost is paid once per fleet, not once per
-//!   campaign. Dispatch is throughput-weighted:
-//!   per-worker points/sec is measured and the longest pending slices go
-//!   to the fastest workers (classic LPT), which keeps heterogeneous
-//!   fleets busy — scheduling never affects output bytes, only wall
-//!   time.
+//!   campaign. Dispatch is one FIFO queue in partition order, and a
+//!   slice lost with its worker goes to the back — scheduling never
+//!   affects output bytes, only wall time.
 //! * **Reports.** Every finished grid point is inserted into a
 //!   [`ReportCache`] keyed by [`CacheKey`]: the FNV-1a-128 hash of the
 //!   scenario's canonical JSON folded with the engine fingerprint.
@@ -67,13 +65,15 @@
 //! in a [`ProgressBackend`] to stream per-slice campaign progress to a
 //! callback.
 //!
-//! # Checkpoint / resume
+//! # Resume through the cache
 //!
-//! A [`Campaign`] with a checkpoint directory writes `manifest.json`
-//! (the campaign identity) once and one `slice_<id>.json` per finished
-//! slice, atomically. Rerunning the identical campaign over the same
-//! directory executes only the missing slices; a manifest describing a
-//! different sweep is refused. See [`campaign`] for the format.
+//! [`Campaign::run_cached`] inserts a slice's reports the moment the
+//! slice finishes, so a campaign killed mid-run and rerun over the same
+//! [`DiskCache`] (`hyperroute-grid run --cache-dir DIR`) executes only
+//! the slices with a point the cache misses. Every key folds in the
+//! engine fingerprint, so a resume never merges reports from two
+//! engines, and a different sweep over the same directory simply
+//! misses. See [`campaign`].
 //!
 //! ```
 //! use hyperroute_core::scenario::{Axis, Scenario, Sweep, SweepParam, Topology};

@@ -7,10 +7,12 @@
 //!     backend; also usable behind ssh for remote workers).
 //!
 //! hyperroute-grid run --sweep FILE [--backend threads|subprocess]
-//!     [--workers N] [--slice-len N] [--checkpoint DIR]
+//!     [--workers N] [--slice-len N] [--cache-dir DIR]
 //!     [--timeout-secs N] [--out FILE]
-//!     Execute a JSON sweep file, checkpointing and resuming through
-//!     DIR, and write the row-major report array as JSON.
+//!     Execute a JSON sweep file and write the row-major report array
+//!     as JSON. With `--cache-dir`, reports are served from and stored
+//!     in a disk report cache as each slice finishes, so rerunning a
+//!     killed campaign over the same DIR resumes where it stopped.
 //!
 //! hyperroute-grid serve [--backend threads|subprocess] [--workers N]
 //!     [--slice-len N] [--queue N] [--cache-dir DIR] [--cache-capacity N]
@@ -24,14 +26,13 @@
 //!     EXEC:"hyperroute-grid serve"`.
 //!
 //! hyperroute-grid run-corpus [--scenarios DIR] [--baselines DIR]
-//!     [--workers N] [--update] [--cache-dir DIR] [--require-all-hits]
-//!     [--via-service]
-//!     Run every scenario in DIR (default `scenarios/`) and diff the
-//!     reports against DIR/baselines; exit 1 on any difference.
-//!     `--cache-dir` serves repeats from a disk report cache;
-//!     `--require-all-hits` fails any scenario that had to simulate
-//!     (the cache-differential arm's second pass); `--via-service`
-//!     routes every scenario through a sweep service campaign.
+//!     [--update] [--cache-dir DIR] [--require-all-hits]
+//!     Run every scenario in DIR (default `scenarios/`) as a one-point
+//!     sweep service campaign and diff the reports against
+//!     DIR/baselines; exit 1 on any difference. `--cache-dir` serves
+//!     repeats from a disk report cache; `--require-all-hits` fails any
+//!     scenario that had to simulate (the cache-differential arm's
+//!     second pass).
 //!
 //! hyperroute-grid validate-corpus [--scenarios DIR] [--fix]
 //!     Round-trip every scenario file through `Scenario::from_json` /
@@ -75,12 +76,11 @@ fn usage(problem: &str) -> i32 {
     eprintln!(
         "usage:\n  hyperroute-grid worker\n  hyperroute-grid run --sweep FILE \
          [--backend threads|subprocess] [--workers N] [--slice-len N] \
-         [--checkpoint DIR] [--timeout-secs N] [--out FILE]\n  \
+         [--cache-dir DIR] [--timeout-secs N] [--out FILE]\n  \
          hyperroute-grid serve [--backend threads|subprocess] [--workers N] \
          [--slice-len N] [--queue N] [--cache-dir DIR] [--cache-capacity N]\n  \
          hyperroute-grid run-corpus [--scenarios DIR] [--baselines DIR] \
-         [--workers N] [--update] [--cache-dir DIR] [--require-all-hits] \
-         [--via-service]\n  \
+         [--update] [--cache-dir DIR] [--require-all-hits]\n  \
          hyperroute-grid validate-corpus [--scenarios DIR] [--fix]"
     );
     2
@@ -161,7 +161,7 @@ fn cmd_run(args: &[String]) -> i32 {
             "--backend",
             "--workers",
             "--slice-len",
-            "--checkpoint",
+            "--cache-dir",
             "--timeout-secs",
             "--out",
         ],
@@ -193,10 +193,12 @@ fn try_run(flags: &Flags) -> Result<(), String> {
     let sweep: Sweep = serde_json::from_str(&text)
         .map_err(|e| format!("{sweep_path}: sweep does not parse: {e}"))?;
 
-    let mut campaign = Campaign::new(sweep, slice_len);
-    if let Some(dir) = flags.value("--checkpoint") {
-        campaign = campaign.with_checkpoint(PathBuf::from(dir));
-    }
+    let campaign = Campaign::new(sweep, slice_len);
+    let cache = flags
+        .value("--cache-dir")
+        .map(DiskCache::open)
+        .transpose()
+        .map_err(|e| e.to_string())?;
 
     let backend: Box<dyn ExecBackend> = match backend_name {
         "threads" => Box::new(ThreadPoolBackend::new(workers)),
@@ -217,9 +219,12 @@ fn try_run(flags: &Flags) -> Result<(), String> {
         );
     };
     let started = std::time::Instant::now();
-    let reports = campaign
-        .run(&ProgressBackend::new(backend.as_ref(), &progress))
-        .map_err(|e| e.to_string())?;
+    let backend = ProgressBackend::new(backend.as_ref(), &progress);
+    let reports = match &cache {
+        Some(cache) => campaign.run_cached(&backend, cache),
+        None => campaign.run(&backend),
+    }
+    .map_err(|e| e.to_string())?;
     let mut rendered = serde_json::to_string_pretty(&reports).expect("reports always serialise");
     rendered.push('\n');
     match flags.value("--out") {
@@ -231,6 +236,9 @@ fn try_run(flags: &Flags) -> Result<(), String> {
         reports.len(),
         started.elapsed().as_secs_f64()
     );
+    if let Some(cache) = &cache {
+        eprintln!("hyperroute-grid run: cache {}", cache.stats());
+    }
     Ok(())
 }
 
@@ -308,8 +316,8 @@ fn try_serve(flags: &Flags) -> Result<(), String> {
 fn cmd_run_corpus(args: &[String]) -> i32 {
     let flags = match Flags::parse(
         args,
-        &["--scenarios", "--baselines", "--workers", "--cache-dir"],
-        &["--update", "--require-all-hits", "--via-service"],
+        &["--scenarios", "--baselines", "--cache-dir"],
+        &["--update", "--require-all-hits"],
     ) {
         Ok(flags) => flags,
         Err(e) => return usage(&e),
@@ -318,10 +326,6 @@ fn cmd_run_corpus(args: &[String]) -> i32 {
     let baselines = match flags.value("--baselines") {
         Some(dir) => dir.to_string(),
         None => format!("{scenarios}/baselines"),
-    };
-    let workers = match flags.parsed("--workers", 0usize) {
-        Ok(w) => w,
-        Err(e) => return usage(&e),
     };
     let cache: Option<Arc<dyn ReportCache>> = match flags.value("--cache-dir") {
         Some(dir) => match DiskCache::open(PathBuf::from(dir)) {
@@ -336,13 +340,11 @@ fn cmd_run_corpus(args: &[String]) -> i32 {
     let opts = CorpusOptions {
         cache,
         require_all_hits: flags.switch("--require-all-hits"),
-        via_service: flags.switch("--via-service"),
     };
 
     match run_corpus_with(
         scenarios.as_ref(),
         baselines.as_ref(),
-        workers,
         flags.switch("--update"),
         &opts,
     ) {

@@ -118,9 +118,8 @@ pub fn partition(sweep: &Sweep, slice_len: usize) -> Vec<GridSlice> {
 /// Reassemble out-of-order slice results into the row-major
 /// `Vec<Report>` the underlying `Sweep::run` would have produced.
 ///
-/// Rejects overlapping, duplicated, or missing coverage — a checkpoint
-/// directory that was tampered with (or a dispatcher bug) surfaces here
-/// rather than as silently misordered reports.
+/// Rejects overlapping, duplicated, or missing coverage — a dispatcher
+/// bug surfaces here rather than as silently misordered reports.
 pub fn merge(total: usize, mut results: Vec<SliceResult>) -> Result<Vec<Report>, GridError> {
     results.sort_by_key(|r| r.start);
     let mut out: Vec<Report> = Vec::with_capacity(total);

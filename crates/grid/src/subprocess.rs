@@ -39,7 +39,7 @@
 //! *silence*, not slice duration — a slow slice on a live, heartbeating
 //! worker never times out spuriously.
 //!
-//! # Warm pools and weighted scheduling
+//! # Warm pools and dispatch order
 //!
 //! Every backend keeps its workers in a [`crate::WorkerPool`]: a private
 //! one made by [`SubprocessBackend::new`], or one shared across backends
@@ -48,15 +48,10 @@
 //! `CampaignSubmit` and discarding any that died while parked) instead
 //! of spawning, and at campaign end it parks healthy workers back with
 //! `Drain` instead of killing them. Respawn becomes the exception, not
-//! the per-campaign rule. The pool also carries each parked worker's
-//! measured throughput (grid points per second, learned from round
-//! timings), which feeds the dispatcher's **throughput-weighted queue**:
-//! pending slices are kept sorted by length, and a worker whose measured
-//! rate is at or above the fleet mean takes the longest pending slice
-//! while a slower worker takes the shortest — classic
-//! longest-processing-time scheduling, weighted by who is asking.
-//! Results still merge deterministically, so scheduling policy can never
-//! change campaign output, only wall time.
+//! the per-campaign rule. Each worker's manager thread pops the next
+//! slice from one shared FIFO queue in partition order; a slice lost
+//! with its worker goes to the back. Results merge deterministically,
+//! so dispatch order can never change campaign output, only wall time.
 //!
 //! # Fault handling
 //!
@@ -76,10 +71,10 @@
 use crate::backend::ExecBackend;
 use crate::error::GridError;
 use crate::slice::{GridSlice, SliceResult};
-use crate::warm::{pool_key, IdleWorker, WorkerPool};
+use crate::warm::{pool_key, WorkerPool};
 use hyperroute_desim::splitmix64;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -178,6 +173,13 @@ pub const DEFAULT_HEARTBEAT: Duration = Duration::from_secs(5);
 /// instantly, so a long slice timeout must not stall pool checkout on a
 /// corpse for minutes.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// First-retry respawn delay (doubles per attempt, jittered ±50%; see
+/// [`respawn_backoff`]).
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+
+/// Ceiling on the un-jittered respawn delay.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// Serve the worker side of the protocol until `input` reaches EOF,
 /// heartbeating at [`DEFAULT_HEARTBEAT`].
@@ -284,11 +286,6 @@ pub struct SubprocessBackend {
     /// How many times a slice is retried after losing a worker before
     /// the campaign aborts.
     pub max_retries: usize,
-    /// First-retry respawn delay (doubles per attempt, jittered ±50%;
-    /// see [`respawn_backoff`]). Zero disables the backoff sleep.
-    pub backoff_base: Duration,
-    /// Ceiling on the un-jittered respawn delay.
-    pub backoff_cap: Duration,
     /// Warm pool that keeps workers alive between campaigns.
     pool: Arc<WorkerPool>,
 }
@@ -303,8 +300,6 @@ impl SubprocessBackend {
             workers,
             timeout: Duration::from_secs(600),
             max_retries: 2,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
             pool: Arc::new(WorkerPool::new()),
         }
     }
@@ -332,14 +327,6 @@ impl SubprocessBackend {
     /// Retry budget per slice (builder style).
     pub fn with_max_retries(mut self, max_retries: usize) -> SubprocessBackend {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Respawn backoff envelope (builder style); a zero `base` disables
-    /// the sleep entirely.
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> SubprocessBackend {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
         self
     }
 
@@ -493,96 +480,11 @@ impl Drop for WorkerProc {
     }
 }
 
-/// Shared per-campaign scheduling state: the pending queue, kept sorted
-/// by slice length, plus the measured throughput of every manager.
-///
-/// The policy is longest-processing-time with a twist: a manager whose
-/// measured rate (grid points per second) is at or above the mean of all
-/// measured rates — or that has no measurement yet — takes the *longest*
-/// pending slice, while a measurably slower manager takes the
-/// *shortest*. Fast workers chew through the bulk; stragglers can never
-/// strand a huge slice at the end of a campaign.
-struct SchedQueue {
-    inner: Mutex<SchedInner>,
-}
-
-struct SchedInner {
-    /// Pending attempts, sorted ascending by `(slice length, Reverse(index))`
-    /// so the back of the vector is the longest slice (lowest index among
-    /// equals) and the front is the shortest.
-    queue: Vec<Attempt>,
-    /// Latest throughput estimate per manager (EWMA, points/sec).
-    rates: Vec<Option<f64>>,
-}
-
-impl SchedQueue {
-    fn sort_key(jobs: &[GridSlice], a: &Attempt) -> (usize, Reverse<usize>) {
-        (jobs[a.index].len, Reverse(a.index))
-    }
-
-    fn new(jobs: &[GridSlice], managers: usize) -> SchedQueue {
-        let mut queue: Vec<Attempt> = (0..jobs.len())
-            .map(|index| Attempt { index, attempts: 0 })
-            .collect();
-        queue.sort_by_key(|a| Self::sort_key(jobs, a));
-        SchedQueue {
-            inner: Mutex::new(SchedInner {
-                queue,
-                rates: vec![None; managers],
-            }),
-        }
-    }
-
-    /// Pop the next attempt for `manager`, weighted by its measured
-    /// throughput relative to the fleet.
-    fn pop_for(&self, manager: usize, jobs: &[GridSlice]) -> Option<Attempt> {
-        let mut inner = self.inner.lock().expect("sched lock");
-        if inner.queue.is_empty() {
-            return None;
-        }
-        let fast = match inner.rates.get(manager).copied().flatten() {
-            None => true, // unmeasured: be optimistic, grab a big one
-            Some(mine) => {
-                let known: Vec<f64> = inner.rates.iter().filter_map(|r| *r).collect();
-                let mean = known.iter().sum::<f64>() / known.len() as f64;
-                mine >= mean
-            }
-        };
-        if fast {
-            inner.queue.pop()
-        } else {
-            Some(inner.queue.remove(0))
-        }
-        .inspect(|a| {
-            debug_assert!(a.index < jobs.len());
-        })
-    }
-
-    /// Requeue a lost slice for retry, keeping the length order.
-    fn push_retry(&self, attempt: Attempt, jobs: &[GridSlice]) {
-        let mut inner = self.inner.lock().expect("sched lock");
-        let key = Self::sort_key(jobs, &attempt);
-        let pos = inner
-            .queue
-            .partition_point(|b| Self::sort_key(jobs, b) <= key);
-        inner.queue.insert(pos, attempt);
-    }
-
-    /// Record a fresh throughput estimate for `manager`.
-    fn record(&self, manager: usize, points_per_sec: f64) {
-        let mut inner = self.inner.lock().expect("sched lock");
-        if let Some(slot) = inner.rates.get_mut(manager) {
-            *slot = Some(points_per_sec);
-        }
-    }
-}
-
 impl SubprocessBackend {
     /// Obtain a worker for this campaign: checked out of the warm pool
     /// (re-pinged, stale corpses discarded) when one is available,
-    /// freshly spawned and version-handshaked otherwise. Returns the
-    /// worker plus its remembered throughput, if the pool knew one.
-    fn acquire(&self, campaign: u64) -> Result<(WorkerProc, Option<f64>), RoundOutcome> {
+    /// freshly spawned and version-handshaked otherwise.
+    fn acquire(&self, campaign: u64) -> Result<WorkerProc, RoundOutcome> {
         let key = pool_key(&self.worker_cmd);
         while let Some(mut idle) = self.pool.check_out(key) {
             // Liveness ping doubling as the campaign marker: a worker
@@ -590,13 +492,9 @@ impl SubprocessBackend {
             // (drop kills), falling through to the next idle one.
             let submit = WorkerRequest::CampaignSubmit { campaign };
             let ack = |r: &WorkerReply| matches!(r, WorkerReply::CampaignAck { campaign: c } if *c == campaign);
-            if idle
-                .proc
-                .control(&submit, self.handshake_timeout(), ack)
-                .is_ok()
-            {
+            if idle.control(&submit, self.handshake_timeout(), ack).is_ok() {
                 self.pool.note_reuse();
-                return Ok((idle.proc, idle.points_per_sec));
+                return Ok(idle);
             }
         }
         let mut proc = WorkerProc::spawn(&self.worker_cmd).map_err(RoundOutcome::Fatal)?;
@@ -627,13 +525,13 @@ impl SubprocessBackend {
             |r| matches!(r, WorkerReply::CampaignAck { campaign: c } if *c == campaign),
         )
         .map_err(|e| RoundOutcome::Lost(format!("campaign submit failed: {e}")))?;
-        Ok((proc, None))
+        Ok(proc)
     }
 
     /// Park a healthy worker back into the pool at campaign end (`Drain`
     /// → `Drained`), or let drop kill it when draining fails or the
     /// campaign was cancelled.
-    fn release(&self, proc: Option<WorkerProc>, points_per_sec: Option<f64>, cancelled: bool) {
+    fn release(&self, proc: Option<WorkerProc>, cancelled: bool) {
         let Some(mut proc) = proc else { return };
         if cancelled {
             return; // failed campaign: don't trust the worker's state
@@ -644,33 +542,21 @@ impl SubprocessBackend {
             })
             .is_ok();
         if drained {
-            self.pool.check_in(
-                pool_key(&self.worker_cmd),
-                IdleWorker {
-                    proc,
-                    points_per_sec,
-                },
-            );
+            self.pool.check_in(pool_key(&self.worker_cmd), proc);
         }
     }
 
     /// Send one job to (possibly fresh) `proc` and await its reply.
     /// On [`RoundOutcome::Lost`] the caller must discard `proc`.
-    /// `adopted_rate` reports the pool's remembered throughput when a
-    /// warm worker was checked out during this round.
     fn one_round(
         &self,
         slice: &GridSlice,
         proc: &mut Option<WorkerProc>,
         campaign: u64,
-        adopted_rate: &mut Option<f64>,
     ) -> RoundOutcome {
         if proc.is_none() {
             match self.acquire(campaign) {
-                Ok((p, rate)) => {
-                    *proc = Some(p);
-                    *adopted_rate = rate;
-                }
+                Ok(p) => *proc = Some(p),
                 Err(outcome) => return outcome,
             }
         }
@@ -721,49 +607,28 @@ impl SubprocessBackend {
         }
     }
 
-    /// One manager loop: own a worker process, pull jobs off the shared
-    /// weighted queue, retry lost slices (back onto the queue, so
+    /// One manager loop: own a worker process, pop jobs off the shared
+    /// FIFO queue, retry lost slices (at the back of the queue, so
     /// another manager may pick them up) until the queue drains or the
     /// campaign cancels; then park the worker in the warm pool.
     fn manage_worker(
         &self,
         jobs: &[GridSlice],
-        sched: &SchedQueue,
+        queue: &Mutex<VecDeque<Attempt>>,
         cancelled: &AtomicBool,
         tx: &mpsc::Sender<Result<SliceResult, GridError>>,
         campaign: u64,
-        manager: usize,
     ) {
         let mut proc: Option<WorkerProc> = None;
-        // This manager's throughput estimate: seeded from the pool's
-        // memory of the adopted worker, then EWMA-updated per round.
-        let mut rate: Option<f64> = None;
         loop {
             if cancelled.load(Ordering::Relaxed) {
                 break;
             }
-            let Some(job) = sched.pop_for(manager, jobs) else {
+            let Some(job) = queue.lock().expect("dispatch queue lock").pop_front() else {
                 break;
             };
-            let started = Instant::now();
-            let mut adopted_rate = None;
-            let outcome = self.one_round(&jobs[job.index], &mut proc, campaign, &mut adopted_rate);
-            if let (Some(seed), None) = (adopted_rate, rate) {
-                rate = Some(seed);
-                sched.record(manager, seed);
-            }
-            match outcome {
+            match self.one_round(&jobs[job.index], &mut proc, campaign) {
                 RoundOutcome::Done(result) => {
-                    let secs = started.elapsed().as_secs_f64();
-                    if secs > 0.0 {
-                        let measured = jobs[job.index].len as f64 / secs;
-                        let blended = match rate {
-                            Some(old) => 0.5 * old + 0.5 * measured,
-                            None => measured,
-                        };
-                        rate = Some(blended);
-                        sched.record(manager, blended);
-                    }
                     if tx.send(Ok(result)).is_err() {
                         break;
                     }
@@ -793,20 +658,20 @@ impl SubprocessBackend {
                     std::thread::sleep(respawn_backoff(
                         jobs[job.index].id,
                         attempts + streak,
-                        self.backoff_base,
-                        self.backoff_cap,
+                        BACKOFF_BASE,
+                        BACKOFF_CAP,
                     ));
-                    sched.push_retry(
-                        Attempt {
+                    queue
+                        .lock()
+                        .expect("dispatch queue lock")
+                        .push_back(Attempt {
                             index: job.index,
                             attempts,
-                        },
-                        jobs,
-                    );
+                        });
                 }
             }
         }
-        self.release(proc.take(), rate, cancelled.load(Ordering::Relaxed));
+        self.release(proc.take(), cancelled.load(Ordering::Relaxed));
     }
 }
 
@@ -829,17 +694,19 @@ impl ExecBackend for SubprocessBackend {
         // failure streak so this campaign's backoff starts from a clean
         // slate.
         let campaign = self.pool.begin_campaign();
-        let sched = SchedQueue::new(jobs, workers);
+        let queue: Mutex<VecDeque<Attempt>> = Mutex::new(
+            (0..jobs.len())
+                .map(|index| Attempt { index, attempts: 0 })
+                .collect(),
+        );
         let cancelled = AtomicBool::new(false);
         let (tx, rx) = mpsc::channel::<Result<SliceResult, GridError>>();
         std::thread::scope(|scope| -> Result<(), GridError> {
-            for manager in 0..workers {
+            for _ in 0..workers {
                 let tx = tx.clone();
-                let sched = &sched;
+                let queue = &queue;
                 let cancelled = &cancelled;
-                scope.spawn(move || {
-                    self.manage_worker(jobs, sched, cancelled, &tx, campaign, manager)
-                });
+                scope.spawn(move || self.manage_worker(jobs, queue, cancelled, &tx, campaign));
             }
             drop(tx);
             let mut received = 0usize;
@@ -1121,66 +988,6 @@ mod tests {
         assert!(matches!(err, GridError::Spawn { .. }), "{err}");
     }
 
-    /// Slices with the given lengths, for scheduling tests (never
-    /// executed, so start offsets are immaterial).
-    fn sched_jobs(lens: &[usize]) -> Vec<GridSlice> {
-        let sweep = small_sweep();
-        lens.iter()
-            .enumerate()
-            .map(|(i, &len)| GridSlice {
-                id: i as u64,
-                sweep: sweep.clone(),
-                start: 0,
-                len,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn weighted_queue_gives_long_slices_to_fast_workers_and_short_to_slow() {
-        let jobs = sched_jobs(&[2, 9, 4, 1]);
-        let sched = SchedQueue::new(&jobs, 2);
-        sched.record(0, 10.0); // fast: at/above the mean of {10, 1}
-        sched.record(1, 1.0); // slow: below the mean
-        assert_eq!(sched.pop_for(0, &jobs).unwrap().index, 1); // len 9
-        assert_eq!(sched.pop_for(1, &jobs).unwrap().index, 3); // len 1
-        assert_eq!(sched.pop_for(0, &jobs).unwrap().index, 2); // len 4
-        assert_eq!(sched.pop_for(1, &jobs).unwrap().index, 0); // len 2
-        assert!(sched.pop_for(0, &jobs).is_none());
-    }
-
-    #[test]
-    fn unmeasured_workers_take_the_longest_pending_slice() {
-        // No measurements at all: everyone drains longest-first (LPT),
-        // with index order breaking length ties deterministically.
-        let jobs = sched_jobs(&[3, 3, 3, 7]);
-        let sched = SchedQueue::new(&jobs, 2);
-        let order: Vec<usize> = (0..4)
-            .map(|i| sched.pop_for(i % 2, &jobs).unwrap().index)
-            .collect();
-        assert_eq!(order, vec![3, 0, 1, 2]);
-    }
-
-    #[test]
-    fn retried_slices_reenter_the_queue_in_length_order() {
-        let jobs = sched_jobs(&[5, 2]);
-        let sched = SchedQueue::new(&jobs, 1);
-        let first = sched.pop_for(0, &jobs).unwrap();
-        assert_eq!(first.index, 0);
-        sched.push_retry(
-            Attempt {
-                index: first.index,
-                attempts: 1,
-            },
-            &jobs,
-        );
-        // The retried len-5 slice outranks the pending len-2 slice again.
-        let again = sched.pop_for(0, &jobs).unwrap();
-        assert_eq!((again.index, again.attempts), (0, 1));
-        assert_eq!(sched.pop_for(0, &jobs).unwrap().index, 1);
-        assert!(sched.pop_for(0, &jobs).is_none());
-    }
-
     #[test]
     fn v1_only_stub_fails_the_pooled_handshake_and_never_enters_the_pool() {
         // Warm reuse with the real binary is covered in
@@ -1190,7 +997,6 @@ mod tests {
         // never parked.
         let script = r#"read line; echo '{"Err":{"id":18446744073709551615,"message":"v1 stub"}}'"#;
         let backend = SubprocessBackend::new(vec!["sh".into(), "-c".into(), script.into()], 1)
-            .with_backoff(Duration::ZERO, Duration::ZERO)
             .with_timeout(Duration::from_secs(5))
             .with_max_retries(0);
         let jobs = partition(&small_sweep(), 1);

@@ -12,11 +12,6 @@
 //! which is how the sweep service keeps one fleet warm while it builds a
 //! fresh backend per campaign.
 //!
-//! The pool also remembers each parked worker's measured throughput
-//! (grid points per second), which seeds the dispatcher's
-//! throughput-weighted scheduling on the next campaign — a worker that
-//! proved slow yesterday starts today on the short slices.
-//!
 //! Pooling never changes campaign output: slices are pure functions of
 //! their JSON, and the merge step is order-independent, so a warm fleet
 //! produces bytes identical to a cold one.
@@ -30,6 +25,10 @@ use std::time::Duration;
 /// How long [`WorkerPool::shutdown`] waits for a worker's `Bye` before
 /// falling back to the kill-on-drop path.
 const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Most idle workers kept per argv key; overflow check-ins are dropped
+/// (killed).
+const MAX_IDLE_PER_KEY: usize = 32;
 
 /// Hash a worker argv into the pool key its idle workers are parked
 /// under (FNV-1a 64 over NUL-joined args, folded with the protocol
@@ -52,16 +51,6 @@ pub(crate) fn pool_key(cmd: &[String]) -> u64 {
     hash
 }
 
-/// A drained worker parked between campaigns.
-#[derive(Debug)]
-pub(crate) struct IdleWorker {
-    /// The live, drained process.
-    pub(crate) proc: WorkerProc,
-    /// Its last measured throughput (grid points per second), used to
-    /// seed weighted scheduling when it is next checked out.
-    pub(crate) points_per_sec: Option<f64>,
-}
-
 /// A pool of drained subprocess workers, keyed by worker-argv hash,
 /// shared across campaigns (and across backends — `Arc` it into every
 /// [`crate::SubprocessBackend::with_pool`] that should reuse the fleet).
@@ -75,8 +64,8 @@ pub(crate) struct IdleWorker {
 /// next).
 #[derive(Debug)]
 pub struct WorkerPool {
-    /// Idle workers by argv hash.
-    idle: Mutex<HashMap<u64, Vec<IdleWorker>>>,
+    /// Drained, live workers by argv hash.
+    idle: Mutex<HashMap<u64, Vec<WorkerProc>>>,
     /// Campaign sequence number, bumped by [`WorkerPool::begin_campaign`].
     campaigns: AtomicU64,
     /// Worker losses since the last campaign boundary.
@@ -85,9 +74,6 @@ pub struct WorkerPool {
     spawns: AtomicU64,
     /// Total successful warm checkouts.
     reuses: AtomicU64,
-    /// Most idle workers kept per argv key; overflow check-ins are
-    /// dropped (killed).
-    max_idle_per_key: usize,
 }
 
 impl Default for WorkerPool {
@@ -99,19 +85,12 @@ impl Default for WorkerPool {
 impl WorkerPool {
     /// An empty pool keeping at most 32 idle workers per argv key.
     pub fn new() -> WorkerPool {
-        WorkerPool::with_max_idle(32)
-    }
-
-    /// An empty pool keeping at most `max_idle_per_key` idle workers per
-    /// argv key (0 disables parking entirely — every check-in kills).
-    pub fn with_max_idle(max_idle_per_key: usize) -> WorkerPool {
         WorkerPool {
             idle: Mutex::new(HashMap::new()),
             campaigns: AtomicU64::new(0),
             losses: AtomicUsize::new(0),
             spawns: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
-            max_idle_per_key,
         }
     }
 
@@ -165,17 +144,17 @@ impl WorkerPool {
 
     /// Take one idle worker parked under `key`, if any. The caller must
     /// re-ping it (`CampaignSubmit`) before trusting it.
-    pub(crate) fn check_out(&self, key: u64) -> Option<IdleWorker> {
+    pub(crate) fn check_out(&self, key: u64) -> Option<WorkerProc> {
         let mut idle = self.idle.lock().expect("pool lock");
         idle.get_mut(&key)?.pop()
     }
 
     /// Park a drained worker under `key`; dropped (killed) when the
     /// per-key cap is already reached.
-    pub(crate) fn check_in(&self, key: u64, worker: IdleWorker) {
+    pub(crate) fn check_in(&self, key: u64, worker: WorkerProc) {
         let mut idle = self.idle.lock().expect("pool lock");
         let parked = idle.entry(key).or_default();
-        if parked.len() < self.max_idle_per_key {
+        if parked.len() < MAX_IDLE_PER_KEY {
             parked.push(worker);
         }
         // else: drop kills the overflow worker
@@ -185,7 +164,7 @@ impl WorkerPool {
     /// handshake for a clean exit, kill-on-drop as the backstop. The
     /// pool is empty afterwards but remains usable.
     pub fn shutdown(&self) {
-        let drained: Vec<IdleWorker> = {
+        let drained: Vec<WorkerProc> = {
             // Poisoned lock (a panicking campaign thread) still holds
             // real workers; recover the map rather than leaking them.
             let mut idle = match self.idle.lock() {
@@ -195,11 +174,9 @@ impl WorkerPool {
             idle.drain().flat_map(|(_, workers)| workers).collect()
         };
         for mut worker in drained {
-            let _ = worker
-                .proc
-                .control(&WorkerRequest::Shutdown, SHUTDOWN_TIMEOUT, |r| {
-                    matches!(r, crate::subprocess::WorkerReply::Bye)
-                });
+            let _ = worker.control(&WorkerRequest::Shutdown, SHUTDOWN_TIMEOUT, |r| {
+                matches!(r, crate::subprocess::WorkerReply::Bye)
+            });
             // drop kills if the worker ignored the handshake
         }
     }

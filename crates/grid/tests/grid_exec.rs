@@ -7,7 +7,7 @@
 //!   (compared as serialised JSON, on top of the bit-exact `PartialEq`)
 //!   to in-process `Sweep::run`.
 //! * **Kill and resume**: a campaign aborted mid-flight resumes from its
-//!   checkpoint directory recomputing only the unfinished slices.
+//!   disk report cache recomputing only the unfinished slices.
 //! * **Fault handling**: a crashed worker's slice is retried on a fresh
 //!   process; an unresponsive worker times out and, once the retry
 //!   budget is spent, fails the campaign instead of hanging it.
@@ -16,8 +16,9 @@
 
 use hyperroute_core::scenario::{Axis, Report, Scenario, Sweep, SweepParam, Topology};
 use hyperroute_grid::{
-    partition, Campaign, ExecBackend, GridError, GridSlice, MemoryCache, ReportCache, ServiceReply,
-    ServiceRequest, SliceResult, SubprocessBackend, ThreadPoolBackend, WorkerPool,
+    partition, Campaign, CampaignState, DiskCache, ExecBackend, GridError, GridSlice, MemoryCache,
+    ReportCache, ServiceConfig, ServiceReply, ServiceRequest, SliceResult, SubprocessBackend,
+    SweepService, ThreadPoolBackend, WorkerPool,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -147,7 +148,7 @@ fn subprocess_byte_identical_for_ring_sweep() {
 
 /// Backend adapter that delivers `limit` results and then reports the
 /// process as dead — the observable behaviour of a kill arriving between
-/// two checkpoint writes.
+/// two slices' cache inserts.
 struct AbortAfter<B> {
     inner: B,
     limit: usize,
@@ -194,45 +195,53 @@ fn kill_and_resume_recomputes_only_unfinished_slices() {
     let sweep = hypercube_sweep(); // 6 points → 6 slices at slice_len 1
     let direct = sweep.run(1).unwrap();
     let dir = temp_dir("kill-resume");
-    let campaign = Campaign::new(sweep, 1).with_checkpoint(&dir);
+    let campaign = Campaign::new(sweep, 1);
 
-    // Phase 1: die after 2 checkpointed slices.
+    // Phase 1: die after 2 delivered slices.
+    let cache = DiskCache::open(&dir).unwrap();
     let err = campaign
-        .run(&AbortAfter {
-            inner: ThreadPoolBackend::new(1),
-            limit: 2,
-        })
+        .run_cached(
+            &AbortAfter {
+                inner: ThreadPoolBackend::new(1),
+                limit: 2,
+            },
+            &cache,
+        )
         .unwrap_err();
     assert!(matches!(err, GridError::Merge(_)));
-    let checkpointed = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter(|e| {
-            let name = e.as_ref().unwrap().file_name();
-            name.to_string_lossy().starts_with("slice_")
-        })
-        .count();
-    assert_eq!(checkpointed, 2, "exactly the delivered slices persist");
+    assert_eq!(
+        cache.stats().inserts,
+        2,
+        "exactly the delivered slices persist"
+    );
 
-    // Phase 2: resume — only the 4 unfinished slices may execute.
+    // Phase 2: resume with a fresh handle, as a restarted process would —
+    // only the 4 unfinished slices may execute.
     let executed = AtomicUsize::new(0);
     let got = campaign
-        .run(&Counting {
-            inner: ThreadPoolBackend::new(2),
-            executed: &executed,
-        })
+        .run_cached(
+            &Counting {
+                inner: ThreadPoolBackend::new(2),
+                executed: &executed,
+            },
+            &DiskCache::open(&dir).unwrap(),
+        )
         .unwrap();
     assert_eq!(executed.load(Ordering::Relaxed), 4);
     assert_eq!(got, direct);
     assert_eq!(as_json(&got), as_json(&direct));
 
-    // Phase 3: a fully-checkpointed campaign recomputes nothing, even on
-    // the subprocess backend.
+    // Phase 3: a fully cached campaign recomputes nothing, even on the
+    // subprocess backend.
     let executed = AtomicUsize::new(0);
     let again = campaign
-        .run(&Counting {
-            inner: SubprocessBackend::new(vec![grid_bin(), "worker".into()], 2),
-            executed: &executed,
-        })
+        .run_cached(
+            &Counting {
+                inner: SubprocessBackend::new(vec![grid_bin(), "worker".into()], 2),
+                executed: &executed,
+            },
+            &DiskCache::open(&dir).unwrap(),
+        )
         .unwrap();
     assert_eq!(executed.load(Ordering::Relaxed), 0);
     assert_eq!(again, direct);
@@ -494,35 +503,44 @@ fn backend_without_a_shared_pool_reuses_its_own_workers() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn cli_run_executes_a_sweep_file_with_checkpoints() {
+fn cli_run_executes_a_sweep_file_and_resumes_from_its_cache_dir() {
     let dir = temp_dir("cli-run");
     let sweep = butterfly_sweep();
     let direct = sweep.run(1).unwrap();
     let sweep_path = dir.join("sweep.json");
     std::fs::write(&sweep_path, serde_json::to_string_pretty(&sweep).unwrap()).unwrap();
     let out_path = dir.join("reports.json");
-    let status = std::process::Command::new(grid_bin())
-        .args([
-            "run",
-            "--sweep",
-            sweep_path.to_str().unwrap(),
-            "--backend",
-            "subprocess",
-            "--workers",
-            "2",
-            "--slice-len",
-            "2",
-            "--checkpoint",
-            dir.join("ckpt").to_str().unwrap(),
-            "--out",
-            out_path.to_str().unwrap(),
-        ])
-        .status()
-        .unwrap();
-    assert!(status.success());
-    let reports: Vec<Report> =
-        serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
-    assert_eq!(reports, direct);
+    // The second run over the same cache directory is served entirely
+    // from it: every grid point hits, nothing is inserted.
+    for expect in [
+        "cache 0 hits / 3 misses / 3 inserts",
+        "cache 3 hits / 0 misses / 0 inserts",
+    ] {
+        let output = std::process::Command::new(grid_bin())
+            .args([
+                "run",
+                "--sweep",
+                sweep_path.to_str().unwrap(),
+                "--backend",
+                "subprocess",
+                "--workers",
+                "2",
+                "--slice-len",
+                "2",
+                "--cache-dir",
+                dir.join("cache").to_str().unwrap(),
+                "--out",
+                out_path.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{stderr}");
+        assert!(stderr.contains(expect), "expected `{expect}` in:\n{stderr}");
+        let reports: Vec<Report> =
+            serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+        assert_eq!(reports, direct);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -631,10 +649,52 @@ fn cli_checked_in_corpus_matches_baselines() {
 }
 
 #[test]
+fn service_on_subprocess_workers_reproduces_every_corpus_baseline() {
+    // The corpus gate runs the service on in-process threads; this runs
+    // every checked-in scenario as a one-point campaign through a
+    // service whose workers are real subprocesses, and holds each report
+    // to its baseline's JSON.
+    let scenarios = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&scenarios)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty());
+    let service = SweepService::new(
+        ServiceConfig {
+            workers: 2,
+            worker_cmd: Some(vec![grid_bin(), "worker".into()]),
+            ..ServiceConfig::default()
+        },
+        Arc::new(MemoryCache::new(64)),
+    );
+    for path in &files {
+        let scenario = Scenario::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let mut sweep = Sweep::new(scenario, Vec::new());
+        sweep.derive_seeds = false;
+        let id = service.submit(sweep, 1).unwrap();
+        assert_eq!(
+            service.wait(id),
+            CampaignState::Done { points: 1 },
+            "{path:?}"
+        );
+        let report = service.results(id).unwrap().remove(0);
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        let baseline = scenarios.join(format!("baselines/{stem}.report.json"));
+        let json = serde_json::to_string_pretty(&report).unwrap() + "\n";
+        assert_eq!(json, std::fs::read_to_string(baseline).unwrap(), "{stem}");
+    }
+    assert!(service.pool().reuses() >= 1, "campaigns share warm workers");
+    service.shutdown();
+}
+
+#[test]
 fn cli_rejects_unknown_flags_with_usage() {
     // A misspelt flag must not be dropped: `--require-all-hit` would
-    // silently turn the cache-differential gate off, and the removed
-    // `--intra-workers` would silently run single-threaded.
+    // silently turn the cache-differential gate off, and a removed flag
+    // must fail loudly rather than be ignored.
     let dir = temp_dir("cli-flags");
     let scenarios = dir.join("scenarios");
     std::fs::create_dir_all(&scenarios).unwrap();
@@ -671,6 +731,9 @@ fn cli_rejects_unknown_flags_with_usage() {
         corpus(&["--intra-workers", "2"]),
         corpus(&["--only", "tiny"]),
         grid(&["run", "--sweep", "missing.json", "--worker", "2"]),
+        grid(&["run", "--sweep", "missing.json", "--checkpoint", cache]),
+        corpus(&["--via-service"]),
+        corpus(&["--workers", "2"]),
         grid(&["serve", "--cache", cache]),
         grid(&["validate-corpus", "--scenarios", scenarios, "--fixx"]),
         grid(&["worker", "--fast"]),

@@ -1,7 +1,7 @@
 //! A sharded sweep campaign through `hyperroute-grid`: the paper's delay
-//! grid cut into slices, executed on subprocess workers, checkpointed to
-//! a manifest directory, and merged back byte-identical to the
-//! in-process `Sweep::run`.
+//! grid cut into slices, executed on subprocess workers, cached in a
+//! disk report cache, and merged back byte-identical to the in-process
+//! `Sweep::run`.
 //!
 //! What this demonstrates, end to end:
 //!
@@ -11,15 +11,17 @@
 //! 2. **Backends** — the same campaign runs on the in-process thread
 //!    pool and on `hyperroute-grid worker` subprocesses speaking the
 //!    NDJSON protocol; both merge to identical reports.
-//! 3. **Checkpoint/resume** — every finished slice lands in the manifest
-//!    directory; rerun the example and it resumes (here: recomputes
-//!    nothing and still produces the same bytes).
+//! 3. **Resume** — every finished slice lands in the disk report cache;
+//!    rerun the campaign over the same directory and it resumes (here:
+//!    recomputes nothing and still produces the same bytes).
 //!
 //! Run with `cargo run --release --example grid_campaign`.
 
 use hyperroute::prelude::*;
 use hyperroute::routing::scenario::{Axis, SweepParam};
-use hyperroute_grid::{partition, Campaign, SubprocessBackend, ThreadPoolBackend};
+use hyperroute_grid::{
+    partition, Campaign, DiskCache, ReportCache, SubprocessBackend, ThreadPoolBackend,
+};
 
 fn main() {
     let p = 0.5;
@@ -64,25 +66,34 @@ fn main() {
     let grid_bin =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/release/hyperroute-grid");
     if grid_bin.exists() {
-        let ckpt = std::env::temp_dir().join(format!("grid-campaign-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("grid-campaign-{}", std::process::id()));
         let backend =
             SubprocessBackend::new(vec![grid_bin.display().to_string(), "worker".into()], 4);
-        let campaign = Campaign::new(sweep.clone(), slice_len).with_checkpoint(&ckpt);
-        let subprocess = campaign.run(&backend).expect("subprocess campaign runs");
+        let campaign = Campaign::new(sweep.clone(), slice_len);
+        let cache = DiskCache::open(&dir).expect("cache directory opens");
+        let subprocess = campaign
+            .run_cached(&backend, &cache)
+            .expect("subprocess campaign runs");
         assert_eq!(subprocess, direct);
         println!(
             "subprocess backend:  {} reports, identical to Sweep::run",
             subprocess.len()
         );
 
-        // Resume: everything is checkpointed, so this recomputes nothing.
-        let resumed = campaign.run(&backend).expect("resume runs");
+        // Resume with a fresh handle, as a restarted process would: every
+        // report is cached, so this recomputes nothing.
+        let reopened = DiskCache::open(&dir).expect("cache directory opens");
+        let resumed = campaign
+            .run_cached(&backend, &reopened)
+            .expect("resume runs");
         assert_eq!(resumed, direct);
+        assert_eq!(reopened.stats().hits as usize, sweep.len());
         println!(
-            "resume from {}: all slices loaded from checkpoints",
-            ckpt.display()
+            "resume from {}: all {} points served from the cache",
+            dir.display(),
+            sweep.len()
         );
-        let _ = std::fs::remove_dir_all(&ckpt);
+        let _ = std::fs::remove_dir_all(&dir);
     } else {
         println!(
             "subprocess backend:  skipped (build the CLI first: cargo build --release -p hyperroute-grid)"

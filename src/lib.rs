@@ -32,7 +32,7 @@
 //! | [`analysis`] | every proposition's bound as a function |
 //! | [`routing`] | the topology-generic engine, the scenario API, and the per-topology simulator specs (crate `hyperroute-core`) |
 //! | [`sparse`] | seeded million-node graph generators (Kleinberg small-world, hyperbolic disk, configuration-model scale-free/expander) on a streaming CSR with metric greedy routing (crate `hyperroute-sparse`) |
-//! | [`grid`] | sharded sweep campaigns: slice jobs, thread-pool/subprocess backends, checkpointed manifests, the scenario-corpus regression gate (crate `hyperroute-grid`) |
+//! | [`grid`] | sharded sweep campaigns: slice jobs, thread-pool/subprocess backends, the content-addressed report cache, the scenario-corpus regression gate (crate `hyperroute-grid`) |
 //! | [`experiments`] | the E01–E29 harnesses and result tables |
 //!
 //! ## Quick start
@@ -63,7 +63,7 @@
 //! Grids that outgrow one process shard through [`grid`]: a sweep is cut
 //! into serialisable slices, executed on an in-process thread pool or on
 //! `hyperroute-grid worker` subprocesses (newline-delimited JSON over
-//! stdio), checkpointed per slice, and merged back **byte-identical** to
+//! stdio), cached per grid point, and merged back **byte-identical** to
 //! `Sweep::run`:
 //!
 //! ```
