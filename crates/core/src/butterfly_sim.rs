@@ -79,10 +79,6 @@ impl EngineSpec for ButterflySpec {
         a.to_row().0 as u32 | ((a.level as u32) << ARC_LEVEL_SHIFT) | vertical
     }
 
-    fn mean_hops_hint(&self) -> f64 {
-        self.dim as f64
-    }
-
     fn generate(&mut self, t: f64, source: u32, dest_rng: &mut SimRng) -> Spawn<BfPacket> {
         let mask = sample_flip_mask(dest_rng, self.dim, self.p);
         // Even a same-row destination crosses d straight arcs: never a

@@ -9,7 +9,7 @@
 //! engine, captured here as the [`EngineSpec`] trait. A topology is now a
 //! ~100-line spec — or **zero** lines via the blanket
 //! `graph_sim::GraphSpec<T: RoutingTopology>`; everything
-//! else — slab packet pool, calendar/heap scheduler, contention policies,
+//! else — slab packet pool, completion list, contention policies,
 //! warm-up truncation, drain control, metrics, observers — lives here
 //! **once**, monomorphised per topology by [`Engine::drive`].
 //!
@@ -26,28 +26,34 @@
 //! * **Self-scheduling arrival stream out of the event queue.** Arrivals
 //!   (and slotted-time slot boundaries) form a self-scheduling chain: each
 //!   firing knows the next firing time. Keeping that chain in a one-slot
-//!   side channel (`Engine::next_stream`) instead of the scheduler saves
+//!   side channel (`Engine::next_stream`) instead of the event queue saves
 //!   one push + pop per generated packet — the queue holds only service
-//!   completions. Merging preserves the old (time, insertion-seq) order:
-//!   the queue wins ties, which is exactly where the in-queue arrival
-//!   chain's seq numbers put it (completions at a slot instant were always
-//!   scheduled before the boundary event that shares their timestamp).
-//! * **Next-event prefetch.** After popping a completion the engine peeks
-//!   the scheduler's next payload ([`hyperroute_desim::Scheduler::peek_payload`]),
-//!   so the next iteration's scheduler state is prepared while the current
-//!   event's (data-dependent, cache-hostile) arc state is being updated.
-//!   On the calendar backend the useful work is pre-paying the next
-//!   *bucket load* (sort + drain-buffer fill) — measured ≈ +5% events/sec
-//!   at d = 8, ρ = 0.8. Forcing a read of the payload *bytes* measured
-//!   strictly slower: ever since the in-service packet moved inside the
-//!   completion event (PR 3), the payload is hot by construction, so only
-//!   the reference is taken.
+//!   completions (the completion list below). Merging preserves the old
+//!   (time, insertion-seq) order: the list wins ties, which is exactly
+//!   where the in-queue arrival chain's seq numbers put it (completions at
+//!   a slot instant were always scheduled before the boundary event that
+//!   shares their timestamp).
+//! * **Unit-service completion FIFO.** Every arc serves in exactly one
+//!   time unit (§1.1, §3), so completions are pushed only at `t + 1.0`,
+//!   where `t` is the time of the event being processed — by
+//!   `Engine::enqueue` and `Engine::start_next_service`. Events are
+//!   processed in nondecreasing time (the merge above), and IEEE
+//!   addition is monotone, so push times never decrease: insertion order
+//!   *is* `(time, insertion-seq)` order, and a plain FIFO pops exactly
+//!   what a heap would. Under [`SchedulerKind::Calendar`] (the default)
+//!   the completion list is that FIFO; [`SchedulerKind::Heap`] keeps a
+//!   binary heap as the reference the differential tests compare it
+//!   against. Debug builds assert the monotone push on every FIFO push.
+//!   At most one completion is pending per busy arc, so the FIFO never
+//!   holds more than `num_arcs` entries; it grows on demand rather than
+//!   reserving that bound (a million-arc small world keeps few arcs busy).
 
 use crate::config::{ArrivalModel, ContentionPolicy};
 use crate::metrics::MetricsCollector;
 use crate::observe::Observer;
 use crate::pool::{ArcBag, ArcFifo, SlabPool};
-use hyperroute_desim::{Scheduler, SchedulerKind, SimRng};
+use hyperroute_desim::{EventQueue, SchedulerKind, SimRng};
+use std::collections::VecDeque;
 
 /// Busy flag of a packed per-arc routing word: set while a packet occupies
 /// the arc's server (its payload rides in the pending completion event).
@@ -96,7 +102,7 @@ pub enum ArcChoice {
 pub const NO_TRACE: u32 = u32::MAX;
 
 /// An in-flight packet the generic engine can carry: `Copy` (it lives in
-/// slab slots and scheduler entries) and stamped with its birth time.
+/// slab slots and completion-list entries) and stamped with its birth time.
 pub trait EnginePacket: Copy {
     /// Generation time (drives warm-up truncation of delivery stats).
     fn born(&self) -> f64;
@@ -143,10 +149,6 @@ pub trait EngineSpec {
     /// bits — whatever [`EngineSpec::advance`] needs), in bits `0..31`.
     /// Bit 31 ([`ARC_BUSY`]) must be clear; the engine owns it.
     fn arc_meta(&self, arc: usize) -> u32;
-
-    /// Expected hops per packet — sizes the scheduler's events-per-unit
-    /// hint (correctness never depends on it).
-    fn mean_hops_hint(&self) -> f64;
 
     /// Sample a new packet at `source` born at `t`, drawing from
     /// `dest_rng` exactly as the topology's destination law dictates.
@@ -203,7 +205,9 @@ pub struct EngineCfg {
     pub arrivals: ArrivalModel,
     /// Which waiting packet an arc serves next.
     pub contention: ContentionPolicy,
-    /// Future-event-list backend (bit-identical results either way).
+    /// Completion-list backend: the unit-service FIFO
+    /// ([`SchedulerKind::Calendar`]) or the reference heap
+    /// ([`SchedulerKind::Heap`]); bit-identical results either way.
     pub scheduler: SchedulerKind,
     /// Generation stops at this time.
     pub horizon: f64,
@@ -228,6 +232,64 @@ struct ArcState {
     meta: u32,
 }
 
+/// The engine's pending service completions `(time, arc, packet)`, popped
+/// in `(time, insertion)` order — see the module docs for why a FIFO is
+/// exact.
+enum Completions<P> {
+    /// Unit-service FIFO: push times never decrease.
+    Fifo(VecDeque<(f64, u32, P)>),
+    /// Reference binary heap, for the differential tests.
+    Heap(EventQueue<(u32, P)>),
+}
+
+impl<P> Completions<P> {
+    fn new(kind: SchedulerKind) -> Completions<P> {
+        match kind {
+            SchedulerKind::Calendar => Completions::Fifo(VecDeque::new()),
+            SchedulerKind::Heap => Completions::Heap(EventQueue::new()),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, time: f64, arc: u32, pkt: P) {
+        match self {
+            Completions::Fifo(q) => {
+                debug_assert!(
+                    q.back().is_none_or(|&(last, ..)| last <= time),
+                    "completion at {time} pushed behind a later one"
+                );
+                q.push_back((time, arc, pkt));
+            }
+            Completions::Heap(q) => q.push(time, (arc, pkt)),
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, u32, P)> {
+        match self {
+            Completions::Fifo(q) => q.pop_front(),
+            Completions::Heap(q) => q.pop().map(|(t, (arc, pkt))| (t, arc, pkt)),
+        }
+    }
+
+    /// Pop the earliest completion only if it is due at or before `bound`.
+    #[inline]
+    fn pop_at_or_before(&mut self, bound: f64) -> Option<(f64, u32, P)> {
+        match self {
+            Completions::Fifo(q) => {
+                if q.front().is_some_and(|&(t, ..)| t <= bound) {
+                    q.pop_front()
+                } else {
+                    None
+                }
+            }
+            Completions::Heap(q) => q
+                .pop_at_or_before(bound)
+                .map(|(t, (arc, pkt))| (t, arc, pkt)),
+        }
+    }
+}
+
 /// The topology-generic event-driven engine. Construct with
 /// [`Engine::new`], run with [`Engine::drive`], then read the spec and
 /// collector back out to build a report.
@@ -244,7 +306,7 @@ pub struct Engine<T: EngineSpec> {
     bags: Vec<ArcBag<T::Pkt>>,
     /// Service completions only: the arrival stream lives in
     /// `next_stream`, not here.
-    events: Scheduler<(u32, T::Pkt)>,
+    completions: Completions<T::Pkt>,
     events_processed: u64,
     /// Next firing of the self-scheduling arrival stream (merged Poisson
     /// arrival or slot boundary), or `None` once generation has ceased.
@@ -282,9 +344,6 @@ impl<T: EngineSpec> Engine<T> {
             (expected / 32.0).ceil() as u64,
             cfg.seed,
         );
-        // Calendar sizing hint: arrivals plus one completion per hop.
-        let events_per_unit = cfg.lambda * sources * (1.0 + spec.mean_hops_hint());
-        let events = Scheduler::new(cfg.scheduler, events_per_unit);
         let next_stream = match cfg.arrivals {
             // First merged arrival (rate λ·sources); deliberately not
             // horizon-checked, mirroring the first in-queue arrival of the
@@ -314,8 +373,8 @@ impl<T: EngineSpec> Engine<T> {
                 })
                 .collect(),
             spec,
+            completions: Completions::new(cfg.scheduler),
             cfg,
-            events,
             events_processed: 0,
             next_stream,
             arrival_buf: Vec::new(),
@@ -336,25 +395,15 @@ impl<T: EngineSpec> Engine<T> {
     pub fn drive<O: Observer>(&mut self, obs: &mut O) {
         loop {
             // Merge the self-scheduling arrival stream with the completion
-            // queue in one scheduler call per iteration. The queue wins
-            // ties (`pop_at_or_before` is inclusive) — see the module
-            // docs for why this reproduces the retired in-queue arrival
-            // order.
+            // list in one call per iteration. The list wins ties
+            // (`pop_at_or_before` is inclusive) — see the module docs for
+            // why this reproduces the retired in-queue arrival order.
             let popped = match self.next_stream {
-                Some(stream_t) => self.events.pop_at_or_before(stream_t),
-                None => self.events.pop(),
+                Some(stream_t) => self.completions.pop_at_or_before(stream_t),
+                None => self.completions.pop(),
             };
             let t = match popped {
-                Some((t, (arc, pkt))) => {
-                    // Software prefetch (PR-1 follow-up): peek the next
-                    // event so the scheduler prepares it (calendar: the
-                    // next bucket's sort + drain-buffer fill) while this
-                    // event's cache-hostile arc update proceeds. See the
-                    // module docs for the measurement; the payload bytes
-                    // are deliberately not read.
-                    if let Some(next) = self.events.peek_payload() {
-                        std::hint::black_box(next);
-                    }
+                Some((t, arc, pkt)) => {
                     obs.on_event(t, self.collector.current_in_system());
                     self.events_processed += 1;
                     self.on_complete(t, arc as usize, pkt, obs);
@@ -478,7 +527,7 @@ impl<T: EngineSpec> Engine<T> {
         let escape = self.spec.in_escape(&pkt);
         let queue_depth = if self.arcs[arc].meta & ARC_BUSY == 0 {
             self.arcs[arc].meta |= ARC_BUSY;
-            self.events.push(t + 1.0, (arc as u32, pkt));
+            self.completions.push(t + 1.0, arc as u32, pkt);
             1
         } else if self.cfg.contention == ContentionPolicy::Random {
             self.bags[arc].insert(pkt);
@@ -514,7 +563,7 @@ impl<T: EngineSpec> Engine<T> {
             }
         };
         match pkt {
-            Some(pkt) => self.events.push(t + 1.0, (arc as u32, pkt)),
+            Some(pkt) => self.completions.push(t + 1.0, arc as u32, pkt),
             None => self.arcs[arc].meta &= !ARC_BUSY,
         }
     }
@@ -583,5 +632,14 @@ mod tests {
         // Four arcs per cache line keeps the data-dependent arc walk
         // L1-resident at d = 8 (1024 arcs × 16 B = 16 KiB).
         assert_eq!(std::mem::size_of::<ArcState>(), 16);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pushed behind a later one")]
+    fn fifo_rejects_a_completion_earlier_than_the_last() {
+        let mut fifo = Completions::new(SchedulerKind::Calendar);
+        fifo.push(2.0, 0, ());
+        fifo.push(1.0, 1, ());
     }
 }

@@ -536,7 +536,6 @@ pub struct GraphSpec<T: RoutingTopology> {
     topo: T,
     dest: GraphDestination,
     faults: Option<FaultState>,
-    hint: f64,
     /// In-window packet arrivals per arc (feeds the per-direction ring
     /// rates and the [`GraphExt`] rate summary). Saturating counters
     /// sharded by node range: untouched ranges of a ≥10⁷-arc graph
@@ -579,7 +578,6 @@ impl<T: RoutingTopology> GraphSpec<T> {
     ) -> GraphSpec<T> {
         let faults = faults.map(|f| FaultState::build(&topo, f, horizon));
         GraphSpec {
-            hint: topo.mean_distance_hint(),
             arc_arrivals: ShardedArcTally::new(topo.num_arcs()),
             dropped_in_window: 0,
             stretch_on: stretch,
@@ -627,10 +625,6 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
 
     fn arc_meta(&self, arc: usize) -> u32 {
         self.topo.arc_head(arc) as u32
-    }
-
-    fn mean_hops_hint(&self) -> f64 {
-        self.hint
     }
 
     fn generate(&mut self, t: f64, source: u32, dest_rng: &mut SimRng) -> Spawn<GraphPacket> {

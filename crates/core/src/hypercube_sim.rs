@@ -107,10 +107,6 @@ impl EngineSpec for HypercubeSpec {
         (node ^ (1 << d)) | ((d as u32) << ARC_DIM_SHIFT)
     }
 
-    fn mean_hops_hint(&self) -> f64 {
-        self.dim as f64
-    }
-
     fn generate(&mut self, t: f64, source: u32, dest_rng: &mut SimRng) -> Spawn<Packet> {
         match self.scheme {
             Scheme::Greedy | Scheme::RandomOrder => {

@@ -15,9 +15,10 @@
 //! # Architecture: one generic engine, thin topology specs
 //!
 //! The event loop lives **once**, in [`engine`]: a monomorphised
-//! `Engine<Spec>` owns the slab packet pool, the calendar/heap scheduler,
-//! the contention policies, warm-up truncation, drain control, metrics
-//! and the observer taps. What a topology contributes is an
+//! `Engine<Spec>` owns the slab packet pool, the list of pending service
+//! completions (a unit-service FIFO, or the reference heap), the
+//! contention policies, warm-up truncation, drain control, metrics and
+//! the observer taps. What a topology contributes is an
 //! [`engine::EngineSpec`] — its packet representation, destination law,
 //! next-arc choice and per-topology statistics. The current
 //! instantiations:
@@ -31,7 +32,10 @@
 //! Two simulators deliberately stay off the generic engine:
 //! [`equivalent_network`] (per-*server* PS service with positional
 //! coupling — the §3.1 proof device) and [`pipelined`] (round-driven, no
-//! event queue). They share the scheduler, metrics and report surface.
+//! event queue). They share the metrics and report surface; the
+//! equivalent network drives the general `hyperroute_desim::Scheduler`
+//! (calendar queue or heap), since its PS servers schedule departures at
+//! arbitrary times.
 //!
 //! ## How to add a topology with zero event code
 //!
@@ -41,9 +45,8 @@
 //! pure graph code. The recipe is:
 //!
 //! 1. Implement `RoutingTopology` for the graph (dense arcs + greedy
-//!    `next_arc` + `distance`, plus a `mean_distance_hint` closed form if
-//!    you have one); property tests in `tests/proptest_routing.rs` check
-//!    strict per-hop progress.
+//!    `next_arc` + `distance`); property tests in
+//!    `tests/proptest_routing.rs` check strict per-hop progress.
 //! 2. Add a [`scenario::Topology`] variant and a validation arm, and
 //!    register it in `Scenario::into_simulator` as
 //!    `GraphSim::from_parts(YourGraph::new(..), dest, self, graph_ext)`

@@ -1,12 +1,14 @@
 //! Bucketed calendar-queue (time-wheel) future-event list.
 //!
-//! The paper's network is a *deterministic unit-service* system: every arc
-//! serves in exactly 1.0 time units, so almost every event an in-flight
-//! simulation schedules lands within one time unit of the clock (service
-//! completions at `now + 1`, merged-Poisson arrivals at `now + Exp(Λ)`,
-//! slot boundaries at `now + r ≤ now + 1`). A comparison-based heap pays
-//! `O(log n)` for that near-future structure; a calendar queue (Brown 1988)
-//! pays amortized `O(1)`.
+//! The paper's equivalent networks (§3.1, §4.3) schedule almost every event
+//! in the near future: unit-service FIFO completions at `now + 1`,
+//! per-server Poisson arrivals at `now + Exp(λ)`, and Processor-Sharing
+//! departures a few service times out. A comparison-based heap pays
+//! `O(log n)` for that near-future structure; a calendar queue (Brown
+//! 1988) pays amortized `O(1)`. The queue serves the
+//! equivalent-network simulator through [`Scheduler`](crate::sched::Scheduler);
+//! the packet engine's completions are pushed in time order, so it keeps
+//! them in a plain FIFO instead.
 //!
 //! # Design
 //!
@@ -45,8 +47,9 @@
 //! heap-backed [`EventQueue`](crate::events::EventQueue): bucket partition
 //! respects time order (equal times share a bucket), each bucket is
 //! consumed in `(time, seq)` order, and in-drain pushes are placed by the
-//! same comparison. The differential tests in `hyperroute-core` assert
-//! byte-identical simulation reports across both backends.
+//! same comparison. The differential tests in the workspace's
+//! `tests/scheduler_equivalence.rs` assert byte-identical equivalent-network
+//! reports across both backends.
 //!
 //! Like `EventQueue`, time validation is a `debug_assert!` — the simulators
 //! validate their configurations once at construction instead of paying a
@@ -243,43 +246,6 @@ impl<E: Clone> CalendarQueue<E> {
             .expect("advance filled the drain buffer");
         self.wheel_len -= 1;
         Some((entry.time, entry.payload))
-    }
-
-    /// Pop the earliest event only if its time is at or before `bound` —
-    /// the one-call merge primitive for simulators that keep a
-    /// self-scheduling stream outside the queue. The fast path is a
-    /// single compare against the tail of the drain buffer.
-    #[inline]
-    pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
-        if self.draining {
-            if let Some(entry) = self.drain_buf.last() {
-                if entry.time <= bound {
-                    let entry = self.drain_buf.pop().expect("checked non-empty");
-                    self.wheel_len -= 1;
-                    return Some((entry.time, entry.payload));
-                }
-                return None;
-            }
-        }
-        // Slow path: load the next bucket, then re-check the bound.
-        self.advance_to_nonempty()?;
-        let entry = self.drain_buf.last().expect("advance filled the buffer");
-        if entry.time > bound {
-            return None;
-        }
-        let entry = self.drain_buf.pop().expect("checked non-empty");
-        self.wheel_len -= 1;
-        Some((entry.time, entry.payload))
-    }
-
-    /// Payload of the next event without removing it (the event that the
-    /// next `pop` returns).
-    #[inline]
-    pub fn peek_payload(&mut self) -> Option<&E> {
-        if !self.draining || self.drain_buf.is_empty() {
-            self.advance_to_nonempty()?;
-        }
-        self.drain_buf.last().map(|e| &e.payload)
     }
 
     /// Time of the next event without removing it.

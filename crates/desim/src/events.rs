@@ -109,12 +109,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Payload of the next event without removing it.
-    #[inline]
-    pub fn peek_payload(&self) -> Option<&E> {
-        self.heap.peek().map(|e| &e.payload)
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {

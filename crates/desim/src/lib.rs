@@ -5,11 +5,14 @@
 //! tools in this crate:
 //!
 //! * [`events::EventQueue`] — a binary-heap future-event list with
-//!   deterministic FIFO tie-breaking for simultaneous events;
+//!   deterministic FIFO tie-breaking for simultaneous events (also the
+//!   reference completion list of the packet engine in `hyperroute-core`);
 //! * [`calendar::CalendarQueue`] — a bucketed time-wheel future-event list
 //!   with the same deterministic order at amortized `O(1)` per event,
-//!   exploiting the model's unit service times;
-//! * [`sched::Scheduler`] — runtime selection between the two backends;
+//!   exploiting the model's near-future event times;
+//! * [`sched::Scheduler`] — runtime selection between the two backends,
+//!   for the equivalent-network simulator (the packet engine needs only
+//!   a FIFO for its unit-service completions and keeps its own);
 //! * [`rng::SimRng`] — seedable RNG streams with the exponential /
 //!   Poisson / Bernoulli samplers the model needs (implemented here, no
 //!   external distribution crate);

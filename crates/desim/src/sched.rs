@@ -2,11 +2,15 @@
 //!
 //! Both backends pop in exactly the same `(time, insertion-seq)` order, so
 //! a simulation is a bit-identical deterministic function of its seed under
-//! either; [`SchedulerKind`] picks the cost model. The calendar queue is
-//! the default — it exploits the unit-service structure of the paper's
-//! model for amortized `O(1)` scheduling — and the heap remains available
-//! for differential testing and for workloads with pathological time
-//! distributions.
+//! either; [`SchedulerKind`] picks the cost model. [`Scheduler`] serves the
+//! equivalent-network simulator, whose Processor-Sharing servers schedule
+//! departures at arbitrary times; there the calendar queue is the default
+//! — it exploits the near-future structure of the paper's model for
+//! amortized `O(1)` scheduling — and the heap remains available for
+//! differential testing and for workloads with pathological time
+//! distributions. The packet engine in `hyperroute-core` reads the same
+//! [`SchedulerKind`] but keeps its own completion list (see the variant
+//! docs).
 
 use crate::calendar::CalendarQueue;
 use crate::events::EventQueue;
@@ -17,10 +21,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SchedulerKind {
     /// Binary min-heap keyed on `(time, seq)` — `O(log n)` per operation,
-    /// insensitive to the event-time distribution.
+    /// insensitive to the event-time distribution. The reference backend:
+    /// the packet engine's completion list and the equivalent network's
+    /// future-event list are both this heap.
     Heap,
-    /// Bucketed calendar queue / time wheel — amortized `O(1)` per
-    /// operation on the unit-service workloads this workspace simulates.
+    /// The fast backend. The packet engine keeps its unit-service
+    /// completions in a FIFO (their push times never decrease); the
+    /// equivalent network uses the bucketed calendar queue / time wheel —
+    /// amortized `O(1)` per operation.
     #[default]
     Calendar,
 }
@@ -91,34 +99,12 @@ impl<E: Clone> Scheduler<E> {
         }
     }
 
-    /// Pop the earliest event only if its time is at or before `bound`
-    /// (ties: insertion order) — one call instead of `peek_time` +
-    /// conditional `pop`, for merging the queue with an out-of-queue
-    /// self-scheduling event stream.
-    #[inline]
-    pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
-        match self {
-            Scheduler::Heap(q) => q.pop_at_or_before(bound),
-            Scheduler::Calendar(q) => q.pop_at_or_before(bound),
-        }
-    }
-
     /// Time of the next event without removing it.
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match self {
             Scheduler::Heap(q) => q.peek_time(),
             Scheduler::Calendar(q) => q.peek_time(),
-        }
-    }
-
-    /// Payload of the next event without removing it — what the next
-    /// `pop` will return.
-    #[inline]
-    pub fn peek_payload(&mut self) -> Option<&E> {
-        match self {
-            Scheduler::Heap(q) => q.peek_payload(),
-            Scheduler::Calendar(q) => q.peek_payload(),
         }
     }
 

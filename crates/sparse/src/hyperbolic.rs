@@ -162,7 +162,7 @@ pub fn hyperbolic(nodes: u32, alpha: f64, radius_offset: f64, seed: u64) -> Spar
         radius.iter().map(|&r| r as f32).collect(),
         theta.iter().map(|&t| t as f32).collect(),
     );
-    SparseTopology::new(graph, embed, (nodes as f64).ln().max(1.0))
+    SparseTopology::new(graph, embed)
 }
 
 #[cfg(test)]

@@ -44,8 +44,8 @@
 //! 3. Pick the [`Embedding`] greedy should descend — or add a new
 //!    variant with a `metric` and a `quantise` arm if your graph has its
 //!    own geometry.
-//! 4. Return [`SparseTopology::new`] with an analytic mean-hops hint,
-//!    and wire a `Topology` arm in `hyperroute-core`'s scenario layer.
+//! 4. Return [`SparseTopology::new`] over the graph and embedding, and
+//!    wire a `Topology` arm in `hyperroute-core`'s scenario layer.
 
 mod csr;
 mod embed;

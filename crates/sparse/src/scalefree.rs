@@ -70,10 +70,8 @@ pub fn scale_free(nodes: u32, gamma: f64, min_degree: u32, seed: u64) -> SparseT
     );
     let mut rng = SimRng::new(seed);
     let degrees = power_law_degrees(nodes, gamma, min_degree, &mut rng);
-    let mean_deg = degrees.iter().map(|&d| d as f64).sum::<f64>() / nodes as f64;
     let graph = configuration_model(degrees, &mut rng);
-    let hint = ((nodes as f64).ln() / mean_deg.max(2.0).ln()).max(1.0);
-    SparseTopology::new(graph, Embedding::RingOffset { n: nodes }, hint)
+    SparseTopology::new(graph, Embedding::RingOffset { n: nodes })
 }
 
 /// Generate a seeded random `degree`-regular graph (an expander with
@@ -95,8 +93,7 @@ pub fn expander(nodes: u32, degree: u32, seed: u64) -> SparseTopology {
     );
     let mut rng = SimRng::new(seed);
     let graph = configuration_model(vec![degree; nodes as usize], &mut rng);
-    let hint = ((nodes as f64).ln() / ((degree.max(2) - 1) as f64).ln()).max(1.0);
-    SparseTopology::new(graph, Embedding::RingOffset { n: nodes }, hint)
+    SparseTopology::new(graph, Embedding::RingOffset { n: nodes })
 }
 
 #[cfg(test)]

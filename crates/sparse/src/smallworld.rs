@@ -261,13 +261,7 @@ fn build(
         builder.push_node(node as u32, &mut scratch);
     }
 
-    let n = nodes as f64;
-    let hint = n.ln().powi(2) / (dims as f64 * links.max(1) as f64);
-    SparseTopology::new(
-        builder.finish(),
-        Embedding::Lattice { side, dims },
-        hint.max(1.0),
-    )
+    SparseTopology::new(builder.finish(), Embedding::Lattice { side, dims })
 }
 
 #[cfg(test)]

@@ -27,10 +27,6 @@ use hyperroute_topology::RoutingTopology;
 pub struct SparseTopology {
     graph: SparseGraph,
     embed: Embedding,
-    /// Expected greedy hop count under uniform destinations — the
-    /// scheduler-sizing hint. Analytic per generator (the trait default
-    /// would sample quantised *metric* values, which are not hops).
-    hops_hint: f64,
     /// Angular index of the high-degree rows (disk embeddings only).
     hubs: Option<HubIndex>,
 }
@@ -40,17 +36,12 @@ impl SparseTopology {
     /// embedding also gets an index of its high-degree rows, so the
     /// greedy step at a hub evaluates only the neighbours that can beat
     /// it.
-    pub fn new(graph: SparseGraph, embed: Embedding, hops_hint: f64) -> SparseTopology {
+    pub fn new(graph: SparseGraph, embed: Embedding) -> SparseTopology {
         let hubs = match &embed {
             Embedding::Disk { r, theta, .. } => HubIndex::build(&graph, r, theta),
             _ => None,
         };
-        SparseTopology {
-            graph,
-            embed,
-            hops_hint,
-            hubs,
-        }
+        SparseTopology { graph, embed, hubs }
     }
 
     /// The underlying CSR adjacency.
@@ -215,10 +206,6 @@ impl RoutingTopology for SparseTopology {
     fn out_arc_range(&self, node: u64) -> Option<std::ops::Range<usize>> {
         Some(self.graph.out_range(node as usize))
     }
-
-    fn mean_distance_hint(&self) -> f64 {
-        self.hops_hint
-    }
 }
 
 #[cfg(test)]
@@ -348,7 +335,7 @@ mod tests {
             }
             b.push_node(v, &mut scratch);
         }
-        let t = SparseTopology::new(b.finish(), Embedding::disk(r, theta), 2.0);
+        let t = SparseTopology::new(b.finish(), Embedding::disk(r, theta));
         assert_eq!(hub_rows(&t), vec![0, 1]);
         for hub in [0u64, 1] {
             for dest in 0..n as u64 {
@@ -403,7 +390,7 @@ mod tests {
             }
             b.push_node(v, &mut scratch);
         }
-        SparseTopology::new(b.finish(), Embedding::RingOffset { n: 6 }, 1.5)
+        SparseTopology::new(b.finish(), Embedding::RingOffset { n: 6 })
     }
 
     #[test]
@@ -438,7 +425,7 @@ mod tests {
         scratch.push(1);
         b.push_node(2, &mut scratch);
         b.push_node(3, &mut scratch);
-        let t = SparseTopology::new(b.finish(), Embedding::RingOffset { n: 4 }, 1.0);
+        let t = SparseTopology::new(b.finish(), Embedding::RingOffset { n: 4 });
         assert_eq!(t.next_arc(2, 3), None, "local minimum");
         assert_eq!(t.greedy_walk(2, 3), Err(2));
         assert_eq!(t.next_arc(3, 0), None, "dead end");

@@ -410,12 +410,12 @@ struct PacketTrack {
 /// its next queue (or its destination) at `t₁` waited `t₁ − t₀ − 1`.
 /// Per-packet derivations are skipped for packet layouts without trace
 /// ids (the butterfly); per-arc and delay telemetry covers every run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct TelemetryProbe {
-    delay: Option<LogHistogram>,
-    queue_wait: Option<LogHistogram>,
-    deflections: Option<LogHistogram>,
-    escape_walks: Option<LogHistogram>,
+    delay: LogHistogram,
+    queue_wait: LogHistogram,
+    deflections: LogHistogram,
+    escape_walks: LogHistogram,
     tracks: HashMap<u64, PacketTrack>,
     /// Per-arc `∫ depth dt` accumulated so far.
     occupancy_time: Vec<f64>,
@@ -431,11 +431,15 @@ impl TelemetryProbe {
     /// Fresh probe with empty histograms.
     pub fn new() -> TelemetryProbe {
         TelemetryProbe {
-            delay: Some(LogHistogram::for_times()),
-            queue_wait: Some(LogHistogram::for_times()),
-            deflections: Some(LogHistogram::for_counts()),
-            escape_walks: Some(LogHistogram::for_counts()),
-            ..TelemetryProbe::default()
+            delay: LogHistogram::for_times(),
+            queue_wait: LogHistogram::for_times(),
+            deflections: LogHistogram::for_counts(),
+            escape_walks: LogHistogram::for_counts(),
+            tracks: HashMap::new(),
+            occupancy_time: Vec::new(),
+            last_event: Vec::new(),
+            depth: Vec::new(),
+            peak: Vec::new(),
         }
     }
 
@@ -458,26 +462,13 @@ impl TelemetryProbe {
         self.peak[arc] = self.peak[arc].max(depth);
     }
 
-    fn hist(slot: &mut Option<LogHistogram>) -> &mut LogHistogram {
-        slot.get_or_insert_with(LogHistogram::for_counts)
-    }
-
     /// Consume the probe into the report extension it accumulated.
-    pub fn into_ext(mut self) -> TelemetryExt {
+    pub fn into_ext(self) -> TelemetryExt {
         TelemetryExt {
-            delay: self.delay.take().unwrap_or_else(LogHistogram::for_times),
-            queue_wait: self
-                .queue_wait
-                .take()
-                .unwrap_or_else(LogHistogram::for_times),
-            deflections: self
-                .deflections
-                .take()
-                .unwrap_or_else(LogHistogram::for_counts),
-            escape_walks: self
-                .escape_walks
-                .take()
-                .unwrap_or_else(LogHistogram::for_counts),
+            delay: self.delay,
+            queue_wait: self.queue_wait,
+            deflections: self.deflections,
+            escape_walks: self.escape_walks,
             arcs: ArcTelemetry {
                 occupancy_time: self.occupancy_time,
                 peak_depth: self.peak,
@@ -492,9 +483,15 @@ impl TelemetryProbe {
     }
 }
 
+impl Default for TelemetryProbe {
+    fn default() -> TelemetryProbe {
+        TelemetryProbe::new()
+    }
+}
+
 impl Observer for TelemetryProbe {
     fn on_delivered(&mut self, t: f64, born: f64) {
-        Self::hist(&mut self.delay).record(t - born);
+        self.delay.record(t - born);
     }
 
     fn on_hop(&mut self, t: f64, packet_id: u64, _node: u32, arc: u32, queue_depth: u32) {
@@ -504,12 +501,12 @@ impl Observer for TelemetryProbe {
         }
         match self.tracks.get_mut(&packet_id) {
             Some(track) => {
-                Self::hist(&mut self.queue_wait).record(t - track.last_hop_t - 1.0);
+                self.queue_wait.record(t - track.last_hop_t - 1.0);
                 // A non-escape hop after an active walk ends the walk.
                 if !track.last_was_escape && track.escape_run > 0 {
                     let run = track.escape_run;
                     track.escape_run = 0;
-                    Self::hist(&mut self.escape_walks).record(f64::from(run));
+                    self.escape_walks.record(f64::from(run));
                 }
                 track.last_hop_t = t;
                 track.last_was_escape = false;
@@ -540,9 +537,9 @@ impl Observer for TelemetryProbe {
 
     fn on_drop(&mut self, t: f64, packet_id: u64, _node: u32) {
         if let Some(track) = self.tracks.remove(&packet_id) {
-            Self::hist(&mut self.queue_wait).record(t - track.last_hop_t - 1.0);
+            self.queue_wait.record(t - track.last_hop_t - 1.0);
             if track.escape_run > 0 {
-                Self::hist(&mut self.escape_walks).record(f64::from(track.escape_run));
+                self.escape_walks.record(f64::from(track.escape_run));
             }
         }
     }
@@ -555,11 +552,11 @@ impl Observer for TelemetryProbe {
         _hops: u16,
         deflections: u16,
     ) {
-        Self::hist(&mut self.deflections).record(f64::from(deflections));
+        self.deflections.record(f64::from(deflections));
         if let Some(track) = self.tracks.remove(&packet_id) {
-            Self::hist(&mut self.queue_wait).record(t - track.last_hop_t - 1.0);
+            self.queue_wait.record(t - track.last_hop_t - 1.0);
             if track.escape_run > 0 {
-                Self::hist(&mut self.escape_walks).record(f64::from(track.escape_run));
+                self.escape_walks.record(f64::from(track.escape_run));
             }
         }
     }
@@ -704,6 +701,19 @@ mod tests {
             .occupancy_time
             .iter()
             .all(|&x| x.is_finite() && x >= -1e-9));
+    }
+
+    #[test]
+    fn default_and_new_build_identical_telemetry() {
+        let s = small_scenario(18);
+        let ext = |mut probe: TelemetryProbe| {
+            s.run_observed(&mut probe).expect("runs");
+            probe.into_ext()
+        };
+        let from_default = ext(TelemetryProbe::default());
+        let from_new = ext(TelemetryProbe::new());
+        assert_eq!(from_default.delay.least, LogHistogram::for_times().least);
+        assert_eq!(from_default, from_new);
     }
 
     #[test]

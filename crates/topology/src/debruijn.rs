@@ -117,16 +117,6 @@ impl DeBruijn {
         let raw = idx + 1;
         ((raw >> 1) as u64, (raw & 1) as u64)
     }
-
-    /// Mean greedy path length out of node 0 under uniform destinations —
-    /// exactly `n - 1 + 2^-n` (from node 0, `distance(0, d)` is the bit
-    /// length of `d`). The graph is not vertex-transitive, so this is a
-    /// *hint* for the global mean (suffix overlaps only shave an `O(1)`
-    /// constant off it); the simulators use it to size their schedulers,
-    /// never for correctness.
-    pub fn mean_path_length_hint(self) -> f64 {
-        self.dim as f64 - 1.0 + (2.0f64).powi(-(self.dim as i32))
-    }
 }
 
 #[cfg(test)]
@@ -205,31 +195,5 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn mean_path_hint_is_exact_from_origin_and_close_globally() {
-        for n in 1..=8usize {
-            let g = DeBruijn::new(n);
-            let nodes = g.num_nodes() as u64;
-            let from_zero: usize = (0..nodes).map(|d| g.distance(0, d)).sum();
-            let mean_zero = from_zero as f64 / nodes as f64;
-            assert!(
-                (g.mean_path_length_hint() - mean_zero).abs() < 1e-12,
-                "n={n}: hint {} vs node-0 mean {mean_zero}",
-                g.mean_path_length_hint()
-            );
-            // Global mean (all pairs) stays within an O(1) constant.
-            let total: usize = (0..nodes)
-                .flat_map(|s| (0..nodes).map(move |d| (s, d)))
-                .map(|(s, d)| g.distance(s, d))
-                .sum();
-            let global = total as f64 / (nodes * nodes) as f64;
-            assert!(
-                (g.mean_path_length_hint() - global).abs() < 1.0,
-                "n={n}: hint {} vs global {global}",
-                g.mean_path_length_hint()
-            );
-        }
     }
 }

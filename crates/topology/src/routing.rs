@@ -147,25 +147,6 @@ pub trait RoutingTopology {
         let _ = node;
         None
     }
-
-    /// Expected greedy path length under uniform destinations — a
-    /// **sizing hint** (the simulators use it to pick scheduler bucket
-    /// counts; correctness never depends on it). The default samples
-    /// distances out of node 0, which is exact for vertex-transitive
-    /// topologies; implementations with closed forms override it.
-    fn mean_distance_hint(&self) -> f64 {
-        let n = self.num_nodes();
-        let stride = n.div_ceil(4096).max(1);
-        let mut total = 0usize;
-        let mut count = 0usize;
-        let mut dest = 0usize;
-        while dest < n {
-            total += self.distance(0, dest as u64);
-            count += 1;
-            dest += stride;
-        }
-        total as f64 / count as f64
-    }
 }
 
 /// A borrowed topology routes like the owned one. Every trait method is
@@ -198,9 +179,6 @@ impl<T: RoutingTopology + ?Sized> RoutingTopology for &T {
     }
     fn out_arc_range(&self, node: u64) -> Option<std::ops::Range<usize>> {
         (**self).out_arc_range(node)
-    }
-    fn mean_distance_hint(&self) -> f64 {
-        (**self).mean_distance_hint()
     }
 }
 
@@ -260,11 +238,6 @@ impl RoutingTopology for Hypercube {
                 );
             }
         }
-    }
-
-    /// Uniform destinations flip each bit with probability 1/2: `d/2`.
-    fn mean_distance_hint(&self) -> f64 {
-        self.dim() as f64 / 2.0
     }
 }
 
@@ -385,12 +358,6 @@ impl RoutingTopology for Butterfly {
     fn num_sources(&self) -> usize {
         self.num_rows()
     }
-
-    /// Every fault-free route is exactly `d` hops (the default sampler
-    /// would average over invalid below-level-`d` destinations).
-    fn mean_distance_hint(&self) -> f64 {
-        self.dim() as f64
-    }
 }
 
 impl RoutingTopology for Ring {
@@ -435,11 +402,6 @@ impl RoutingTopology for Ring {
             RingDirection::CounterClockwise => RingDirection::Clockwise,
         };
         out.push(self.arc_index(node, other));
-    }
-
-    /// Closed form: `(n-1)/2` clockwise-only, `⌊n²/4⌋/n` bidirectional.
-    fn mean_distance_hint(&self) -> f64 {
-        self.mean_path_length()
     }
 }
 
@@ -499,11 +461,6 @@ impl RoutingTopology for Torus {
             t /= k;
         }
     }
-
-    /// Closed form: `d·⌊k²/4⌋/k` (independent uniform ring offsets).
-    fn mean_distance_hint(&self) -> f64 {
-        self.mean_path_length()
-    }
 }
 
 impl RoutingTopology for DeBruijn {
@@ -549,12 +506,6 @@ impl RoutingTopology for DeBruijn {
         if self.shift(node, other) != node {
             out.push(self.arc_index(node, other));
         }
-    }
-
-    /// Closed form for the node-0 row: `n - 1 + 2^-n` (see
-    /// [`DeBruijn::mean_path_length_hint`]).
-    fn mean_distance_hint(&self) -> f64 {
-        self.mean_path_length_hint()
     }
 }
 
@@ -608,12 +559,6 @@ impl RoutingTopology for FatTree {
     /// Packets inject at the leaves, node ids `0..2^L` exactly.
     fn num_sources(&self) -> usize {
         self.num_leaves()
-    }
-
-    /// Closed form over uniform leaf destinations (see
-    /// [`FatTree::mean_path_length`]).
-    fn mean_distance_hint(&self) -> f64 {
-        self.mean_path_length()
     }
 }
 
@@ -689,7 +634,6 @@ mod tests {
             }
         }
         assert_eq!(RoutingTopology::num_arcs(&t), 64);
-        assert_eq!(t.mean_distance_hint(), t.mean_path_length());
     }
 
     #[test]
@@ -701,37 +645,6 @@ mod tests {
             }
         }
         assert_eq!(RoutingTopology::num_arcs(&g), 30);
-    }
-
-    #[test]
-    fn default_mean_distance_hint_samples_node_zero_row() {
-        // The ring override (closed form) must agree with the default
-        // sampling implementation on a vertex-transitive topology.
-        struct Plain(Ring);
-        impl RoutingTopology for Plain {
-            fn num_nodes(&self) -> usize {
-                RoutingTopology::num_nodes(&self.0)
-            }
-            fn num_arcs(&self) -> usize {
-                RoutingTopology::num_arcs(&self.0)
-            }
-            fn next_arc(&self, node: u64, dest: u64) -> Option<usize> {
-                self.0.next_arc(node, dest)
-            }
-            fn arc_tail(&self, arc: usize) -> u64 {
-                RoutingTopology::arc_tail(&self.0, arc)
-            }
-            fn arc_head(&self, arc: usize) -> u64 {
-                RoutingTopology::arc_head(&self.0, arc)
-            }
-            fn distance(&self, node: u64, dest: u64) -> usize {
-                RoutingTopology::distance(&self.0, node, dest)
-            }
-        }
-        for bidirectional in [false, true] {
-            let ring = Ring::new(24, bidirectional);
-            assert_eq!(Plain(ring).mean_distance_hint(), ring.mean_distance_hint());
-        }
     }
 
     #[test]
@@ -765,7 +678,6 @@ mod tests {
             }
         }
         assert_eq!(RoutingTopology::num_arcs(&f), 256);
-        assert_eq!(f.mean_distance_hint(), f.mean_path_length());
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Differential tests of the two future-event-list backends.
+//! Differential tests of the two scheduler kinds.
 //!
-//! The calendar queue's contract is not "statistically equivalent" but
-//! **bit-identical**: for a fixed seed, a simulation driven by the
-//! calendar backend must pop every event in exactly the same order as the
-//! heap backend, consume exactly the same random draws, and therefore
-//! produce byte-for-byte equal reports. These tests run every simulator
-//! (through the unified `Scenario` spec, varying only
-//! `RunControl::scheduler`) across schemes, arrival models, and contention
-//! policies under both backends and compare full reports with `==` (the
-//! reports derive bit-exact `PartialEq`).
+//! Under `SchedulerKind::Calendar` (the default) the packet engine keeps
+//! its pending service completions in a unit-service FIFO, and the
+//! equivalent network uses the calendar queue; `SchedulerKind::Heap`
+//! selects the reference binary heap in both. The contract is not
+//! "statistically equivalent" but **bit-identical**: for a fixed seed, the
+//! FIFO (or calendar) must pop every event in exactly the same order as
+//! the heap, consume exactly the same random draws, and therefore produce
+//! byte-for-byte equal reports. These tests run every simulator (through
+//! the unified `Scenario` spec, varying only `RunControl::scheduler`)
+//! across schemes, arrival models, and contention policies under both
+//! kinds and compare full reports with `==` (the reports derive bit-exact
+//! `PartialEq`). Debug builds also assert on every FIFO push that its
+//! time does not precede the last one, so each run here checks the
+//! argument that makes the FIFO exact.
 
 use hyperroute::prelude::*;
 use hyperroute_desim::SchedulerKind;
@@ -215,9 +220,9 @@ fn equivalent_network_reports_identical_both_disciplines() {
 
 #[test]
 fn near_zero_rate_identical_and_terminates() {
-    // λ so small that the first merged arrival lands ~1e19 time units out:
-    // the calendar's epoch arithmetic must not overflow or spin, and both
-    // backends must agree on the (empty) run.
+    // λ so small that the first merged arrival lands ~1e19 time units out,
+    // far past the horizon: the run must terminate, and both completion
+    // lists must agree on it.
     let run = |kind| {
         Scenario::builder(Topology::Hypercube { dim: 3 })
             .lambda(1e-20)
@@ -264,7 +269,7 @@ fn instability_probe_without_drain_identical() {
 }
 
 /// Every corpus scenario (`scenarios/*.json`) under each backend, compared
-/// as report JSON bytes. The only heap/calendar check for the torus,
+/// as report JSON bytes. The only heap/FIFO check for the torus,
 /// de Bruijn, fat tree and sparse topologies, and for the faulty,
 /// dynamic-fault, `Escape` and hub-index runs.
 #[test]
