@@ -1951,7 +1951,8 @@ impl Sweep {
 
     /// Expand the contiguous sub-grid `start..start + len` (row-major
     /// order) into validated scenarios — the slice-extraction hook behind
-    /// `hyperroute-grid`'s `GridSlice` jobs. Equivalent to
+    /// `hyperroute-grid`'s `SliceJob`s, which ship these scenarios to a
+    /// worker instead of the whole sweep. Equivalent to
     /// `self.scenarios()?[start..start + len]` without expanding points
     /// outside the slice.
     ///

@@ -4,8 +4,9 @@
 //!
 //! `hyperroute-core`'s [`Sweep`](hyperroute_core::scenario::Sweep) fans
 //! out over local threads inside one process. This crate is everything
-//! above that: it cuts any sweep into serialisable [`GridSlice`] jobs,
-//! runs them through a pluggable [`ExecBackend`], and deterministically
+//! above that: it cuts any sweep into [`GridSlice`]s, runs them through
+//! a pluggable [`ExecBackend`] (a worker process receives a slice as its
+//! [`SliceJob`]: the scenarios of its own points), and deterministically
 //! merges the out-of-order results back into the row-major
 //! `Vec<Report>` that `Sweep::run` would have produced —
 //! **byte-identical**, whatever the backend, worker count, completion
@@ -19,7 +20,7 @@
 //!
 //! | layer | type | job |
 //! |---|---|---|
-//! | slicing | [`GridSlice`], [`partition`], [`merge`] | cut a grid into self-contained JSON jobs; reassemble results |
+//! | slicing | [`GridSlice`], [`SliceJob`], [`partition`], [`merge`] | cut a grid into slices that share one sweep; ship each as a job of its own scenarios; reassemble results |
 //! | execution | [`ExecBackend`]: [`ThreadPoolBackend`], [`SubprocessBackend`] | run slices in-process or on subprocess workers with retry/timeout |
 //! | warm pools | [`WorkerPool`] | park live workers between campaigns; reuse instead of respawn |
 //! | caching | [`ReportCache`]: [`MemoryCache`], [`DiskCache`] | serve reports by [`CacheKey`] (canonical-scenario × engine fingerprint) |
@@ -122,7 +123,7 @@ pub use error::GridError;
 pub use service::{
     serve, CampaignState, ServiceConfig, ServiceReply, ServiceRequest, SweepService,
 };
-pub use slice::{merge, partition, GridSlice, SliceResult};
+pub use slice::{merge, partition, GridSlice, SliceJob, SliceResult};
 pub use subprocess::{
     run_worker, run_worker_with, SubprocessBackend, WorkerReply, WorkerRequest, PROTOCOL_VERSION,
 };

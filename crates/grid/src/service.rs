@@ -40,7 +40,7 @@ use crate::backend::ThreadPoolBackend;
 use crate::cache::{CacheStats, ReportCache};
 use crate::campaign::Campaign;
 use crate::error::GridError;
-use crate::subprocess::SubprocessBackend;
+use crate::subprocess::{next_request, SubprocessBackend};
 use crate::warm::WorkerPool;
 use hyperroute_core::scenario::{Report, Sweep};
 use serde::{Deserialize, Serialize};
@@ -414,12 +414,14 @@ impl Drop for SweepService {
 
 /// Serve NDJSON requests from `input` against `service` until EOF or a
 /// `Shutdown` request: one [`ServiceRequest`] per line in, one or more
-/// [`ServiceReply`] lines out (flushed per line). `Results` blocks the
-/// connection until the campaign finishes — submit first, stream later,
-/// and use separate connections for concurrent clients.
+/// [`ServiceReply`] lines out (flushed per line). A line that is not
+/// UTF-8 or not a request is answered with [`ServiceReply::Error`] and
+/// the session goes on. `Results` blocks the connection until the
+/// campaign finishes — submit first, stream later, and use separate
+/// connections for concurrent clients.
 pub fn serve(
     service: &SweepService,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
 ) -> std::io::Result<()> {
     let mut emit = |reply: &ServiceReply| -> std::io::Result<()> {
@@ -427,12 +429,9 @@ pub fn serve(
         writeln!(output, "{text}")?;
         output.flush()
     };
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<ServiceRequest>(&line) {
+    let mut buf = Vec::new();
+    while let Some(request) = next_request::<ServiceRequest>(&mut input, &mut buf)? {
+        match request {
             Err(e) => emit(&ServiceReply::Error {
                 message: format!("request line does not parse: {e}"),
             })?,
@@ -652,5 +651,25 @@ mod tests {
             replies[0]
         );
         assert_eq!(replies[1], ServiceReply::Bye);
+    }
+
+    #[test]
+    fn non_utf8_request_lines_get_error_replies_not_disconnects() {
+        let service = in_process_service();
+        let shutdown = serde_json::to_string(&ServiceRequest::Shutdown).unwrap();
+        let mut input = b"\xff\xfe\n".to_vec();
+        input.extend_from_slice(shutdown.as_bytes());
+        input.push(b'\n');
+        let mut output = Vec::new();
+        serve(&service, Cursor::new(input), &mut output).unwrap();
+        let replies: Vec<ServiceReply> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        let [ServiceReply::Error { message }, ServiceReply::Bye] = replies.as_slice() else {
+            panic!("expected an Error and a Bye, got {replies:?}");
+        };
+        assert!(message.contains("does not parse"), "{message}");
     }
 }

@@ -1,26 +1,32 @@
-//! Slicing a [`Sweep`] into serialisable jobs and merging out-of-order
-//! results back into row-major report order.
+//! Slicing a [`Sweep`] into jobs and merging out-of-order results back
+//! into row-major report order.
 //!
-//! A [`GridSlice`] is self-contained: it carries the full sweep spec plus
-//! the contiguous row-major range it covers, so it can cross a process or
-//! machine boundary as one JSON line and be executed with nothing but
-//! this crate on the other side. [`merge`] is the inverse — results
-//! arrive in whatever order the backend finishes them and come back out
-//! exactly as `Sweep::run` would have produced them.
+//! A [`GridSlice`] is the dispatcher's handle on a contiguous row-major
+//! range of grid points: its id, its range, and the sweep it is cut
+//! from, shared through one [`Arc`] by every slice of a [`partition`].
+//! What crosses a process or machine boundary is the slice's
+//! [`SliceJob`]: the scenarios of its own points and nothing else, so a
+//! job's JSON line does not grow with the sweep, and it executes with
+//! nothing but this crate on the other side. [`merge`] is the inverse —
+//! results arrive in whatever order the backend finishes them and come
+//! back out exactly as `Sweep::run` would have produced them.
 
 use crate::error::GridError;
-use hyperroute_core::scenario::{Report, Sweep};
+use hyperroute_core::scenario::{Report, Scenario, Sweep};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-/// One serialisable unit of sweep work: a contiguous row-major range of
-/// grid points cut from a [`Sweep`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One unit of sweep work: a contiguous row-major range of grid points
+/// cut from a [`Sweep`]. It stays in the dispatching process; its
+/// [`SliceJob`] is what a worker receives.
+#[derive(Clone, Debug, PartialEq)]
 pub struct GridSlice {
     /// Slice id, unique within its campaign (the index in partition
     /// order, so `id` also orders slices by `start`).
     pub id: u64,
-    /// The sweep this slice is cut from.
-    pub sweep: Sweep,
+    /// The sweep this slice is cut from, shared by every slice of one
+    /// [`partition`].
+    pub sweep: Arc<Sweep>,
     /// First grid point covered (row-major index).
     pub start: usize,
     /// Number of grid points covered.
@@ -28,33 +34,19 @@ pub struct GridSlice {
 }
 
 impl GridSlice {
-    /// Run every grid point of this slice serially, in row-major order.
-    ///
-    /// Each point is a deterministic function of the sweep spec and its
-    /// index, so executing the same slice anywhere — any process, any
-    /// machine, any number of times — yields the same reports.
-    pub fn execute(&self) -> Result<SliceResult, GridError> {
-        self.execute_with(&mut |_, _| {})
-    }
-
-    /// [`GridSlice::execute`] with progress reporting: `progress(done,
-    /// total)` fires after each grid point completes. The callback sees
-    /// only counts — it cannot touch the runs — so observed and
-    /// unobserved executions produce identical reports. Workers use this
-    /// to emit heartbeat lines mid-slice.
-    pub fn execute_with(
-        &self,
-        progress: &mut dyn FnMut(usize, usize),
-    ) -> Result<SliceResult, GridError> {
+    /// The job that executes this slice: its points' validated scenarios,
+    /// derived from the sweep exactly as `Sweep::run` derives them (axis
+    /// values applied, per-point seed set).
+    pub fn job(&self) -> Result<SliceJob, GridError> {
         if self
             .start
             .checked_add(self.len)
             .is_none_or(|end| end > self.sweep.len())
         {
-            // A malformed job from across a process boundary must come
-            // back as an error line, not a worker abort. This is a
-            // deterministic property of the job itself, so it carries
-            // the no-retry error category.
+            // The fields are public, so a slice can claim points past the
+            // grid; that is an error, not a panic in `slice_scenarios`.
+            // It is a property of the slice itself, so it carries the
+            // no-retry error category.
             return Err(GridError::SliceFailed {
                 slice: self.id,
                 message: format!(
@@ -65,10 +57,63 @@ impl GridSlice {
                 ),
             });
         }
-        let scenarios = self.sweep.slice_scenarios(self.start, self.len)?;
-        let total = scenarios.len();
+        Ok(SliceJob {
+            id: self.id,
+            start: self.start,
+            scenarios: self.sweep.slice_scenarios(self.start, self.len)?,
+        })
+    }
+
+    /// Run every grid point of this slice serially, in row-major order.
+    ///
+    /// Each point is a deterministic function of the sweep spec and its
+    /// index, so executing the same slice anywhere — any process, any
+    /// machine, any number of times — yields the same reports.
+    pub fn execute(&self) -> Result<SliceResult, GridError> {
+        self.execute_with(&mut |_, _| {})
+    }
+
+    /// [`GridSlice::execute`] with progress reporting (see
+    /// [`SliceJob::execute_with`]): the slice's job, run in this process.
+    pub fn execute_with(
+        &self,
+        progress: &mut dyn FnMut(usize, usize),
+    ) -> Result<SliceResult, GridError> {
+        self.job()?.execute_with(progress)
+    }
+}
+
+/// The wire form of a [`GridSlice`]: one JSON line that holds the
+/// scenarios of the slice's own points. A job is a pure function of its
+/// line — no campaign state on either side — so any worker can run it,
+/// any number of times, with the same reports.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SliceJob {
+    /// Id of the slice this job executes.
+    pub id: u64,
+    /// Row-major index of the first point.
+    pub start: usize,
+    /// One scenario per grid point, in row-major order.
+    pub scenarios: Vec<Scenario>,
+}
+
+impl SliceJob {
+    /// Run every scenario serially, in order; `progress(done, total)`
+    /// fires after each point completes. The callback sees only counts —
+    /// it cannot touch the runs — so observed and unobserved executions
+    /// produce identical reports. Workers use it to emit heartbeat lines
+    /// mid-slice.
+    ///
+    /// Each scenario is validated before it runs, so a job from across
+    /// a process boundary that holds an invalid point fails with
+    /// [`GridError::Config`] instead of running it.
+    pub fn execute_with(
+        &self,
+        progress: &mut dyn FnMut(usize, usize),
+    ) -> Result<SliceResult, GridError> {
+        let total = self.scenarios.len();
         let mut reports = Vec::with_capacity(total);
-        for scenario in scenarios {
+        for scenario in &self.scenarios {
             reports.push(scenario.run()?);
             progress(reports.len(), total);
         }
@@ -94,7 +139,8 @@ pub struct SliceResult {
 
 /// Cut `sweep` into slices of at most `slice_len` points each, in
 /// row-major order. The final slice absorbs the remainder; an empty grid
-/// partitions into no slices.
+/// partitions into no slices. The sweep is copied once and shared by
+/// every slice.
 ///
 /// # Panics
 ///
@@ -102,12 +148,13 @@ pub struct SliceResult {
 pub fn partition(sweep: &Sweep, slice_len: usize) -> Vec<GridSlice> {
     assert!(slice_len > 0, "slice length must be positive");
     let total = sweep.len();
+    let shared = Arc::new(sweep.clone());
     (0..total.div_ceil(slice_len))
         .map(|i| {
             let start = i * slice_len;
             GridSlice {
                 id: i as u64,
-                sweep: sweep.clone(),
+                sweep: Arc::clone(&shared),
                 start,
                 len: slice_len.min(total - start),
             }
@@ -227,8 +274,12 @@ mod tests {
             id: 9,
             start: 4,
             len: 3, // past the 5-point grid
-            sweep,
+            sweep: Arc::new(sweep),
         };
+        assert!(matches!(
+            bogus.job(),
+            Err(GridError::SliceFailed { slice: 9, .. })
+        ));
         assert!(matches!(
             bogus.execute(),
             Err(GridError::SliceFailed { slice: 9, .. })
@@ -237,10 +288,16 @@ mod tests {
 
     #[test]
     fn slice_round_trips_through_json() {
+        // A slice crosses a process boundary as its job.
         let slice = partition(&small_sweep(), 2).remove(1);
-        let text = serde_json::to_string(&slice).unwrap();
-        let back: GridSlice = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, slice);
-        assert_eq!(back.execute().unwrap(), slice.execute().unwrap());
+        let job = slice.job().unwrap();
+        assert_eq!((job.id, job.start, job.scenarios.len()), (1, 2, 2));
+        let text = serde_json::to_string(&job).unwrap();
+        let back: SliceJob = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, job);
+        assert_eq!(
+            back.execute_with(&mut |_, _| {}).unwrap(),
+            slice.execute().unwrap()
+        );
     }
 }

@@ -13,16 +13,18 @@
 //! Every request line is a tagged [`WorkerRequest`]. The dispatcher
 //! opens the session with `Hello` (protocol version handshake), marks
 //! campaign boundaries with `CampaignSubmit`, parks an idle worker with
-//! `Drain`, and retires it with `Shutdown`. A line that does not parse
-//! as a request (a bare [`GridSlice`] included) is answered with a
+//! `Drain`, and retires it with `Shutdown`. A `Slice` request carries the
+//! slice's [`SliceJob`]: the scenarios of its own points, not the sweep
+//! they were cut from. A line that does not parse as a request (a bare
+//! job, or a line that is not UTF-8) is answered with a
 //! [`WorkerReply::Err`] whose id is `u64::MAX`.
 //!
 //! ```text
-//! dispatcher → worker:  {"Hello":{"version":2}}\n
-//! worker → dispatcher:  {"HelloOk":{"version":2}}\n
+//! dispatcher → worker:  {"Hello":{"version":3}}\n
+//! worker → dispatcher:  {"HelloOk":{"version":3}}\n
 //! dispatcher → worker:  {"CampaignSubmit":{"campaign":7}}\n
 //! worker → dispatcher:  {"CampaignAck":{"campaign":7}}\n
-//! dispatcher → worker:  {"Slice":{"id":3,"sweep":{…},"start":12,"len":4}}\n
+//! dispatcher → worker:  {"Slice":{"id":3,"start":12,"scenarios":[…]}}\n
 //! worker → dispatcher:  {"Progress":{"id":3,"done":2,"total":4,"rows_per_sec":1.7}}\n  (zero or more)
 //!                       {"Ok":{"id":3,"start":12,"reports":[…]}}\n
 //! dispatcher → worker:  "Drain"\n            (park in the warm pool)
@@ -55,7 +57,7 @@
 //!
 //! # Fault handling
 //!
-//! Workers hold no campaign state — a slice is a pure function of its
+//! Workers hold no campaign state — a job is a pure function of its
 //! JSON — so every failure mode has the same cure: kill the process,
 //! spawn a fresh one, hand the slice to someone else. The dispatcher
 //! retries a slice after a crash (stdin/stdout closed), a reply timeout,
@@ -70,7 +72,7 @@
 
 use crate::backend::ExecBackend;
 use crate::error::GridError;
-use crate::slice::{GridSlice, SliceResult};
+use crate::slice::{GridSlice, SliceJob, SliceResult};
 use crate::warm::{pool_key, WorkerPool};
 use hyperroute_desim::splitmix64;
 use serde::{Deserialize, Serialize};
@@ -85,12 +87,9 @@ use std::time::{Duration, Instant};
 /// Version of the worker protocol spoken by this build. A dispatcher
 /// opens every worker with `Hello` and refuses one that answers with a
 /// different version.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// One request line of the worker protocol.
-// Wire enum: boxing `Slice` would complicate the stable NDJSON framing
-// for a transient, one-per-line value.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WorkerRequest {
     /// Protocol handshake: the dispatcher announces its version and the
@@ -99,8 +98,8 @@ pub enum WorkerRequest {
         /// Dispatcher protocol version (see [`PROTOCOL_VERSION`]).
         version: u32,
     },
-    /// Execute one slice.
-    Slice(GridSlice),
+    /// Execute one slice's job.
+    Slice(SliceJob),
     /// The worker is now serving this campaign. Doubles as the liveness
     /// ping when a worker is checked out of a warm pool: a parked
     /// process that died answers nothing and is discarded.
@@ -201,17 +200,14 @@ pub fn run_worker(input: impl BufRead, output: impl Write) -> std::io::Result<()
 /// a failed heartbeat write is dropped, and a genuinely broken pipe
 /// still surfaces on the terminal reply.
 pub fn run_worker_with(
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     heartbeat: Duration,
 ) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut buf = Vec::new();
+    while let Some(request) = next_request::<WorkerRequest>(&mut input, &mut buf)? {
         let mut retire = false;
-        let reply = match serde_json::from_str::<WorkerRequest>(&line) {
+        let reply = match request {
             Ok(WorkerRequest::Hello { version: _ }) => WorkerReply::HelloOk {
                 version: PROTOCOL_VERSION,
             },
@@ -221,11 +217,11 @@ pub fn run_worker_with(
                 retire = true;
                 WorkerReply::Bye
             }
-            Ok(WorkerRequest::Slice(slice)) => {
-                let id = slice.id;
+            Ok(WorkerRequest::Slice(job)) => {
+                let id = job.id;
                 let started = Instant::now();
                 let mut last_beat = started;
-                let outcome = slice.execute_with(&mut |done, total| {
+                let outcome = job.execute_with(&mut |done, total| {
                     if last_beat.elapsed() < heartbeat {
                         return;
                     }
@@ -261,6 +257,30 @@ pub fn run_worker_with(
         }
     }
     Ok(())
+}
+
+/// Read the next non-blank line of an NDJSON session and parse it as a
+/// request `R`; `Ok(None)` at EOF. A line that is not UTF-8 or not an
+/// `R` comes back as `Some(Err(why))`, so the session answers it and
+/// keeps serving. Only an IO error on `input` ends the session.
+pub(crate) fn next_request<R: for<'de> Deserialize<'de>>(
+    input: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<Option<Result<R, String>>> {
+    loop {
+        buf.clear();
+        if input.read_until(b'\n', buf)? == 0 {
+            return Ok(None);
+        }
+        let line = buf.strip_suffix(b"\n").unwrap_or(buf);
+        let line = match std::str::from_utf8(line) {
+            Ok(line) => line,
+            Err(e) => return Ok(Some(Err(format!("not UTF-8: {e}")))),
+        };
+        if !line.trim().is_empty() {
+            return Ok(Some(serde_json::from_str(line).map_err(|e| e.to_string())));
+        }
+    }
 }
 
 /// Backend that fans slices out to subprocess workers.
@@ -554,6 +574,19 @@ impl SubprocessBackend {
         proc: &mut Option<WorkerProc>,
         campaign: u64,
     ) -> RoundOutcome {
+        // The job comes first: a point that fails validation fails the
+        // slice exactly as a worker's `Err` reply would, without
+        // spawning or pinging a worker.
+        let request = match slice.job() {
+            Ok(job) => WorkerRequest::Slice(job),
+            Err(e) => {
+                return RoundOutcome::Fatal(GridError::SliceFailed {
+                    slice: slice.id,
+                    message: e.to_string(),
+                })
+            }
+        };
+        let line = serde_json::to_string(&request).expect("requests always serialise");
         if proc.is_none() {
             match self.acquire(campaign) {
                 Ok(p) => *proc = Some(p),
@@ -561,10 +594,7 @@ impl SubprocessBackend {
             }
         }
         let worker = proc.as_mut().expect("acquired above");
-        // The `WorkerRequest::Slice` frame, written around the borrowed
-        // slice instead of cloning it into a request.
-        let slice_json = serde_json::to_string(slice).expect("slices always serialise");
-        if let Err(e) = worker.send_line(&format!("{{\"Slice\":{slice_json}}}")) {
+        if let Err(e) = worker.send_line(&line) {
             return RoundOutcome::Lost(e);
         }
         // Heartbeats are keep-alives: each Progress line for the pending
@@ -761,11 +791,23 @@ mod tests {
         Sweep::new(base, vec![Axis::new(SweepParam::Lambda, vec![0.4, 0.8])])
     }
 
+    /// The `WorkerRequest::Slice` line of one slice.
+    fn slice_line(slice: &GridSlice) -> String {
+        serde_json::to_string(&WorkerRequest::Slice(slice.job().unwrap())).unwrap()
+    }
+
     /// One `WorkerRequest::Slice` line per slice.
     fn slice_lines(slices: &[GridSlice]) -> String {
-        slices
-            .iter()
-            .map(|s| serde_json::to_string(&WorkerRequest::Slice(s.clone())).unwrap() + "\n")
+        slices.iter().map(|s| slice_line(s) + "\n").collect()
+    }
+
+    /// Every reply line the worker wrote, heartbeats dropped.
+    fn terminal_replies(output: Vec<u8>) -> Vec<WorkerReply> {
+        String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .filter(|r| !matches!(r, WorkerReply::Progress { .. }))
             .collect()
     }
 
@@ -775,13 +817,8 @@ mod tests {
         let input = slice_lines(&slices);
         let mut output = Vec::new();
         run_worker(Cursor::new(input), &mut output).unwrap();
-        let text = String::from_utf8(output).unwrap();
         // Heartbeats are a side channel; only terminal replies frame jobs.
-        let replies: Vec<WorkerReply> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .filter(|r| !matches!(r, WorkerReply::Progress { .. }))
-            .collect();
+        let replies = terminal_replies(output);
         assert_eq!(replies.len(), slices.len());
         for (reply, slice) in replies.iter().zip(&slices) {
             let WorkerReply::Ok(result) = reply else {
@@ -792,7 +829,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_speaks_the_v2_session_protocol() {
+    fn worker_speaks_the_session_protocol() {
         let slices = partition(&small_sweep(), 1);
         let slice = &slices[0];
         let mut input = String::new();
@@ -801,7 +838,7 @@ mod tests {
                 version: PROTOCOL_VERSION,
             },
             WorkerRequest::CampaignSubmit { campaign: 7 },
-            WorkerRequest::Slice(slice.clone()),
+            WorkerRequest::Slice(slice.job().unwrap()),
             WorkerRequest::Drain,
             WorkerRequest::Shutdown,
         ] {
@@ -810,14 +847,8 @@ mod tests {
         }
         let mut output = Vec::new();
         run_worker(Cursor::new(input), &mut output).unwrap();
-        let replies: Vec<WorkerReply> = String::from_utf8(output)
-            .unwrap()
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .filter(|r| !matches!(r, WorkerReply::Progress { .. }))
-            .collect();
         assert_eq!(
-            replies,
+            terminal_replies(output),
             vec![
                 WorkerReply::HelloOk {
                     version: PROTOCOL_VERSION
@@ -846,10 +877,13 @@ mod tests {
 
     #[test]
     fn bare_slice_lines_are_rejected() {
-        // A slice must arrive framed as `WorkerRequest::Slice`; a bare
-        // slice line is a malformed request, answered without running.
+        // A job must arrive framed as `WorkerRequest::Slice`; a bare job
+        // line is a malformed request, answered without running.
         let slices = partition(&small_sweep(), 1);
-        let bare = format!("{}\n", serde_json::to_string(&slices[0]).unwrap());
+        let bare = format!(
+            "{}\n",
+            serde_json::to_string(&slices[0].job().unwrap()).unwrap()
+        );
         let mut output = Vec::new();
         run_worker_with(Cursor::new(bare), &mut output, Duration::ZERO).unwrap();
         let replies: Vec<WorkerReply> = String::from_utf8(output)
@@ -910,16 +944,22 @@ mod tests {
         // declaring the worker lost (retries are disabled, so a spurious
         // timeout would fail the whole batch). It answers the handshake
         // and the first campaign's marker before reading the slice.
-        let script = concat!(
-            r#"read line; echo '{"HelloOk":{"version":2}}'; "#,
-            r#"read line; echo '{"CampaignAck":{"campaign":0}}'; "#,
-            "read line; ",
-            r#"for i in 1 2 3 4; do "#,
-            r#"echo "{\"Progress\":{\"id\":0,\"done\":$i,\"total\":4,\"rows_per_sec\":1.0}}"; "#,
-            "sleep 0.3; done; ",
-            r#"echo '{"Ok":{"id":0,"start":0,"reports":[]}}'"#,
+        let hello = serde_json::to_string(&WorkerReply::HelloOk {
+            version: PROTOCOL_VERSION,
+        })
+        .unwrap();
+        let script = format!(
+            "read line; echo '{hello}'; {}",
+            concat!(
+                r#"read line; echo '{"CampaignAck":{"campaign":0}}'; "#,
+                "read line; ",
+                r#"for i in 1 2 3 4; do "#,
+                r#"echo "{\"Progress\":{\"id\":0,\"done\":$i,\"total\":4,\"rows_per_sec\":1.0}}"; "#,
+                "sleep 0.3; done; ",
+                r#"echo '{"Ok":{"id":0,"start":0,"reports":[]}}'"#,
+            )
         );
-        let backend = SubprocessBackend::new(vec!["sh".into(), "-c".into(), script.into()], 1)
+        let backend = SubprocessBackend::new(vec!["sh".into(), "-c".into(), script], 1)
             .with_timeout(Duration::from_millis(600))
             .with_max_retries(0);
         let jobs = partition(&small_sweep(), 100);
@@ -936,15 +976,74 @@ mod tests {
 
     #[test]
     fn worker_reports_malformed_and_invalid_jobs_without_dying() {
-        let input = "not json\n".to_string();
+        // A job reaches the worker as plain scenarios, so one can hold a
+        // point that fails validation; it must be answered with an `Err`
+        // for its id, and the next job must still run.
+        let slices = partition(&small_sweep(), 1);
+        let mut invalid = slices[0].job().unwrap();
+        invalid.id = 5;
+        invalid.scenarios[0].workload.p = 1.5;
+        let input = format!(
+            "not json\n{}\n{}\n",
+            serde_json::to_string(&WorkerRequest::Slice(invalid)).unwrap(),
+            slice_line(&slices[1]),
+        );
         let mut output = Vec::new();
         run_worker(Cursor::new(input), &mut output).unwrap();
-        let reply: WorkerReply =
-            serde_json::from_str(String::from_utf8(output).unwrap().trim()).unwrap();
-        let WorkerReply::Err { id, .. } = reply else {
-            panic!("malformed job must produce an Err reply");
+        let replies = terminal_replies(output);
+        let [WorkerReply::Err { id: unparsed, .. }, WorkerReply::Err { id: failed, .. }, WorkerReply::Ok(result)] =
+            replies.as_slice()
+        else {
+            panic!("expected Err, Err, Ok; got {replies:?}");
         };
-        assert_eq!(id, u64::MAX);
+        assert_eq!(*unparsed, u64::MAX);
+        assert_eq!(*failed, 5);
+        assert_eq!(result, &slices[1].execute().unwrap());
+    }
+
+    #[test]
+    fn worker_answers_a_non_utf8_line_and_keeps_serving() {
+        let hello = serde_json::to_string(&WorkerRequest::Hello {
+            version: PROTOCOL_VERSION,
+        })
+        .unwrap();
+        let mut input = b"\xff\xfe\n".to_vec();
+        input.extend_from_slice(hello.as_bytes());
+        input.push(b'\n');
+        let mut output = Vec::new();
+        run_worker(Cursor::new(input), &mut output).unwrap();
+        let replies = terminal_replies(output);
+        let [WorkerReply::Err { id, message }, hello_ok] = replies.as_slice() else {
+            panic!("expected an Err and a HelloOk, got {replies:?}");
+        };
+        assert_eq!(*id, u64::MAX);
+        assert!(message.contains("does not parse"), "{message}");
+        assert_eq!(
+            *hello_ok,
+            WorkerReply::HelloOk {
+                version: PROTOCOL_VERSION
+            }
+        );
+    }
+
+    #[test]
+    fn slice_request_lines_hold_only_their_own_points() {
+        // Point 0 derives the same scenario and seed in both sweeps, so
+        // its one-point slice ships the same line whether the sweep has
+        // one point or 2000.
+        let base = small_sweep().base;
+        let lambdas: Vec<f64> = (0..2000).map(|i| 0.4 + i as f64 * 1e-4).collect();
+        let one = Sweep::new(
+            base.clone(),
+            vec![Axis::new(SweepParam::Lambda, vec![lambdas[0]])],
+        );
+        let many = Sweep::new(base, vec![Axis::new(SweepParam::Lambda, lambdas)]);
+        let slices = partition(&many, 1);
+        assert_eq!(slice_line(&partition(&one, 1)[0]), slice_line(&slices[0]));
+        // Every slice of one partition shares one copy of the sweep.
+        assert!(slices
+            .iter()
+            .all(|s| Arc::ptr_eq(&s.sweep, &slices[0].sweep)));
     }
 
     #[test]
@@ -986,6 +1085,23 @@ mod tests {
         let jobs = partition(&small_sweep(), 1);
         let err = backend.execute(&jobs, &mut |_| Ok(())).unwrap_err();
         assert!(matches!(err, GridError::Spawn { .. }), "{err}");
+    }
+
+    #[test]
+    fn invalid_point_fails_its_slice_before_a_worker_is_spawned() {
+        // The command cannot spawn, so reaching a worker would surface as
+        // a spawn error; the invalid point must fail its slice first.
+        let mut sweep = small_sweep();
+        sweep.axes = vec![Axis::new(SweepParam::Lambda, vec![-1.0])];
+        let backend = SubprocessBackend::new(vec![], 1);
+        let err = backend
+            .execute(&partition(&sweep, 1), &mut |_| Ok(()))
+            .unwrap_err();
+        assert!(
+            matches!(err, GridError::SliceFailed { slice: 0, .. }),
+            "{err}"
+        );
+        assert_eq!(backend.pool.spawns(), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use hyperroute_core::scenario::{Axis, Report, Scenario, Sweep, SweepParam, Topol
 use hyperroute_grid::{
     partition, Campaign, CampaignState, DiskCache, ExecBackend, GridError, GridSlice, MemoryCache,
     ReportCache, ServiceConfig, ServiceReply, ServiceRequest, SliceResult, SubprocessBackend,
-    SweepService, ThreadPoolBackend, WorkerPool,
+    SweepService, ThreadPoolBackend, WorkerPool, WorkerReply, PROTOCOL_VERSION,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -252,13 +252,12 @@ fn kill_and_resume_recomputes_only_unfinished_slices() {
 /// campaign (`Hello`, then `CampaignSubmit` for campaign 0), so that
 /// whatever `then` does happens after a slice was sent.
 fn handshaking_stub(then: &str) -> String {
+    let hello = serde_json::to_string(&WorkerReply::HelloOk {
+        version: PROTOCOL_VERSION,
+    })
+    .unwrap();
     format!(
-        concat!(
-            r#"read line; echo '{{"HelloOk":{{"version":2}}}}'; "#,
-            r#"read line; echo '{{"CampaignAck":{{"campaign":0}}}}'; "#,
-            "{then}"
-        ),
-        then = then
+        r#"read line; echo '{hello}'; read line; echo '{{"CampaignAck":{{"campaign":0}}}}'; {then}"#
     )
 }
 

@@ -5,9 +5,11 @@
 //!
 //! What this demonstrates, end to end:
 //!
-//! 1. **Slicing** — the sweep is partitioned into self-contained
-//!    [`hyperroute_grid::GridSlice`] jobs (each carries the full spec, so
-//!    it can cross a process/machine boundary as one JSON line).
+//! 1. **Slicing** — the sweep is partitioned into
+//!    [`hyperroute_grid::GridSlice`]s; each ships to a worker as a
+//!    [`hyperroute_grid::SliceJob`] that holds only its own points'
+//!    scenarios, one JSON line that can cross a process/machine
+//!    boundary.
 //! 2. **Backends** — the same campaign runs on the in-process thread
 //!    pool and on `hyperroute-grid worker` subprocesses speaking the
 //!    NDJSON protocol; both merge to identical reports.
