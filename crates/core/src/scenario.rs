@@ -974,22 +974,38 @@ impl Scenario {
         Ok(scenario)
     }
 
-    /// Content hash of this scenario's **canonical form** — the exact
-    /// [`Scenario::to_json`] rendering — folded with [`ENGINE_FINGERPRINT`].
+    /// Content hash of this scenario's **canonical form**, folded with
+    /// [`ENGINE_FINGERPRINT`]: the key the grid's report cache files
+    /// this scenario's report under.
     ///
-    /// Because the hash is computed over the canonical re-rendering (not
-    /// whatever JSON text the scenario was parsed from), two scenario
-    /// files that differ only in field order, whitespace, or explicitly-
-    /// `null` optional fields hash identically, while **any** semantic
-    /// field change (a different seed, λ, scheduler, …) changes the
-    /// key. Folding in the engine fingerprint invalidates every key when
-    /// an engine change moves report bytes — a stale content-addressed
-    /// cache can never serve reports from an older engine.
+    /// The canonical form is the scenario's serde data model, the `Value`
+    /// tree that [`Scenario::to_json`] and the compact wire rendering are
+    /// both written from. The hash walks that tree once and feeds
+    /// FNV-1a-128 one little-endian `u64` word at a time, without
+    /// building any JSON text. Each node is a type tag and then its
+    /// payload:
+    ///
+    /// * an integer as itself, a finite float as its bits;
+    /// * a string or object key as its byte length, then 8-byte chunks;
+    /// * an array or object as its length, then its items (object fields
+    ///   in declaration order).
+    ///
+    /// The framing is prefix-free, so two scenarios feed the hash the
+    /// same words exactly when their JSON renderings are equal (a
+    /// non-finite float hashes as `null`, which is how JSON writes it).
+    /// Field order, whitespace and explicitly-`null` optional fields in
+    /// the text a scenario was parsed from never reach the tree, so they
+    /// never move the key, while any semantic change (a seed, λ, a
+    /// topology variant, …) does. The key-scheme version string and the
+    /// engine fingerprint follow the tree: an engine change that moves
+    /// report bytes bumps the fingerprint and so invalidates every key,
+    /// and a stale content-addressed cache can never serve reports from
+    /// an older engine.
     pub fn canonical_hash(&self) -> ScenarioHash {
         let mut h = Fnv128::new();
-        h.write(self.to_json().as_bytes());
-        h.write(&[0]);
-        h.write(ENGINE_FINGERPRINT.as_bytes());
+        h.value(&serde_json::to_value(self));
+        h.bytes(KEY_SCHEME.as_bytes());
+        h.bytes(ENGINE_FINGERPRINT.as_bytes());
         ScenarioHash(h.finish())
     }
 
@@ -1014,6 +1030,14 @@ impl Scenario {
     }
 }
 
+/// Version of the word framing [`Scenario::canonical_hash`] feeds its
+/// hash, folded into every key. Change it in the same commit as any change
+/// that moves keys without moving reports (the framing, the hash, the
+/// serialised field names or order): the pinned keys in
+/// `crates/grid/tests/proptest_cache_key.rs` are the tell. Version 1
+/// hashed the pretty JSON text byte by byte.
+const KEY_SCHEME: &str = "hyperroute-key/v2 value-words fnv1a-128";
+
 /// Fingerprint of every engine behaviour that can move report bytes.
 ///
 /// [`Scenario::canonical_hash`] folds this string into the key, so a
@@ -1037,10 +1061,13 @@ impl std::fmt::Display for ScenarioHash {
     }
 }
 
-/// FNV-1a, 128-bit variant: tiny, dependency-free, and stable across
-/// platforms and std releases (unlike `DefaultHasher`), which is what a
-/// cache shared between machines and CI runs needs. Not cryptographic —
-/// the cache is a determinism optimisation, not a security boundary.
+/// FNV-1a, 128-bit variant, fed whole `u64` words: tiny,
+/// dependency-free, and stable across platforms and std releases
+/// (unlike `DefaultHasher`), which is what a cache shared between
+/// machines and CI runs needs. Each step (xor, then multiply by an odd
+/// prime) is a bijection of the state, so two equally long word streams
+/// that differ in one word always hash apart. Not cryptographic — the
+/// cache is a determinism optimisation, not a security boundary.
 struct Fnv128 {
     state: u128,
 }
@@ -1049,16 +1076,85 @@ impl Fnv128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
+    // Type tags of the data model's node kinds.
+    const NULL: u64 = 0;
+    const BOOL: u64 = 1;
+    const U64: u64 = 2;
+    const I64: u64 = 3;
+    const F64: u64 = 4;
+    const STRING: u64 = 5;
+    const ARRAY: u64 = 6;
+    const OBJECT: u64 = 7;
+
     fn new() -> Fnv128 {
         Fnv128 {
             state: Fnv128::OFFSET,
         }
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u128;
-            self.state = self.state.wrapping_mul(Fnv128::PRIME);
+    fn word(&mut self, word: u64) {
+        self.state ^= u128::from(word);
+        self.state = self.state.wrapping_mul(Fnv128::PRIME);
+    }
+
+    /// A byte string: its length, then its bytes in little-endian 8-byte
+    /// chunks, the last one zero-padded.
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.word(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    /// One node of the data model and everything below it.
+    fn value(&mut self, value: &serde_json::Value) {
+        use serde_json::Value;
+        match value {
+            Value::Null => self.word(Fnv128::NULL),
+            // JSON writes a non-finite float as `null`.
+            Value::F64(x) if !x.is_finite() => self.word(Fnv128::NULL),
+            Value::Bool(b) => {
+                self.word(Fnv128::BOOL);
+                self.word(u64::from(*b));
+            }
+            Value::U64(n) => {
+                self.word(Fnv128::U64);
+                self.word(*n);
+            }
+            Value::I64(n) => {
+                self.word(Fnv128::I64);
+                self.word(*n as u64);
+            }
+            Value::F64(x) => {
+                self.word(Fnv128::F64);
+                self.word(x.to_bits());
+            }
+            Value::String(s) => {
+                self.word(Fnv128::STRING);
+                self.bytes(s.as_bytes());
+            }
+            Value::Array(items) => {
+                self.word(Fnv128::ARRAY);
+                self.word(items.len() as u64);
+                for item in items {
+                    self.value(item);
+                }
+            }
+            Value::Object(fields) => {
+                self.word(Fnv128::OBJECT);
+                self.word(fields.len() as u64);
+                for (key, field) in fields {
+                    self.bytes(key.as_bytes());
+                    self.value(field);
+                }
+            }
         }
     }
 

@@ -1,11 +1,12 @@
 //! The content-addressed report cache.
 //!
 //! Five PRs of corpus gating prove that a [`Report`] is a **pure
-//! function** of its scenario's canonical JSON: same spec, same bytes,
-//! on any backend, worker count, or machine. This module turns that
-//! determinism into serving capacity — a [`ReportCache`] keyed by
-//! [`CacheKey`] (the scenario's [`Scenario::canonical_hash`], which
-//! already folds in the engine fingerprint) is consulted *before* any
+//! function** of its scenario: same spec, same bytes, on any backend,
+//! worker count, or machine. This module turns that determinism into
+//! serving capacity — a [`ReportCache`] keyed by [`CacheKey`] (the
+//! scenario's [`Scenario::canonical_hash`]: FNV-1a-128 over typed words
+//! walked from the scenario's serde data model, folded with a key-scheme
+//! version and the engine fingerprint) is consulted *before* any
 //! simulation, so repeated or overlapping sweeps are answered without
 //! simulating at all.
 //!
@@ -16,7 +17,8 @@
 //! * [`DiskCache`] — one `<hash>.report.json` per report, written with
 //!   an atomic temp-file-and-rename, so a cache directory survives kills,
 //!   resumes interrupted campaigns, and can be shared across service
-//!   restarts (and, over a network filesystem, machines).
+//!   restarts and between services running at once (and, over a network
+//!   filesystem, machines).
 //!
 //! Every implementation counts hits, misses, and inserts
 //! ([`CacheStats`]); the service surfaces the counters through its
@@ -27,10 +29,11 @@
 //! fresh simulation. [`MemoryCache`] stores the `Report` value itself
 //! (bit-exact by construction); [`DiskCache`] stores its canonical JSON,
 //! whose round trip is bit-exact by the same serde guarantees the
-//! corpus baselines rely on. A disk entry that fails to parse (a
-//! truncated file from a kill mid-write cannot happen thanks to the
-//! atomic rename, but a foreign or corrupted file can) is treated as a
-//! miss and overwritten — never trusted.
+//! corpus baselines rely on, behind a header line that names the entry's
+//! key and a digest of that JSON text. A disk entry whose header does not
+//! match its key and text (a truncated file from a kill mid-write cannot
+//! happen thanks to the atomic rename, but a foreign, moved, or corrupted
+//! file can) is treated as a miss and overwritten — never trusted.
 
 use hyperroute_core::scenario::{Report, Scenario, ScenarioHash};
 use serde::{Deserialize, Serialize};
@@ -41,10 +44,12 @@ use std::sync::Mutex;
 
 /// The content address of one report: the scenario's canonical hash.
 ///
-/// Equal keys mean "the engine would produce byte-identical reports";
-/// the engine fingerprint folded into [`Scenario::canonical_hash`]
-/// guarantees keys from an older engine never collide with the current
-/// one.
+/// Equal keys mean "the engine would produce byte-identical reports".
+/// The key is FNV-1a-128 over typed, length-prefixed `u64` words walked
+/// from the scenario's serde data model (see
+/// [`Scenario::canonical_hash`]), so representation never moves it and
+/// semantics always do; the engine fingerprint folded in guarantees keys
+/// from an older engine never collide with the current one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(pub ScenarioHash);
 
@@ -199,11 +204,31 @@ impl ReportCache for MemoryCache {
 /// On-disk cache: one `<hash>.report.json` per report in a flat
 /// directory.
 ///
-/// Writes go through an atomic write-then-rename, so a concurrent
-/// reader (another service process sharing the directory) only ever
-/// sees absent or complete files, and a kill mid-write leaves at worst
-/// an orphaned `.tmp`. Unparseable entries are misses, recomputed and
-/// overwritten.
+/// An entry is one header line, then the report's compact JSON:
+///
+/// ```text
+/// hyperroute-cache-entry/v1 <key: 32 hex digits> <FNV-1a-64 of the JSON text: 16 hex digits>
+/// {"delay":{...},...}
+/// ```
+///
+/// `get` serves an entry only when its header is exactly the one `put`
+/// would write for the requested key and the text that follows, so a
+/// truncated, byte-flipped or foreign file, or an entry copied under
+/// another key's name, is a miss, recomputed and overwritten.
+///
+/// Writes go through an atomic write-then-rename with a temp file of
+/// their own (named after the process id and a per-process counter), so
+/// a concurrent reader (another service process sharing the directory)
+/// only ever sees absent or complete files, writers never rename each
+/// other's half-written temp file, and a kill mid-write leaves at worst
+/// an orphaned `.tmp`.
+///
+/// A directory written before keys were hashed from the scenario's data
+/// model (key scheme v1, which hashed its pretty JSON text) holds
+/// entries under file names no scenario hashes to any more, without the
+/// header: every one of them misses and none is ever served, and the
+/// cache refills under the new keys. The stale files are never deleted;
+/// remove them (or the directory) to reclaim the space.
 pub struct DiskCache {
     dir: PathBuf,
     hits: AtomicU64,
@@ -236,9 +261,9 @@ impl DiskCache {
 
 impl ReportCache for DiskCache {
     fn get(&self, key: &CacheKey) -> Option<Report> {
-        let report = std::fs::read_to_string(self.entry_path(key))
+        let report = std::fs::read(self.entry_path(key))
             .ok()
-            .and_then(|text| serde_json::from_str::<Report>(&text).ok());
+            .and_then(|entry| read_entry(key, &entry));
         match report {
             Some(report) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -253,10 +278,11 @@ impl ReportCache for DiskCache {
 
     fn put(&self, key: &CacheKey, report: &Report) {
         let text = serde_json::to_string(report).expect("reports always serialise");
+        let entry = format!("{}\n{text}", entry_header(key, text.as_bytes()));
         // Best-effort: a full disk degrades the cache to misses, it does
         // not fail the campaign (the simulation result is already in
         // hand when `put` runs).
-        if atomic_write(&self.entry_path(key), &text).is_ok() {
+        if atomic_write(&self.entry_path(key), &entry).is_ok() {
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -270,11 +296,46 @@ impl ReportCache for DiskCache {
     }
 }
 
-/// Write-then-rename so observers only ever see absent or complete files.
+/// The first line of a [`DiskCache`] entry holding `text` under `key`.
+fn entry_header(key: &CacheKey, text: &[u8]) -> String {
+    format!("hyperroute-cache-entry/v1 {key} {:016x}", fnv1a64(text))
+}
+
+/// The report in `entry`, if it is exactly what [`DiskCache::put`]
+/// writes for `key`: any other bytes are a miss.
+fn read_entry(key: &CacheKey, entry: &[u8]) -> Option<Report> {
+    let newline = entry.iter().position(|&b| b == b'\n')?;
+    let (header, text) = (&entry[..newline], &entry[newline + 1..]);
+    if header != entry_header(key, text).as_bytes() {
+        return None;
+    }
+    serde_json::from_str(std::str::from_utf8(text).ok()?).ok()
+}
+
+/// FNV-1a, 64-bit: a stable digest of `bytes`. A change to any one byte
+/// always changes it.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Write-then-rename so observers only ever see absent or complete
+/// files. The temp file is this write's own (process id plus a
+/// process-wide counter), so concurrent writers of one path, in this
+/// process or another, never write or rename each other's temp file.
 fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "json.{}.{}.tmp",
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 #[cfg(test)]
@@ -386,6 +447,110 @@ mod tests {
         // Re-inserting heals the entry.
         cache.put(&key, &report);
         assert_eq!(cache.get(&key), Some(report));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn disk_cache_never_serves_an_edited_report() {
+        let dir = temp_dir("edited");
+        let cache = DiskCache::open(&dir).unwrap();
+        let s = scenario(17);
+        let key = CacheKey::for_scenario(&s);
+        let report = s.run().unwrap();
+        cache.put(&key, &report);
+        // An edit that still parses as a report the engine never produced.
+        let path = dir.join(format!("{key}.report.json"));
+        let entry = std::fs::read_to_string(&path).unwrap();
+        let generated = format!("\"generated\":{},", report.generated);
+        assert!(entry.contains(&generated), "{entry}");
+        let edited = format!("\"generated\":{},", report.generated + 1);
+        std::fs::write(&path, entry.replace(&generated, &edited)).unwrap();
+        assert_eq!(cache.get(&key), None, "an edited entry must not be served");
+        cache.put(&key, &report);
+        assert_eq!(cache.get(&key), Some(report));
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                inserts: 2
+            }
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn disk_cache_never_serves_an_entry_filed_under_another_key() {
+        let dir = temp_dir("moved");
+        let cache = DiskCache::open(&dir).unwrap();
+        let (a, b) = (scenario(19), scenario(20));
+        let (ka, kb) = (CacheKey::for_scenario(&a), CacheKey::for_scenario(&b));
+        cache.put(&ka, &a.run().unwrap());
+        std::fs::copy(
+            dir.join(format!("{ka}.report.json")),
+            dir.join(format!("{kb}.report.json")),
+        )
+        .unwrap();
+        assert_eq!(cache.get(&kb), None, "a's report is not b's");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn disk_cache_misses_an_entry_without_a_header() {
+        // Entries written before the header existed held the bare report
+        // JSON; one found under a current key is a miss, not a report.
+        let dir = temp_dir("headerless");
+        let cache = DiskCache::open(&dir).unwrap();
+        let s = scenario(21);
+        let key = CacheKey::for_scenario(&s);
+        let text = serde_json::to_string(&s.run().unwrap()).unwrap();
+        std::fs::write(dir.join(format!("{key}.report.json")), text).unwrap();
+        assert_eq!(cache.get(&key), None);
+        assert_eq!(cache.stats().misses, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn disk_cache_concurrent_puts_of_one_key_count_every_insert_and_always_hit() {
+        const PUTS: u64 = 300;
+        let dir = temp_dir("race");
+        let cache = DiskCache::open(&dir).unwrap();
+        let s = scenario(23);
+        let key = CacheKey::for_scenario(&s);
+        let report = s.run().unwrap();
+        cache.put(&key, &report);
+        // Two writers race on the one key while a reader reads it; the
+        // barrier starts all three together.
+        let start = std::sync::Barrier::new(3);
+        let served = std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..PUTS).for_each(|_| cache.put(&key, &report));
+                });
+            }
+            let reader = scope.spawn(|| {
+                start.wait();
+                (0..PUTS)
+                    .filter(|_| cache.get(&key).as_ref() == Some(&report))
+                    .count() as u64
+            });
+            reader.join().unwrap()
+        });
+        assert_eq!(
+            served, PUTS,
+            "every get after the first put serves the report"
+        );
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: PUTS,
+                misses: 0,
+                inserts: 1 + 2 * PUTS
+            }
+        );
+        // Every temp file was renamed into place.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,6 +19,7 @@ use crate::cache::{CacheKey, ReportCache};
 use crate::error::GridError;
 use crate::slice::{merge, partition, GridSlice, SliceResult};
 use hyperroute_core::scenario::{Report, Sweep};
+use std::collections::HashMap;
 
 /// A sliced sweep run: what to execute and how finely to slice it.
 #[derive(Clone, Debug)]
@@ -53,7 +54,8 @@ impl Campaign {
     /// `cache` (one [`CacheKey`] per grid point): a slice whose points
     /// are **all** hits is answered synthetically without touching the
     /// backend, while a slice with any miss executes in full and its
-    /// reports are inserted as soon as it finishes. A resubmitted
+    /// reports are inserted, under the keys it was probed with, as soon
+    /// as it finishes. A resubmitted
     /// campaign over a warm cache therefore performs *zero* simulations
     /// — assert it via [`crate::CacheStats`] — and an interrupted one
     /// resumes where it stopped. Smaller slices cache at finer
@@ -79,88 +81,107 @@ impl Campaign {
     ) -> Result<Vec<Report>, GridError> {
         let mut results = Vec::new();
         let mut pending: Vec<GridSlice> = Vec::new();
+        let mut owed: HashMap<u64, Owed> = HashMap::new();
         for slice in partition(&self.sweep, self.slice_len) {
-            match cache.map(|c| cached_slice(&slice, c)).transpose()? {
-                Some(Some(result)) => results.push(result),
-                // Uncached run, or at least one point missed the cache.
-                Some(None) | None => pending.push(slice),
-            }
+            let keys = match cache {
+                Some(c) => match probe(&slice, c)? {
+                    Probe::Hit(result) => {
+                        results.push(result);
+                        continue;
+                    }
+                    Probe::Miss(keys) => keys,
+                },
+                None => Vec::new(),
+            };
+            owed.insert(
+                slice.id,
+                Owed {
+                    start: slice.start,
+                    len: slice.len,
+                    keys,
+                },
+            );
+            pending.push(slice);
         }
         backend.execute(&pending, &mut |result| {
-            self.check_coverage(&result)?;
+            let keys = claim(&mut owed, &result)?;
             if let Some(c) = cache {
-                insert_slice(&self.sweep, &result, c)?;
+                for (key, report) in keys.iter().zip(&result.reports) {
+                    c.put(key, report);
+                }
             }
             results.push(result);
             Ok(())
         })?;
         merge(self.sweep.len(), results)
     }
+}
 
-    /// Refuse a result whose claimed range is not the one its slice id
-    /// was cut for. A worker's reply is outside input, and caching a
-    /// mislabelled result would file its reports under other points'
-    /// keys for every later run.
-    fn check_coverage(&self, result: &SliceResult) -> Result<(), GridError> {
-        // Slice ids are partition indices: slice `id` starts at
-        // `id · slice_len` and the last one absorbs the remainder.
-        let total = self.sweep.len();
-        let expected = usize::try_from(result.id)
-            .ok()
-            .and_then(|id| id.checked_mul(self.slice_len))
-            .filter(|&start| start < total)
-            .map(|start| (start, self.slice_len.min(total - start)));
-        let claimed = (result.start, result.reports.len());
-        if expected == Some(claimed) {
-            return Ok(());
-        }
-        Err(GridError::Merge(format!(
-            "slice {} claims points {}..{}, which is not its own range",
+/// A slice the backend has yet to deliver: its range, and the keys its
+/// points were probed under (none when the campaign runs uncached). Its
+/// reports are inserted under exactly these keys, so a campaign hashes
+/// each grid point once.
+struct Owed {
+    start: usize,
+    len: usize,
+    keys: Vec<CacheKey>,
+}
+
+/// Take the keys of the pending slice that `result` answers.
+///
+/// A worker's reply is outside input. A result for a slice that is not
+/// pending (an id no slice has, a slice the cache answered, or one
+/// already delivered) or for a range other than its slice's fails the
+/// campaign before anything is inserted: caching it would file its
+/// reports under other points' keys for every later run.
+fn claim(owed: &mut HashMap<u64, Owed>, result: &SliceResult) -> Result<Vec<CacheKey>, GridError> {
+    let claimed = (result.start, result.reports.len());
+    match owed.remove(&result.id) {
+        Some(slice) if (slice.start, slice.len) == claimed => Ok(slice.keys),
+        Some(slice) => Err(GridError::Merge(format!(
+            "slice {} claims points {}..{}, but its range is {}..{}",
             result.id,
             claimed.0,
-            claimed.0.saturating_add(claimed.1)
-        )))
+            claimed.0.saturating_add(claimed.1),
+            slice.start,
+            slice.start + slice.len
+        ))),
+        None => Err(GridError::Merge(format!(
+            "slice {} is not awaiting a result",
+            result.id
+        ))),
     }
 }
 
-/// Probe every point of `slice` against the cache; a full house of hits
-/// becomes a synthetic [`SliceResult`] (indistinguishable from an
-/// executed one), any miss returns `None` and the slice simulates.
-///
-/// All points are probed even after the first miss so the cache's
-/// hit/miss counters describe the whole slice, not a prefix.
-fn cached_slice(
-    slice: &GridSlice,
-    cache: &dyn ReportCache,
-) -> Result<Option<SliceResult>, GridError> {
+/// What probing a slice's points against the cache found.
+enum Probe {
+    /// Every point hit: the slice's result, answered from the cache and
+    /// indistinguishable from an executed one.
+    Hit(SliceResult),
+    /// At least one point missed, so the slice simulates: the key of
+    /// every point, in row-major order.
+    Miss(Vec<CacheKey>),
+}
+
+/// Probe every point of `slice` against the cache. All points are
+/// probed, even after the first miss, so the cache's hit/miss counters
+/// describe the whole slice, not a prefix.
+fn probe(slice: &GridSlice, cache: &dyn ReportCache) -> Result<Probe, GridError> {
     let scenarios = slice.sweep.slice_scenarios(slice.start, slice.len)?;
-    let mut reports = Vec::with_capacity(scenarios.len());
-    let mut complete = true;
-    for scenario in &scenarios {
-        match cache.get(&CacheKey::for_scenario(scenario)) {
-            Some(report) if complete => reports.push(report),
-            Some(_) => {}
-            None => complete = false,
-        }
-    }
-    Ok(complete.then_some(SliceResult {
-        id: slice.id,
-        start: slice.start,
-        reports,
-    }))
-}
-
-/// Insert every report of a freshly executed slice under its point's key.
-fn insert_slice(
-    sweep: &Sweep,
-    result: &SliceResult,
-    cache: &dyn ReportCache,
-) -> Result<(), GridError> {
-    let scenarios = sweep.slice_scenarios(result.start, result.reports.len())?;
-    for (scenario, report) in scenarios.iter().zip(&result.reports) {
-        cache.put(&CacheKey::for_scenario(scenario), report);
-    }
-    Ok(())
+    let keys: Vec<CacheKey> = scenarios.iter().map(CacheKey::for_scenario).collect();
+    // Exact capacity: a hit slice's reports live until the merge, and a
+    // `collect` here would reserve room for four per one-point slice.
+    let mut reports = Vec::with_capacity(keys.len());
+    reports.extend(keys.iter().filter_map(|key| cache.get(key)));
+    Ok(if reports.len() == keys.len() {
+        Probe::Hit(SliceResult {
+            id: slice.id,
+            start: slice.start,
+            reports,
+        })
+    } else {
+        Probe::Miss(keys)
+    })
 }
 
 #[cfg(test)]
@@ -326,8 +347,13 @@ mod tests {
         let sweep = small_sweep();
         let direct = sweep.run(1).unwrap();
         let cache = MemoryCache::new(64);
+        // Slice 1's result claims point 0: a worker reply that lies.
+        let relabel = Tamper(|mut results| {
+            results[1].start = 0;
+            results
+        });
         let err = Campaign::new(sweep.clone(), 1)
-            .run_cached(&RelabelBackend, &cache)
+            .run_cached(&relabel, &cache)
             .unwrap_err();
         assert!(matches!(err, GridError::Merge(_)), "{err}");
         // Point 0's key holds nothing or point 0's own report — never
@@ -338,22 +364,71 @@ mod tests {
         }
     }
 
-    /// Executes slices in order on one thread, labelling slice 1's
-    /// result as if it covered point 0 — a worker reply that lies.
-    struct RelabelBackend;
+    #[test]
+    fn result_for_no_pending_slice_fails_before_anything_is_inserted() {
+        use crate::cache::{CacheKey, MemoryCache, ReportCache};
+        let sweep = small_sweep();
+        let direct = sweep.run(1).unwrap();
+        // Each backend delivers, first, a result that names no pending
+        // slice; `inserted` is what the cache may hold afterwards.
+        let cases: [(&str, Tamper, u64); 3] = [
+            (
+                "an id no slice has",
+                Tamper(|mut results| {
+                    results[0].id = 99;
+                    results
+                }),
+                1,
+            ),
+            (
+                "the slice the cache answered",
+                Tamper(|mut results| {
+                    results[0].id = 0;
+                    results[0].start = 0;
+                    results
+                }),
+                1,
+            ),
+            (
+                "a slice delivered twice",
+                Tamper(|mut results| {
+                    results.insert(1, results[0].clone());
+                    results
+                }),
+                2,
+            ),
+        ];
+        for (what, backend, inserted) in cases {
+            // Point 0 is cached, so slice 0 never reaches the backend.
+            let cache = MemoryCache::new(64);
+            let point0 = &sweep.slice_scenarios(0, 1).unwrap()[0];
+            cache.put(&CacheKey::for_scenario(point0), &direct[0]);
+            let err = Campaign::new(sweep.clone(), 1)
+                .run_cached(&backend, &cache)
+                .unwrap_err();
+            assert!(matches!(err, GridError::Merge(_)), "{what}: {err}");
+            assert_eq!(cache.stats().inserts, inserted, "{what}");
+        }
+    }
 
-    impl ExecBackend for RelabelBackend {
+    /// Executes slices in order on one thread, then delivers the results
+    /// as the function rewrites them: worker replies that lie.
+    struct Tamper(fn(Vec<SliceResult>) -> Vec<SliceResult>);
+
+    impl ExecBackend for Tamper {
         fn execute(
             &self,
             jobs: &[GridSlice],
             on_result: &mut dyn FnMut(SliceResult) -> Result<(), GridError>,
         ) -> Result<(), GridError> {
-            ThreadPoolBackend::new(1).execute(jobs, &mut |mut result| {
-                if result.id == 1 {
-                    result.start = 0;
-                }
-                on_result(result)
-            })
+            let results = jobs
+                .iter()
+                .map(GridSlice::execute)
+                .collect::<Result<Vec<_>, _>>()?;
+            for result in (self.0)(results) {
+                on_result(result)?;
+            }
+            Ok(())
         }
     }
 

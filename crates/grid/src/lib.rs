@@ -46,12 +46,15 @@
 //!   slice lost with its worker goes to the back — scheduling never
 //!   affects output bytes, only wall time.
 //! * **Reports.** Every finished grid point is inserted into a
-//!   [`ReportCache`] keyed by [`CacheKey`]: the FNV-1a-128 hash of the
-//!   scenario's canonical JSON folded with the engine fingerprint.
-//!   Campaigns probe the cache before simulating, so resubmitting an
-//!   identical (or overlapping) sweep performs zero simulations and
-//!   still streams byte-identical reports. A fingerprint bump
-//!   invalidates every cached report at once.
+//!   [`ReportCache`] keyed by [`CacheKey`]: FNV-1a-128 over typed,
+//!   length-prefixed words walked from the scenario's serde data model
+//!   (no JSON text is built), folded with a key-scheme version and the
+//!   engine fingerprint. Campaigns probe the cache before simulating and
+//!   insert a slice's reports under the keys the probe computed, so a
+//!   grid point is hashed once per campaign; resubmitting an identical
+//!   (or overlapping) sweep performs zero simulations and still streams
+//!   byte-identical reports. A fingerprint bump invalidates every cached
+//!   report at once.
 //!
 //! # The worker protocol
 //!

@@ -34,21 +34,13 @@ const MAX_IDLE_PER_KEY: usize = 32;
 /// under (FNV-1a 64 over NUL-joined args, folded with the protocol
 /// version so a protocol bump can never resurrect stale workers).
 pub(crate) fn pool_key(cmd: &[String]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut byte = |b: u8| {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut bytes = Vec::new();
     for arg in cmd {
-        for b in arg.as_bytes() {
-            byte(*b);
-        }
-        byte(0);
+        bytes.extend_from_slice(arg.as_bytes());
+        bytes.push(0);
     }
-    for b in crate::subprocess::PROTOCOL_VERSION.to_le_bytes() {
-        byte(b);
-    }
-    hash
+    bytes.extend_from_slice(&crate::subprocess::PROTOCOL_VERSION.to_le_bytes());
+    crate::cache::fnv1a64(&bytes)
 }
 
 /// A pool of drained subprocess workers, keyed by worker-argv hash,

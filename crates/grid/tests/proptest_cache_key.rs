@@ -6,10 +6,11 @@
 //! so two JSON files that spell the same simulation differently (field
 //! order, explicit `null` optionals, float formatting) must collide on
 //! one key, while any change that could alter a single report byte
-//! (λ, p, seed, horizon, topology size, drain, …) must
+//! (λ, p, seed, horizon, topology size or variant, drain, …) must
 //! produce a different key. A false split only costs a re-simulation;
 //! a false merge silently serves the wrong report, which is why the
-//! separating direction gets a per-field sweep.
+//! separating direction gets a per-field sweep. [`corpus_keys_are_pinned`]
+//! fixes the key scheme itself to literal values.
 
 use hyperroute_core::scenario::{Scenario, Topology};
 use hyperroute_grid::CacheKey;
@@ -163,6 +164,7 @@ proptest! {
         horizon in 50.0f64..400.0,
         seed in any::<u64>(),
     ) {
+        prop_assume!(lambda != p);
         let base = scenario(dim, lambda, p, horizon, 0.25, seed);
         let k0 = key(&base);
 
@@ -182,6 +184,20 @@ proptest! {
                 s.run.warmup += 1.0;
                 s
             }),
+            // The same fields under another variant: only the variant's
+            // name tells the two apart.
+            ("topology variant", {
+                let mut s = base.clone();
+                s.topology = Topology::Butterfly { dim };
+                s
+            }),
+            // The same two values in the other fields: only field order
+            // and names tell the two apart.
+            ("lambda and p exchanged", {
+                let mut s = base.clone();
+                (s.workload.lambda, s.workload.p) = (p, lambda);
+                s
+            }),
         ];
         for (what, mutated) in &mutations {
             prop_assert_ne!(
@@ -196,5 +212,63 @@ proptest! {
         keys.sort_unstable();
         keys.dedup();
         prop_assert_eq!(keys.len(), mutations.len());
+
+        // A sparse generator's seed picks another random graph.
+        let small_world = |generator_seed| {
+            let mut s = base.clone();
+            s.topology = Topology::SmallWorld {
+                side: 8,
+                dims: 2,
+                links: 1,
+                alpha: 2.0,
+                seed: generator_seed,
+            };
+            s
+        };
+        let graph_seed = seed.rotate_left(17);
+        prop_assert_ne!(
+            key(&small_world(graph_seed ^ 1)),
+            key(&small_world(graph_seed)),
+            "changing the generator `seed` left the cache key unchanged"
+        );
+    }
+}
+
+/// The key scheme, pinned: the keys of three corpus scenarios, one each
+/// for a paper topology, a sparse generator with float parameters and an
+/// equivalent network. Every report cache files its entries under such
+/// keys, so these values may change only together with a new key-scheme
+/// version string (`KEY_SCHEME` in `crates/core/src/scenario.rs`) in the
+/// same commit, or with an `ENGINE_FINGERPRINT` bump, which moves every
+/// key on purpose. A serde, field-order or hashing change that moves them
+/// by accident fails here instead of silently turning every disk cache
+/// into misses.
+#[test]
+fn corpus_keys_are_pinned() {
+    // (corpus file, its key, its key under scheme v1, which hashed the
+    // pretty JSON text byte by byte)
+    let pins = [
+        (
+            "hypercube_greedy_baseline",
+            "994afcf2a15232f5382236f1e24cb4ad",
+            "8ff48d6ab4f4fbff5b04abdb5cbd4f1c",
+        ),
+        (
+            "hyperbolic_hub_greedy",
+            "a3c20aae332b9d200564bef09b3a0a85",
+            "5af7be8289ed19b2e5c4f09add2f157f",
+        ),
+        (
+            "eqnet_fig2_occupancy",
+            "4fa6a6d95966d7b5c6d81f3ee0cd568e",
+            "2ba1de880d637784cdef9d969f6b51b7",
+        ),
+    ];
+    for (stem, pinned, v1) in pins {
+        let path = format!("{}/../../scenarios/{stem}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let got = key(&Scenario::from_json(&text).unwrap()).to_string();
+        assert_ne!(got, v1, "{stem}: still the key scheme v1 key");
+        assert_eq!(got, pinned, "{stem}: the cache key moved");
     }
 }
