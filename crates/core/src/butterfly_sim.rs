@@ -19,7 +19,7 @@ use crate::observe::{NullObserver, Observer};
 use crate::packet::sample_flip_mask;
 use crate::scenario::{ButterflyExt, Report, ReportExt, Scenario, Topology};
 use hyperroute_desim::{SimRng, Tally};
-use hyperroute_topology::{ArcKind, Butterfly, ButterflyArc};
+use hyperroute_topology::Butterfly;
 
 /// An in-flight butterfly packet. Its current node (row, level) is implied
 /// by the arc queue holding it, so only the destination row rides along.
@@ -37,7 +37,7 @@ impl EnginePacket for BfPacket {
     }
 }
 
-/// Bits of the packed arc word holding the arc's head row (`d ≤ 24`).
+/// Bits of the arc's routing word holding its head row (`d ≤ 24`).
 const ARC_ROW_MASK: u32 = (1 << 24) - 1;
 
 /// Bit offset of the arc's level (bits 24..29).
@@ -67,16 +67,6 @@ impl EngineSpec for ButterflySpec {
 
     fn num_arcs(&self) -> usize {
         self.dim << (self.dim + 1)
-    }
-
-    fn arc_meta(&self, arc: usize) -> u32 {
-        let a = ButterflyArc::from_index(arc, self.dim);
-        let vertical = if a.kind == ArcKind::Vertical {
-            ARC_VERTICAL
-        } else {
-            0
-        };
-        a.to_row().0 as u32 | ((a.level as u32) << ARC_LEVEL_SHIFT) | vertical
     }
 
     fn generate(&mut self, t: f64, source: u32, dest_rng: &mut SimRng) -> Spawn<BfPacket> {
@@ -109,8 +99,14 @@ impl EngineSpec for ButterflySpec {
                 self.straight_arrivals[level] += 1;
             }
         }
-        // Dense butterfly arc index: ((level·2^d) + row)·2 + kind.
-        ArcChoice::Arc(((((level << self.dim) + row as usize) << 1) | vertical as usize) as u32)
+        // Dense butterfly arc index: ((level·2^d) + row)·2 + kind; a
+        // vertical arc's head row flips the level's bit.
+        ArcChoice::Arc {
+            arc: ((((level << self.dim) + row as usize) << 1) | vertical as usize) as u32,
+            meta: (row ^ ((vertical as u32) << level))
+                | ((level as u32) << ARC_LEVEL_SHIFT)
+                | if vertical { ARC_VERTICAL } else { 0 },
+        }
     }
 
     fn note_service_end(&mut self, _t: f64, _meta: u32) {}
@@ -239,6 +235,43 @@ mod tests {
 
     fn run(s: &Scenario) -> Report {
         ButterflySim::from_scenario(s).run()
+    }
+
+    #[test]
+    fn chosen_routing_words_match_the_topology_arcs() {
+        use hyperroute_topology::{ArcKind, ButterflyArc};
+        let dim = 4;
+        let mut spec = ButterflySpec {
+            dim,
+            p: 0.5,
+            straight_arrivals: vec![0; dim],
+            vertical_arrivals: vec![0; dim],
+            vertical_stats: Tally::new(),
+        };
+        let mut rng = SimRng::new(1);
+        for level in 0..dim {
+            for row in 0..1u32 << dim {
+                for dest in [row, row ^ (1 << level)] {
+                    let node = ((level << dim) as u32) | row;
+                    let mut pkt = BfPacket {
+                        born: 0.0,
+                        dest,
+                        verticals: 0,
+                    };
+                    let ArcChoice::Arc { arc, meta } =
+                        spec.choose_arc(0.0, false, node, &mut pkt, &mut rng)
+                    else {
+                        panic!("the butterfly never drops");
+                    };
+                    let a = ButterflyArc::from_index(arc as usize, dim);
+                    assert_eq!((a.row.0 as u32, a.level), (row, level));
+                    assert_eq!(a.kind == ArcKind::Vertical, dest != row);
+                    assert_eq!(meta & ARC_ROW_MASK, a.to_row().0 as u32);
+                    assert_eq!((meta >> ARC_LEVEL_SHIFT) & 0x1F, level as u32);
+                    assert_eq!(meta & ARC_VERTICAL != 0, dest != row);
+                }
+            }
+        }
     }
 
     fn bf(r: &Report) -> &ButterflyExt {

@@ -47,19 +47,25 @@
 //!   At most one completion is pending per busy arc, so the FIFO never
 //!   holds more than `num_arcs` entries; it grows on demand rather than
 //!   reserving that bound (a million-arc small world keeps few arcs busy).
+//! * **One `u32` of state per arc.** An arc's word is `0` while it is
+//!   idle, [`ArcList::EMPTY`]'s word while it is busy with nobody
+//!   waiting, and otherwise the word of its waiting list (a one-word ring
+//!   over the shared slab pool, whose words are never 0). The array is
+//!   allocated zeroed, so [`Engine::new`] makes no pass over the arcs: the
+//!   million-node small world's 6.3M arcs cost 25 MB, not the 100 MB of
+//!   a 16-byte list-plus-routing-word record. The routing word a spec
+//!   needs to advance a packet across an arc (head node,
+//!   dimension/level bits) is not stored per arc at all: the spec hands
+//!   it over with the arc from [`EngineSpec::choose_arc`], it rides in
+//!   the pending completion entry (in what is otherwise padding), and
+//!   the next waiter on the arc reuses the completing entry's word.
 
 use crate::config::{ArrivalModel, ContentionPolicy};
 use crate::metrics::MetricsCollector;
 use crate::observe::Observer;
-use crate::pool::{ArcBag, ArcFifo, SlabPool};
+use crate::pool::{ArcBag, ArcList, SlabPool};
 use hyperroute_desim::{EventQueue, SchedulerKind, SimRng};
 use std::collections::VecDeque;
-
-/// Busy flag of a packed per-arc routing word: set while a packet occupies
-/// the arc's server (its payload rides in the pending completion event).
-/// Specs own bits `0..31` of their [`EngineSpec::arc_meta`] word and must
-/// leave this bit clear.
-pub const ARC_BUSY: u32 = 1 << 31;
 
 /// What [`EngineSpec::generate`] produced for a newly born packet.
 pub enum Spawn<P> {
@@ -88,8 +94,16 @@ pub enum Advance {
 /// number-in-system trajectory and conservation exact) and notifies the
 /// spec through [`EngineSpec::note_drop`].
 pub enum ArcChoice {
-    /// Enqueue the packet on this arc.
-    Arc(u32),
+    /// Enqueue the packet on `arc`. `meta` is the arc's routing word —
+    /// whatever [`EngineSpec::advance`] needs to move a packet across it
+    /// (head node, dimension/level bits); the engine carries it opaquely.
+    Arc {
+        /// Dense arc index in `0..num_arcs()`.
+        arc: u32,
+        /// The arc's routing word, handed back to
+        /// [`EngineSpec::note_service_end`] and [`EngineSpec::advance`].
+        meta: u32,
+    },
     /// The packet cannot proceed: count it dropped.
     Drop,
 }
@@ -145,20 +159,18 @@ pub trait EngineSpec {
     /// Number of directed arcs (dense indices `0..num_arcs()`).
     fn num_arcs(&self) -> usize;
 
-    /// Precomputed routing word of `arc` (target node, dimension/level
-    /// bits — whatever [`EngineSpec::advance`] needs), in bits `0..31`.
-    /// Bit 31 ([`ARC_BUSY`]) must be clear; the engine owns it.
-    fn arc_meta(&self, arc: usize) -> u32;
-
     /// Sample a new packet at `source` born at `t`, drawing from
     /// `dest_rng` exactly as the topology's destination law dictates.
     fn generate(&mut self, t: f64, source: u32, dest_rng: &mut SimRng) -> Spawn<Self::Pkt>;
 
-    /// The arc `pkt` takes out of `node` (mutating `pkt`'s routing state),
-    /// plus any per-arc arrival bookkeeping (`in_window` is
-    /// `warmup <= t < horizon`). `route_rng` is the dedicated stream for
-    /// randomised schemes. Specs with fault masks may return
-    /// [`ArcChoice::Drop`] when no usable arc exists.
+    /// The arc `pkt` takes out of `node` and that arc's routing word
+    /// (mutating `pkt`'s routing state), plus any per-arc arrival
+    /// bookkeeping (`in_window` is `warmup <= t < horizon`). An arc's
+    /// word must be the same whichever packet chooses it: the next waiter
+    /// on the arc crosses it with the word of the packet served before.
+    /// `route_rng` is the dedicated stream for randomised schemes. Specs
+    /// with fault masks may return [`ArcChoice::Drop`] when no usable arc
+    /// exists.
     fn choose_arc(
         &mut self,
         t: f64,
@@ -168,8 +180,8 @@ pub trait EngineSpec {
         route_rng: &mut SimRng,
     ) -> ArcChoice;
 
-    /// A service completed at `t` on the arc with routing word `meta`
-    /// (busy bit cleared) — occupancy-style bookkeeping hook.
+    /// A service completed at `t` on the arc with routing word `meta` —
+    /// occupancy-style bookkeeping hook.
     fn note_service_end(&mut self, t: f64, meta: u32);
 
     /// Advance `pkt` across the arc with routing word `meta`: bump its
@@ -220,26 +232,23 @@ pub struct EngineCfg {
     pub drain: bool,
 }
 
-/// Per-arc state, exactly 16 bytes: the intrusive waiter list plus the
-/// arc's packed routing word (spec bits 0..31, [`ARC_BUSY`] bit 31). Arcs
-/// are visited in data-dependent random order, so this is the engine's
-/// locality-critical structure — four arcs share a cache line, and the
-/// in-service packet rides inside the pending completion event (hot by
-/// construction when popped) instead of here.
-#[derive(Clone, Copy, Debug)]
-struct ArcState {
-    waiting: ArcFifo,
-    meta: u32,
-}
+/// Word of an idle arc.
+const IDLE: u32 = 0;
 
-/// The engine's pending service completions `(time, arc, packet)`, popped
-/// in `(time, insertion)` order — see the module docs for why a FIFO is
+/// Word of a busy arc with nobody waiting: the empty list's word.
+const BUSY: u32 = ArcList::EMPTY.word();
+
+/// One pending service completion: `(time, arc, routing word, packet)`.
+type Completion<P> = (f64, u32, u32, P);
+
+/// The engine's pending service completions, popped in
+/// `(time, insertion)` order — see the module docs for why a FIFO is
 /// exact.
 enum Completions<P> {
     /// Unit-service FIFO: push times never decrease.
-    Fifo(VecDeque<(f64, u32, P)>),
+    Fifo(VecDeque<Completion<P>>),
     /// Reference binary heap, for the differential tests.
-    Heap(EventQueue<(u32, P)>),
+    Heap(EventQueue<(u32, u32, P)>),
 }
 
 impl<P> Completions<P> {
@@ -251,30 +260,30 @@ impl<P> Completions<P> {
     }
 
     #[inline]
-    fn push(&mut self, time: f64, arc: u32, pkt: P) {
+    fn push(&mut self, time: f64, arc: u32, meta: u32, pkt: P) {
         match self {
             Completions::Fifo(q) => {
                 debug_assert!(
                     q.back().is_none_or(|&(last, ..)| last <= time),
                     "completion at {time} pushed behind a later one"
                 );
-                q.push_back((time, arc, pkt));
+                q.push_back((time, arc, meta, pkt));
             }
-            Completions::Heap(q) => q.push(time, (arc, pkt)),
+            Completions::Heap(q) => q.push(time, (arc, meta, pkt)),
         }
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<(f64, u32, P)> {
+    fn pop(&mut self) -> Option<Completion<P>> {
         match self {
             Completions::Fifo(q) => q.pop_front(),
-            Completions::Heap(q) => q.pop().map(|(t, (arc, pkt))| (t, arc, pkt)),
+            Completions::Heap(q) => q.pop().map(|(t, (arc, meta, pkt))| (t, arc, meta, pkt)),
         }
     }
 
     /// Pop the earliest completion only if it is due at or before `bound`.
     #[inline]
-    fn pop_at_or_before(&mut self, bound: f64) -> Option<(f64, u32, P)> {
+    fn pop_at_or_before(&mut self, bound: f64) -> Option<Completion<P>> {
         match self {
             Completions::Fifo(q) => {
                 if q.front().is_some_and(|&(t, ..)| t <= bound) {
@@ -285,7 +294,7 @@ impl<P> Completions<P> {
             }
             Completions::Heap(q) => q
                 .pop_at_or_before(bound)
-                .map(|(t, (arc, pkt))| (t, arc, pkt)),
+                .map(|(t, (arc, meta, pkt))| (t, arc, meta, pkt)),
         }
     }
 }
@@ -297,9 +306,15 @@ pub struct Engine<T: EngineSpec> {
     spec: T,
     cfg: EngineCfg,
     /// One slab for every waiting packet in the network; arcs hold only
-    /// intrusive `(head, tail)` lists into it.
+    /// one-word [`ArcList`]s into it.
     pool: SlabPool<T::Pkt>,
-    arcs: Vec<ArcState>,
+    /// One word per arc: [`IDLE`], [`BUSY`], or the word of the arc's
+    /// non-empty waiting list. Arcs are visited in data-dependent random
+    /// order, so this is the engine's locality-critical structure —
+    /// sixteen arcs share a cache line, and the in-service packet and the
+    /// arc's routing word ride inside the pending completion entry (hot
+    /// by construction when popped) instead of here.
+    arcs: Vec<u32>,
     /// Indexed waiting storage, allocated (and used) only under
     /// [`ContentionPolicy::Random`] — a uniform pick from an intrusive
     /// list would walk `O(queue)` links.
@@ -328,7 +343,7 @@ pub struct Engine<T: EngineSpec> {
 }
 
 impl<T: EngineSpec> Engine<T> {
-    /// Build an engine around `spec` (allocates the per-arc state).
+    /// Build an engine around `spec` (allocates the zeroed per-arc words).
     pub fn new(spec: T, cfg: EngineCfg) -> Engine<T> {
         let sources = spec.num_sources() as f64;
         let mut root = SimRng::new(cfg.seed);
@@ -362,16 +377,7 @@ impl<T: EngineSpec> Engine<T> {
                 Vec::new()
             },
             pool: SlabPool::with_capacity(1024),
-            arcs: (0..arcs)
-                .map(|arc| ArcState {
-                    waiting: ArcFifo::new(),
-                    meta: {
-                        let meta = spec.arc_meta(arc);
-                        debug_assert_eq!(meta & ARC_BUSY, 0, "spec meta uses the busy bit");
-                        meta
-                    },
-                })
-                .collect(),
+            arcs: vec![IDLE; arcs],
             spec,
             completions: Completions::new(cfg.scheduler),
             cfg,
@@ -403,10 +409,10 @@ impl<T: EngineSpec> Engine<T> {
                 None => self.completions.pop(),
             };
             let t = match popped {
-                Some((t, arc, pkt)) => {
+                Some((t, arc, meta, pkt)) => {
                     obs.on_event(t, self.collector.current_in_system());
                     self.events_processed += 1;
-                    self.on_complete(t, arc as usize, pkt, obs);
+                    self.on_complete(t, arc as usize, meta, pkt, obs);
                     t
                 }
                 None => match self.next_stream {
@@ -512,8 +518,8 @@ impl<T: EngineSpec> Engine<T> {
         let choice = self
             .spec
             .choose_arc(t, in_window, node, &mut pkt, &mut self.route_rng);
-        let arc = match choice {
-            ArcChoice::Arc(arc) => arc as usize,
+        let (arc, meta) = match choice {
+            ArcChoice::Arc { arc, meta } => (arc as usize, meta),
             ArcChoice::Drop => {
                 let born = pkt.born();
                 let born_in_window = born >= self.cfg.warmup && born < self.cfg.horizon;
@@ -525,16 +531,23 @@ impl<T: EngineSpec> Engine<T> {
         };
         let id = pkt.trace_id() as u64;
         let escape = self.spec.in_escape(&pkt);
-        let queue_depth = if self.arcs[arc].meta & ARC_BUSY == 0 {
-            self.arcs[arc].meta |= ARC_BUSY;
-            self.completions.push(t + 1.0, arc as u32, pkt);
+        let word = self.arcs[arc];
+        let queue_depth = if word == IDLE {
+            self.arcs[arc] = BUSY;
+            self.completions.push(t + 1.0, arc as u32, meta, pkt);
             1
         } else if self.cfg.contention == ContentionPolicy::Random {
             self.bags[arc].insert(pkt);
             1 + self.bags[arc].len() as u32
         } else {
-            self.arcs[arc].waiting.push_back(&mut self.pool, pkt);
-            1 + self.arcs[arc].waiting.len() as u32
+            let mut waiting = ArcList::from_word(word);
+            let len = if self.cfg.contention == ContentionPolicy::Lifo {
+                waiting.push_front(&mut self.pool, pkt)
+            } else {
+                waiting.push_back(&mut self.pool, pkt)
+            };
+            self.arcs[arc] = waiting.word();
+            1 + len as u32
         };
         obs.on_hop(t, id, node, arc as u32, queue_depth);
         if escape {
@@ -543,15 +556,20 @@ impl<T: EngineSpec> Engine<T> {
     }
 
     /// Pick the next waiting packet per the contention policy and start
-    /// its service. FIFO pops the head of the intrusive list, LIFO the
-    /// tail (both `O(1)`). Random draws a uniform position from the arc's
-    /// [`ArcBag`] — indexed storage where removal is a `swap_remove`, so
-    /// the pick is `O(1)` however long the queue grows.
-    fn start_next_service(&mut self, t: f64, arc: usize) {
-        debug_assert!(self.arcs[arc].meta & ARC_BUSY != 0);
+    /// its service on the arc with routing word `meta`. FIFO and LIFO pop
+    /// the front of the arc's list (`O(1)`): FIFO pushed waiters at the
+    /// back, LIFO at the front. Random draws a uniform position from the
+    /// arc's [`ArcBag`] — indexed storage where removal is a
+    /// `swap_remove`, so the pick is `O(1)` however long the queue grows.
+    fn start_next_service(&mut self, t: f64, arc: usize, meta: u32) {
+        debug_assert_ne!(self.arcs[arc], IDLE, "service on an idle arc");
         let pkt = match self.cfg.contention {
-            ContentionPolicy::Fifo => self.arcs[arc].waiting.pop_front(&mut self.pool),
-            ContentionPolicy::Lifo => self.arcs[arc].waiting.pop_back(&mut self.pool),
+            ContentionPolicy::Fifo | ContentionPolicy::Lifo => {
+                let mut waiting = ArcList::from_word(self.arcs[arc]);
+                let pkt = waiting.pop_front(&mut self.pool);
+                self.arcs[arc] = waiting.word();
+                pkt
+            }
             ContentionPolicy::Random => {
                 let len = self.bags[arc].len();
                 if len == 0 {
@@ -563,29 +581,36 @@ impl<T: EngineSpec> Engine<T> {
             }
         };
         match pkt {
-            Some(pkt) => self.completions.push(t + 1.0, arc as u32, pkt),
-            None => self.arcs[arc].meta &= !ARC_BUSY,
+            Some(pkt) => self.completions.push(t + 1.0, arc as u32, meta, pkt),
+            None => self.arcs[arc] = IDLE,
         }
     }
 
     /// Packets still occupying `arc` (waiting plus any one in service).
     #[inline]
     fn arc_depth(&self, arc: usize) -> u32 {
-        let busy = (self.arcs[arc].meta & ARC_BUSY != 0) as u32;
+        let word = self.arcs[arc];
+        if word == IDLE {
+            return 0;
+        }
         let waiting = if self.cfg.contention == ContentionPolicy::Random {
             self.bags[arc].len()
         } else {
-            self.arcs[arc].waiting.len()
-        } as u32;
-        busy + waiting
+            ArcList::from_word(word).len(&self.pool)
+        };
+        1 + waiting as u32
     }
 
-    fn on_complete<O: Observer>(&mut self, t: f64, arc: usize, mut pkt: T::Pkt, obs: &mut O) {
-        let meta = self.arcs[arc].meta;
-        debug_assert!(meta & ARC_BUSY != 0, "completion on an idle arc");
-        let meta = meta & !ARC_BUSY;
+    fn on_complete<O: Observer>(
+        &mut self,
+        t: f64,
+        arc: usize,
+        meta: u32,
+        mut pkt: T::Pkt,
+        obs: &mut O,
+    ) {
         self.spec.note_service_end(t, meta);
-        self.start_next_service(t, arc);
+        self.start_next_service(t, arc, meta);
         obs.on_service_end(t, arc as u32, self.arc_depth(arc));
         match self.spec.advance(meta, &mut pkt) {
             Advance::Forward(node) => self.enqueue(t, node, pkt, obs),
@@ -627,11 +652,94 @@ impl<T: EngineSpec> Engine<T> {
 mod tests {
     use super::*;
 
+    /// A spec whose every packet crosses one of `arcs` arcs once.
+    struct Star {
+        arcs: usize,
+    }
+
+    #[derive(Clone, Copy)]
+    struct Born(f64);
+
+    impl EnginePacket for Born {
+        fn born(&self) -> f64 {
+            self.0
+        }
+    }
+
+    impl EngineSpec for Star {
+        type Pkt = Born;
+        fn num_sources(&self) -> usize {
+            self.arcs
+        }
+        fn num_arcs(&self) -> usize {
+            self.arcs
+        }
+        fn generate(&mut self, t: f64, _: u32, _: &mut SimRng) -> Spawn<Born> {
+            Spawn::Route(Born(t))
+        }
+        fn choose_arc(
+            &mut self,
+            _: f64,
+            _: bool,
+            node: u32,
+            _: &mut Born,
+            _: &mut SimRng,
+        ) -> ArcChoice {
+            ArcChoice::Arc {
+                arc: node,
+                meta: node,
+            }
+        }
+        fn note_service_end(&mut self, _: f64, _: u32) {}
+        fn advance(&mut self, _: u32, _: &mut Born) -> Advance {
+            Advance::Deliver(1)
+        }
+        fn note_deliver(&mut self, _: &Born, _: bool) {}
+    }
+
     #[test]
-    fn arc_state_is_16_bytes() {
-        // Four arcs per cache line keeps the data-dependent arc walk
-        // L1-resident at d = 8 (1024 arcs × 16 B = 16 KiB).
-        assert_eq!(std::mem::size_of::<ArcState>(), 16);
+    fn arc_state_is_one_4_byte_word_per_arc() {
+        for contention in [
+            ContentionPolicy::Fifo,
+            ContentionPolicy::Lifo,
+            ContentionPolicy::Random,
+        ] {
+            let cfg = EngineCfg {
+                lambda: 0.9,
+                arrivals: ArrivalModel::Poisson,
+                contention,
+                scheduler: SchedulerKind::Calendar,
+                horizon: 200.0,
+                warmup: 0.0,
+                seed: 4,
+                drain: true,
+            };
+            let mut engine = Engine::new(Star { arcs: 8 }, cfg);
+            assert_eq!(std::mem::size_of_val(engine.arcs.as_slice()), 4 * 8);
+            engine.drive(&mut crate::observe::NullObserver);
+            // Queues formed (λ = 0.9 per unit-service arc), and a drained
+            // run leaves every arc idle and every slot free.
+            if contention != ContentionPolicy::Random {
+                assert!(engine.pool.capacity_used() > 1, "{contention:?}");
+            }
+            assert!(
+                engine.arcs.iter().all(|&word| word == IDLE),
+                "{contention:?}"
+            );
+            assert!(engine.pool.is_empty(), "{contention:?}");
+            assert_eq!(
+                engine.collector().delivered_total(),
+                engine.collector().generated()
+            );
+        }
+    }
+
+    #[test]
+    fn completion_entries_carry_the_routing_word_in_padding() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Completion<crate::packet::Packet>>(), 40);
+        assert_eq!(size_of::<Completion<crate::butterfly_sim::BfPacket>>(), 32);
+        assert_eq!(size_of::<Completion<crate::graph_sim::GraphPacket>>(), 48);
     }
 
     #[test]
@@ -639,7 +747,7 @@ mod tests {
     #[should_panic(expected = "pushed behind a later one")]
     fn fifo_rejects_a_completion_earlier_than_the_last() {
         let mut fifo = Completions::new(SchedulerKind::Calendar);
-        fifo.push(2.0, 0, ());
-        fifo.push(1.0, 1, ());
+        fifo.push(2.0, 0, 0, ());
+        fifo.push(1.0, 1, 0, ());
     }
 }

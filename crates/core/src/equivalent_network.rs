@@ -25,7 +25,7 @@
 
 use crate::metrics::MetricsCollector;
 use crate::observe::{NullObserver, Observer};
-use crate::pool::{ArcFifo, SlabPool};
+use crate::pool::{ArcList, SlabPool};
 use crate::scenario::{EqNetExt, Report, ReportExt, RunControl, Scenario, Topology};
 use hyperroute_desim::{OccupancyHistogram, Scheduler, SimRng};
 use hyperroute_queueing::PsServer;
@@ -84,10 +84,10 @@ enum Ev {
 pub struct EqNetSim {
     cfg: Params,
     routes: Vec<Vec<(u32, f64)>>,
-    /// Slab of queued customer ids; FIFO servers hold intrusive lists.
+    /// Slab of queued customer ids; FIFO servers hold intrusive lists
+    /// whose front is the customer in service.
     fifo_pool: SlabPool<u64>,
-    fifo_queues: Vec<ArcFifo>,
-    fifo_busy: Vec<bool>,
+    fifo_queues: Vec<ArcList>,
     ps_servers: Vec<PsServer>,
     ps_generation: Vec<u32>,
     arrival_rngs: Vec<SimRng>,
@@ -202,8 +202,7 @@ impl EqNetSim {
             cfg,
             routes,
             fifo_pool: SlabPool::with_capacity(256),
-            fifo_queues: vec![ArcFifo::new(); n],
-            fifo_busy: vec![false; n],
+            fifo_queues: vec![ArcList::EMPTY; n],
             ps_servers: vec![PsServer::unit(); n],
             ps_generation: vec![0; n],
             arrival_rngs,
@@ -265,9 +264,8 @@ impl EqNetSim {
         self.occ_bump(t, srv, 1);
         match self.cfg.discipline {
             Discipline::Fifo => {
-                self.fifo_queues[srv].push_back(&mut self.fifo_pool, id);
-                if !self.fifo_busy[srv] {
-                    self.fifo_busy[srv] = true;
+                // A list of one: the server was idle and serves `id` now.
+                if self.fifo_queues[srv].push_back(&mut self.fifo_pool, id) == 1 {
                     self.events.push(t + 1.0, Ev::FifoComplete(srv as u32));
                 }
             }
@@ -295,9 +293,7 @@ impl EqNetSim {
         let id = self.fifo_queues[srv]
             .pop_front(&mut self.fifo_pool)
             .expect("completion on empty queue");
-        if self.fifo_queues[srv].is_empty() {
-            self.fifo_busy[srv] = false;
-        } else {
+        if !self.fifo_queues[srv].is_empty() {
             self.events.push(t + 1.0, Ev::FifoComplete(srv as u32));
         }
         self.route(t, srv, id, obs);

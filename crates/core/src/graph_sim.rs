@@ -6,7 +6,8 @@
 //! parameterised over the routing trait: the packet is a 32-byte record
 //! (birth, destination, and the recovery/stretch state riding in one
 //! headroom block), the greedy step is the trait's `next_arc`, and the
-//! packed arc word is the arc's head node. Adding a topology is now
+//! arc's routing word is its head node, read from the row the choice
+//! just scanned. Adding a topology is now
 //! exactly the trait impl — the ring, the torus (`k`-ary `d`-cube), the
 //! de Bruijn graph and the generated sparse topologies
 //! (`hyperroute-sparse`) all route through this one spec, and the ring
@@ -465,6 +466,16 @@ impl FaultState {
     }
 }
 
+/// The engine's choice of `arc`, whose routing word is its head node —
+/// read from the row `next_arc` (or the fallback) just scanned.
+#[inline]
+fn take<T: RoutingTopology>(topo: &T, arc: usize) -> ArcChoice {
+    ArcChoice::Arc {
+        arc: arc as u32,
+        meta: topo.arc_head(arc) as u32,
+    }
+}
+
 /// Per-packet escape tie-break salt: the packet's trace id (its unique
 /// birth-sequence number) mixed with the paid hops spent so far, so two
 /// stuck packets — or one packet re-crossing the same plateau after
@@ -623,10 +634,6 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
         self.topo.num_arcs()
     }
 
-    fn arc_meta(&self, arc: usize) -> u32 {
-        self.topo.arc_head(arc) as u32
-    }
-
     fn generate(&mut self, t: f64, source: u32, dest_rng: &mut SimRng) -> Spawn<GraphPacket> {
         let n = self.topo.num_nodes();
         let dest = match &self.dest {
@@ -710,7 +717,7 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
                         if in_window {
                             self.arc_arrivals.bump(arc);
                         }
-                        ArcChoice::Arc(arc as u32)
+                        take(topo, arc)
                     }
                 };
             }
@@ -729,7 +736,7 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
             if in_window {
                 self.arc_arrivals.bump(arc);
             }
-            return ArcChoice::Arc(arc as u32);
+            return take(topo, arc);
         }
 
         // Greedy unavailable — dead arc or stall. Consult the fallback.
@@ -766,7 +773,7 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
                 if in_window {
                     self.arc_arrivals.bump(arc);
                 }
-                ArcChoice::Arc(arc as u32)
+                take(topo, arc)
             }
             None => {
                 // Outcome taxonomy: classify metric stalls (and escape
@@ -931,7 +938,7 @@ fn assemble<T: RoutingTopology>(
     let live = arcs - spec.dead_arcs();
     let total: u64 = spec.arc_arrivals().total();
     let max = spec.arc_arrivals().max();
-    let delivered_measured = collector.delay_stats().count;
+    let delivered_measured = collector.delivered_measured();
     let dropped_measured = spec.dropped_in_window();
     let measured = delivered_measured + dropped_measured;
     let outcomes = emit_outcomes.then(|| {

@@ -39,12 +39,11 @@ impl EnginePacket for Packet {
     }
 }
 
-/// Bits of the packed arc word holding the arc's target node (`d ≤ 26` ⇒
-/// nodes fit in 26 bits, below the dimension field and the engine's busy
-/// bit).
+/// Bits of the arc's routing word holding its target node (`d ≤ 26` ⇒
+/// nodes fit in 26 bits, below the dimension field).
 const ARC_NODE_MASK: u32 = (1 << 26) - 1;
 
-/// Bit offset of the arc's dimension in the packed arc word (bits 26..31).
+/// Bit offset of the arc's dimension in its routing word (bits 26..31).
 const ARC_DIM_SHIFT: u32 = 26;
 
 /// The hypercube's per-topology half of the generic engine: destination
@@ -102,11 +101,6 @@ impl EngineSpec for HypercubeSpec {
         self.dim << self.dim
     }
 
-    fn arc_meta(&self, arc: usize) -> u32 {
-        let (node, d) = ((arc / self.dim) as u32, arc % self.dim);
-        (node ^ (1 << d)) | ((d as u32) << ARC_DIM_SHIFT)
-    }
-
     fn generate(&mut self, t: f64, source: u32, dest_rng: &mut SimRng) -> Spawn<Packet> {
         match self.scheme {
             Scheme::Greedy | Scheme::RandomOrder => {
@@ -150,7 +144,10 @@ impl EngineSpec for HypercubeSpec {
             self.dim_arrivals[dim] += 1;
         }
         self.bump_dim_occupancy(t, dim, 1.0);
-        ArcChoice::Arc((node as usize * self.dim + dim) as u32)
+        ArcChoice::Arc {
+            arc: (node as usize * self.dim + dim) as u32,
+            meta: (node ^ (1 << dim)) | ((dim as u32) << ARC_DIM_SHIFT),
+        }
     }
 
     fn note_service_end(&mut self, t: f64, meta: u32) {
@@ -298,6 +295,38 @@ mod tests {
 
     fn run(s: &Scenario) -> Report {
         HypercubeSim::from_scenario(s).run()
+    }
+
+    #[test]
+    fn chosen_routing_words_match_the_topology_arcs() {
+        use hyperroute_topology::HypercubeArc;
+        let dim = 5;
+        let mut spec = HypercubeSpec {
+            dim,
+            p: 0.5,
+            scheme: Scheme::Greedy,
+            mask_sampler: None,
+            warmup: 0.0,
+            horizon: 1.0,
+            dim_arrivals: vec![0; dim],
+            dim_occupancy: (0..dim).map(|_| TimeIntegral::new(0.0, 0.0)).collect(),
+            dim_occ_reset_done: true,
+        };
+        let mut rng = SimRng::new(1);
+        for node in 0..1u32 << dim {
+            for d in 0..dim {
+                let mut pkt = Packet::new(0.0, 1 << d, NO_SECOND_LEG);
+                let ArcChoice::Arc { arc, meta } =
+                    spec.choose_arc(0.0, false, node, &mut pkt, &mut rng)
+                else {
+                    panic!("the hypercube never drops");
+                };
+                let a = HypercubeArc::from_index(arc as usize, dim);
+                assert_eq!((a.from.0 as u32, a.dim), (node, d));
+                assert_eq!(meta & ARC_NODE_MASK, node ^ (1 << d));
+                assert_eq!((meta >> ARC_DIM_SHIFT) as usize, d);
+            }
+        }
     }
 
     fn hc(r: &Report) -> &HypercubeExt {

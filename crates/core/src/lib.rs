@@ -15,13 +15,15 @@
 //! # Architecture: one generic engine, thin topology specs
 //!
 //! The event loop lives **once**, in [`engine`]: a monomorphised
-//! `Engine<Spec>` owns the slab packet pool, the list of pending service
-//! completions (a unit-service FIFO, or the reference heap), the
-//! contention policies, warm-up truncation, drain control, metrics and
-//! the observer taps. What a topology contributes is an
-//! [`engine::EngineSpec`] — its packet representation, destination law,
-//! next-arc choice and per-topology statistics. The current
-//! instantiations:
+//! `Engine<Spec>` owns one `u32` of state per arc (idle, busy, or the
+//! handle of the arc's waiting list in the shared slab packet
+//! [`pool`]), the list of pending service completions (a unit-service
+//! FIFO, or the reference heap), the contention policies, warm-up
+//! truncation, drain control, metrics and the observer taps. What a
+//! topology contributes is an [`engine::EngineSpec`] — its packet
+//! representation, destination law, next-arc choice (with the chosen
+//! arc's routing word, which rides in the completion entry) and
+//! per-topology statistics. The current instantiations:
 //!
 //! | module | spec | the paper's name |
 //! |---|---|---|

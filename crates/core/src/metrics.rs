@@ -185,14 +185,25 @@ impl MetricsCollector {
 
     /// Delay statistics for measured packets.
     pub fn delay_stats(&self) -> DelayStats {
+        let [p50, p90, p99] = self
+            .reservoir
+            .quantiles([0.5, 0.9, 0.99])
+            .unwrap_or([f64::NAN; 3]);
         DelayStats {
             mean: self.delays.mean(),
             ci95: self.delay_batches.ci95_half_width(),
-            p50: self.reservoir.quantile(0.5).unwrap_or(f64::NAN),
-            p90: self.reservoir.quantile(0.9).unwrap_or(f64::NAN),
-            p99: self.reservoir.quantile(0.99).unwrap_or(f64::NAN),
+            p50,
+            p90,
+            p99,
             count: self.delays.count(),
         }
+    }
+
+    /// Number of packets born in the measurement window and delivered
+    /// (the [`DelayStats::count`] of [`MetricsCollector::delay_stats`],
+    /// without sorting the quantile sample).
+    pub fn delivered_measured(&self) -> u64 {
+        self.delivered_measured
     }
 
     /// Mean hops per measured packet.

@@ -21,7 +21,7 @@ use crate::config::ConfigError;
 use crate::metrics::DelayStats;
 use crate::observe::Observer;
 use crate::packet::sample_flip_mask;
-use crate::pool::{ArcFifo, SlabPool};
+use crate::pool::{ArcList, SlabPool};
 use crate::scenario::{PipelinedExt, Report, ReportExt, Scenario, Topology};
 use hyperroute_desim::{SimRng, Welford};
 
@@ -75,7 +75,7 @@ pub(crate) fn simulate_pipelined_observed<O: Observer>(scenario: &Scenario, obs:
     // Per-node store of (birth time, destination mask): intrusive FIFO
     // lists over one shared slab, like the event-driven simulators.
     let mut pool: SlabPool<(f64, u32)> = SlabPool::with_capacity(n);
-    let mut stores: Vec<ArcFifo> = vec![ArcFifo::new(); n];
+    let mut stores: Vec<ArcList> = vec![ArcList::EMPTY; n];
     let mut now = 0.0f64;
     let mut delays = Welford::new();
     let mut round_lengths = Welford::new();

@@ -1,42 +1,53 @@
-//! Slab-allocated packet pool with intrusive per-arc FIFO lists.
+//! Slab-allocated packet pool with one-word intrusive waiting lists.
 //!
 //! The simulators keep every waiting packet of every arc in **one**
-//! contiguous slab (`Vec` of slots); each arc holds only a `(head, tail)`
-//! pair of `u32` slot indices ([`ArcFifo`]). Freed slots recycle through an
-//! internal free list, so after the warm-up transient the steady state
-//! performs **zero allocation**: a packet enqueue is "pop free slot, write
-//! 24 bytes, link", a dequeue is "unlink, push free slot". Compare the seed
+//! contiguous slab (`Vec` of slots); each arc holds only one `u32` word,
+//! its [`ArcList`]. Freed slots recycle through an internal free list, so
+//! after the warm-up transient the steady state performs **zero
+//! allocation**: a packet enqueue is "pop free slot, write the packet,
+//! link", a dequeue is "unlink, push free slot". Compare the seed
 //! implementation — one `VecDeque<Packet>` per arc, i.e. `d·2^d` separate
 //! ring buffers scattered across the heap.
 //!
-//! The lists are doubly linked, so LIFO service ([`ArcFifo::pop_back`])
-//! stays `O(1)`, matching the `VecDeque` ablation it replaces. The
-//! `ContentionPolicy::Random` pick does not use these lists: it needs a
-//! uniformly random member, which an intrusive list cannot reach without
-//! walking, so that policy keeps each arc's packets in an [`ArcBag`].
+//! A list is a circular singly linked ring of slots named by its back
+//! slot: the back slot's `next` link is the front, and its second link
+//! field holds the list's length. So the front,
+//! the back and the length are all one hop from the word, both ends take
+//! `O(1)` pushes ([`ArcList::push_back`] for FIFO service,
+//! [`ArcList::push_front`] for LIFO), and [`ArcList::pop_front`] serves
+//! either order in `O(1)`. The `ContentionPolicy::Random` pick does not
+//! use these lists: it needs a uniformly random member, which an intrusive
+//! list cannot reach without walking, so that policy keeps each arc's
+//! packets in an [`ArcBag`].
 //!
-//! Items are `Copy` (packets are ≤ 24 bytes), which keeps the pool free of
+//! Slot ids start at 1, so no list word is ever 0: the engine uses 0 for
+//! an idle arc and the empty list's word for a busy arc with nobody
+//! waiting, which makes its whole per-arc state one `u32`.
+//!
+//! Items are `Copy` (packets are ≤ 32 bytes), which keeps the pool free of
 //! `unsafe`/`MaybeUninit`: a freed slot simply retains its stale payload
 //! until reused.
 
-/// Null slot index (no packet).
-pub const NIL: u32 = u32::MAX;
+/// Free-list terminator: no slot has id 0.
+const NO_SLOT: u32 = 0;
 
 #[derive(Clone, Copy, Debug)]
 struct Slot<T> {
     item: T,
-    /// Next toward the tail; doubles as the free-list link.
+    /// Next toward the back; the back slot's link closes the ring at the
+    /// front. Doubles as the free-list link.
     next: u32,
-    /// Previous toward the head.
-    prev: u32,
+    /// The list's length, kept in its back slot only.
+    len: u32,
 }
 
 /// A contiguous slab of `T` with an internal free list.
 ///
-/// All list operations live on [`ArcFifo`] and borrow the pool, so many
+/// All list operations live on [`ArcList`] and borrow the pool, so many
 /// lists (one per arc) can share one slab.
 #[derive(Clone, Debug)]
 pub struct SlabPool<T: Copy> {
+    /// Slot `id` lives at index `id - 1`.
     slots: Vec<Slot<T>>,
     free_head: u32,
     live: usize,
@@ -47,7 +58,7 @@ impl<T: Copy> SlabPool<T> {
     pub fn with_capacity(cap: usize) -> SlabPool<T> {
         SlabPool {
             slots: Vec::with_capacity(cap),
-            free_head: NIL,
+            free_head: NO_SLOT,
             live: 0,
         }
     }
@@ -68,133 +79,149 @@ impl<T: Copy> SlabPool<T> {
     }
 
     #[inline]
-    fn alloc(&mut self, item: T) -> u32 {
+    fn slot(&self, id: u32) -> &Slot<T> {
+        &self.slots[id as usize - 1]
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, id: u32) -> &mut Slot<T> {
+        &mut self.slots[id as usize - 1]
+    }
+
+    /// Store `item` with the given links; returns its slot id (≥ 1).
+    #[inline]
+    fn alloc(&mut self, item: T, next: u32, len: u32) -> u32 {
         self.live += 1;
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            let slot = &mut self.slots[idx as usize];
-            self.free_head = slot.next;
-            slot.item = item;
-            slot.next = NIL;
-            slot.prev = NIL;
-            idx
+        let slot = Slot { item, next, len };
+        if self.free_head != NO_SLOT {
+            let id = self.free_head;
+            let free = self.slot_mut(id);
+            let after = free.next;
+            *free = slot;
+            self.free_head = after;
+            id
         } else {
-            let idx = self.slots.len() as u32;
-            assert!(idx != NIL, "slab pool exhausted u32 index space");
-            self.slots.push(Slot {
-                item,
-                next: NIL,
-                prev: NIL,
-            });
-            idx
+            assert!(
+                self.slots.len() < ArcList::EMPTY.0 as usize - 1,
+                "slab pool exhausted u32 slot ids"
+            );
+            self.slots.push(slot);
+            self.slots.len() as u32
         }
     }
 
     #[inline]
-    fn release(&mut self, idx: u32) -> T {
-        let item = self.slots[idx as usize].item;
-        self.slots[idx as usize].next = self.free_head;
-        self.free_head = idx;
+    fn release(&mut self, id: u32) -> T {
+        let free_head = self.free_head;
+        let slot = self.slot_mut(id);
+        slot.next = free_head;
+        let item = slot.item;
+        self.free_head = id;
         self.live -= 1;
         item
     }
 }
 
-/// An intrusive doubly-linked FIFO of slab slots: 12 bytes per arc.
-#[derive(Clone, Copy, Debug)]
-pub struct ArcFifo {
-    head: u32,
-    tail: u32,
-    len: u32,
-}
+/// One waiting list over a shared [`SlabPool`], packed into one `u32`:
+/// the id of its back slot, or [`ArcList::EMPTY`]'s word. See the module
+/// docs for the ring layout.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ArcList(u32);
 
-impl Default for ArcFifo {
-    fn default() -> Self {
-        ArcFifo::new()
-    }
-}
+impl ArcList {
+    /// The empty list. Its word is `u32::MAX`, which is never a slot id.
+    pub const EMPTY: ArcList = ArcList(u32::MAX);
 
-impl ArcFifo {
-    /// Empty list.
-    pub const fn new() -> ArcFifo {
-        ArcFifo {
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        }
-    }
-
-    /// Number of queued items.
+    /// The list a word from [`ArcList::word`] names.
     #[inline]
-    pub fn len(self) -> usize {
-        self.len as usize
+    pub const fn from_word(word: u32) -> ArcList {
+        ArcList(word)
+    }
+
+    /// The list's one-word handle: never 0.
+    #[inline]
+    pub const fn word(self) -> u32 {
+        self.0
     }
 
     /// Whether the list is empty.
     #[inline]
     pub fn is_empty(self) -> bool {
-        self.len == 0
+        self == ArcList::EMPTY
     }
 
-    /// Append `item` at the tail (arrival order). `O(1)`.
+    /// Number of queued items, read from the back slot.
     #[inline]
-    pub fn push_back<T: Copy>(&mut self, pool: &mut SlabPool<T>, item: T) {
-        let idx = pool.alloc(item);
-        let slot_prev = self.tail;
-        {
-            let slot = &mut pool.slots[idx as usize];
-            slot.prev = slot_prev;
-            slot.next = NIL;
-        }
-        if slot_prev == NIL {
-            self.head = idx;
+    pub fn len<T: Copy>(self, pool: &SlabPool<T>) -> usize {
+        if self.is_empty() {
+            0
         } else {
-            pool.slots[slot_prev as usize].next = idx;
+            pool.slot(self.0).len as usize
         }
-        self.tail = idx;
-        self.len += 1;
     }
 
-    /// Remove and return the head (oldest) item. `O(1)`.
+    /// A one-slot ring holding `item`; returns the new length, 1.
+    #[inline]
+    fn push_first<T: Copy>(&mut self, pool: &mut SlabPool<T>, item: T) -> usize {
+        let id = pool.alloc(item, NO_SLOT, 1);
+        pool.slot_mut(id).next = id;
+        self.0 = id;
+        1
+    }
+
+    /// Append `item` at the back (arrival order); returns the new length.
+    /// `O(1)`.
+    #[inline]
+    pub fn push_back<T: Copy>(&mut self, pool: &mut SlabPool<T>, item: T) -> usize {
+        if self.is_empty() {
+            return self.push_first(pool, item);
+        }
+        let back = pool.slot(self.0);
+        let (front, len) = (back.next, back.len + 1);
+        let id = pool.alloc(item, front, len);
+        pool.slot_mut(self.0).next = id;
+        self.0 = id;
+        len as usize
+    }
+
+    /// Put `item` at the front, so it is popped next; returns the new
+    /// length. `O(1)`.
+    #[inline]
+    pub fn push_front<T: Copy>(&mut self, pool: &mut SlabPool<T>, item: T) -> usize {
+        if self.is_empty() {
+            return self.push_first(pool, item);
+        }
+        let back = pool.slot(self.0);
+        let (front, len) = (back.next, back.len + 1);
+        let id = pool.alloc(item, front, 0);
+        let back = pool.slot_mut(self.0);
+        back.next = id;
+        back.len = len;
+        len as usize
+    }
+
+    /// Remove and return the front item. `O(1)`.
     #[inline]
     pub fn pop_front<T: Copy>(&mut self, pool: &mut SlabPool<T>) -> Option<T> {
-        let idx = self.head;
-        if idx == NIL {
+        if self.is_empty() {
             return None;
         }
-        let next = pool.slots[idx as usize].next;
-        self.head = next;
-        if next == NIL {
-            self.tail = NIL;
+        let front = pool.slot(self.0).next;
+        if front == self.0 {
+            *self = ArcList::EMPTY;
         } else {
-            pool.slots[next as usize].prev = NIL;
+            let after = pool.slot(front).next;
+            let back = pool.slot_mut(self.0);
+            back.next = after;
+            back.len -= 1;
         }
-        self.len -= 1;
-        Some(pool.release(idx))
-    }
-
-    /// Remove and return the tail (newest) item. `O(1)`.
-    #[inline]
-    pub fn pop_back<T: Copy>(&mut self, pool: &mut SlabPool<T>) -> Option<T> {
-        let idx = self.tail;
-        if idx == NIL {
-            return None;
-        }
-        let prev = pool.slots[idx as usize].prev;
-        self.tail = prev;
-        if prev == NIL {
-            self.head = NIL;
-        } else {
-            pool.slots[prev as usize].next = NIL;
-        }
-        self.len -= 1;
-        Some(pool.release(idx))
+        Some(pool.release(front))
     }
 }
 
 /// Indexed per-arc storage for constant-time uniform random picks.
 ///
-/// A uniformly random node of an intrusive [`ArcFifo`] cannot be reached
+/// A uniformly random node of an intrusive [`ArcList`] cannot be reached
 /// without walking the list. When
 /// [`crate::config::ContentionPolicy::Random`] is selected — and only
 /// then — the engine keeps each arc's waiting packets in one of these
@@ -256,11 +283,11 @@ mod tests {
     #[test]
     fn fifo_order_roundtrip() {
         let mut pool = SlabPool::with_capacity(8);
-        let mut q = ArcFifo::new();
+        let mut q = ArcList::EMPTY;
         for i in 0..10 {
-            q.push_back(&mut pool, i);
+            assert_eq!(q.push_back(&mut pool, i), i + 1);
         }
-        assert_eq!(q.len(), 10);
+        assert_eq!(q.len(&pool), 10);
         assert_eq!(pool.len(), 10);
         for i in 0..10 {
             assert_eq!(q.pop_front(&mut pool), Some(i));
@@ -272,20 +299,20 @@ mod tests {
     #[test]
     fn lifo_order() {
         let mut pool = SlabPool::with_capacity(4);
-        let mut q = ArcFifo::new();
+        let mut q = ArcList::EMPTY;
         for i in 0..5 {
-            q.push_back(&mut pool, i);
+            q.push_front(&mut pool, i);
         }
         for i in (0..5).rev() {
-            assert_eq!(q.pop_back(&mut pool), Some(i));
+            assert_eq!(q.pop_front(&mut pool), Some(i));
         }
-        assert_eq!(q.pop_back(&mut pool), None);
+        assert_eq!(q.pop_front(&mut pool), None);
     }
 
     #[test]
     fn slots_recycle_zero_steady_state_growth() {
         let mut pool = SlabPool::with_capacity(0);
-        let mut q = ArcFifo::new();
+        let mut q = ArcList::EMPTY;
         for round in 0..1000 {
             for i in 0..8 {
                 q.push_back(&mut pool, round * 8 + i);
@@ -301,22 +328,23 @@ mod tests {
     #[test]
     fn many_lists_share_one_pool() {
         let mut pool = SlabPool::with_capacity(16);
-        let mut a = ArcFifo::new();
-        let mut b = ArcFifo::new();
+        let mut a = ArcList::EMPTY;
+        let mut b = ArcList::EMPTY;
         for i in 0..6 {
             if i % 2 == 0 {
                 a.push_back(&mut pool, i);
             } else {
-                b.push_back(&mut pool, i);
+                b.push_front(&mut pool, i);
             }
         }
         assert_eq!(pool.len(), 6);
+        assert_eq!((a.len(&pool), b.len(&pool)), (3, 3));
         assert_eq!(a.pop_front(&mut pool), Some(0));
-        assert_eq!(b.pop_back(&mut pool), Some(5));
-        assert_eq!(a.pop_back(&mut pool), Some(4));
-        assert_eq!(b.pop_front(&mut pool), Some(1));
+        assert_eq!(b.pop_front(&mut pool), Some(5));
         assert_eq!(a.pop_front(&mut pool), Some(2));
-        assert_eq!(b.pop_back(&mut pool), Some(3));
+        assert_eq!(b.pop_front(&mut pool), Some(3));
+        assert_eq!(a.pop_front(&mut pool), Some(4));
+        assert_eq!(b.pop_front(&mut pool), Some(1));
         assert!(a.is_empty() && b.is_empty() && pool.is_empty());
     }
 

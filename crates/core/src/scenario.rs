@@ -1454,9 +1454,11 @@ pub struct Report {
     pub ext: ReportExt,
     /// Opt-in telemetry histograms and per-arc load, attached **after**
     /// the run by `hyperroute-telemetry`'s probe; absent keys serialise
-    /// to nothing, keeping unobserved baselines byte-identical.
+    /// to nothing, keeping unobserved baselines byte-identical. Boxed, so
+    /// the reports that carry none (every cached, sliced and merged one)
+    /// do not pay for its inline size.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub telemetry: Option<TelemetryExt>,
+    pub telemetry: Option<Box<TelemetryExt>>,
 }
 
 /// The per-topology extension of a [`Report`].
@@ -2169,6 +2171,14 @@ mod tests {
         let mut reseeded = s.clone();
         reseeded.run.seed += 1;
         assert_ne!(reseeded.canonical_hash(), hash);
+    }
+
+    #[test]
+    fn report_stays_small_without_telemetry() {
+        // Every cached, sliced and merged report pays this size; the
+        // telemetry block only telemetry-attached runs fill is boxed.
+        let size = std::mem::size_of::<Report>();
+        assert!(size <= 300, "Report is {size} bytes");
     }
 
     #[test]

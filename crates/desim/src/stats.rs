@@ -402,15 +402,19 @@ impl Reservoir {
         self.seen
     }
 
-    /// Empirical quantile `q ∈ [0, 1]` of the retained sample.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    /// Empirical quantiles `qs` (each in `[0, 1]`) of the retained
+    /// sample, read from one sorted copy; `None` while the sample is
+    /// empty.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> Option<[f64; N]> {
         if self.sample.is_empty() {
             return None;
         }
         let mut s = self.sample.clone();
-        s.sort_by(f64::total_cmp);
-        let idx = ((q * (s.len() - 1) as f64).round() as usize).min(s.len() - 1);
-        Some(s[idx])
+        // Elements equal under `total_cmp` are bit-identical, so an
+        // unstable sort yields the same sequence as a stable one.
+        s.sort_unstable_by(f64::total_cmp);
+        let last = s.len() - 1;
+        Some(qs.map(|q| s[((q * last as f64).round() as usize).min(last)]))
     }
 }
 
@@ -605,12 +609,9 @@ mod tests {
             r.push(i as f64);
         }
         assert_eq!(r.seen(), 50);
-        assert_eq!(r.quantile(0.0), Some(0.0));
-        assert_eq!(r.quantile(1.0), Some(49.0));
-        assert_eq!(
-            r.quantile(0.5),
-            Some(24.0).map(|_| r.quantile(0.5).unwrap())
-        );
+        // Index round(q·49): 0, 25 (24.5 rounds away from zero), 49.
+        assert_eq!(r.quantiles([0.0, 0.5, 1.0]), Some([0.0, 25.0, 49.0]));
+        assert_eq!(Reservoir::new(4, 1).quantiles([0.5]), None);
     }
 
     #[test]
@@ -620,8 +621,7 @@ mod tests {
         for _ in 0..200_000 {
             r.push(rng.uniform01());
         }
-        let med = r.quantile(0.5).unwrap();
-        let p90 = r.quantile(0.9).unwrap();
+        let [med, p90] = r.quantiles([0.5, 0.9]).unwrap();
         assert!((med - 0.5).abs() < 0.05, "median {med}");
         assert!((p90 - 0.9).abs() < 0.05, "p90 {p90}");
     }

@@ -13,12 +13,15 @@
 //! (`RoutingTopology::out_arc_range`).
 
 /// Node ceiling shared by every generator: `2^26` nodes keeps node ids
-/// comfortably inside the engine's packed 32-bit arc metadata and bounds
+/// comfortably inside the engine's 32-bit arc routing words and bounds
 /// a worst-case CSR at a few hundred MiB.
 pub const MAX_SPARSE_NODES: usize = 1 << 26;
 
-/// Arc ceiling: the engine packs a dense arc index plus a busy flag into
-/// one `u32` word, so arc indices must stay below `2^31`.
+/// Arc ceiling: arc indices travel as `u32` — the CSR's row offsets, the
+/// engine's arc choices and completion entries, the observers' hop
+/// records — so they must stay below `2^32`; `2^31` keeps a factor-two
+/// margin. (The engine's own per-arc state is one `u32` per arc, 8 GiB
+/// at this ceiling, on top of the CSR's 8 GiB of heads.)
 pub const MAX_SPARSE_ARCS: usize = 1 << 31;
 
 /// A finished CSR adjacency. Immutable once built; byte-identical for
@@ -107,7 +110,7 @@ impl SparseGraph {
         edges.dedup();
         assert!(
             edges.len() * 2 <= MAX_SPARSE_ARCS,
-            "too many arcs for the engine's packed 31-bit arc word"
+            "too many arcs for a sparse graph"
         );
         // Counting sort of both arc directions into rows.
         let mut row_ptr = vec![0u32; nodes + 1];
@@ -179,7 +182,7 @@ impl CsrBuilder {
         self.adj.extend_from_slice(neighbors);
         assert!(
             self.adj.len() <= MAX_SPARSE_ARCS,
-            "too many arcs for the engine's packed 31-bit arc word"
+            "too many arcs for a sparse graph"
         );
         self.row_ptr.push(self.adj.len() as u32);
         neighbors.clear();

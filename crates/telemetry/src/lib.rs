@@ -479,7 +479,7 @@ impl TelemetryProbe {
     /// Attach the accumulated telemetry to a finished report (the
     /// opt-in `telemetry` key; the report body is untouched).
     pub fn attach(self, report: &mut Report) {
-        report.telemetry = Some(self.into_ext());
+        report.telemetry = Some(Box::new(self.into_ext()));
     }
 }
 

@@ -21,7 +21,7 @@
 use crate::node::NodeId;
 
 /// Maximum supported fat-tree level count (bounded like the butterfly so
-/// packed per-arc words and dense masks stay cheap).
+/// packed arc routing words and dense masks stay cheap).
 pub const MAX_LEVELS: usize = 20;
 
 /// The binary fat tree with `L + 1` levels of `2^L` slots.

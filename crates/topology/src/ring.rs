@@ -22,7 +22,7 @@ use crate::node::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// Maximum supported ring size (`2^26` nodes matches the hypercube cap and
-/// keeps node ids inside the packed per-arc routing words the simulators
+/// keeps node ids inside the packed arc routing words the simulators
 /// use).
 pub const MAX_RING_NODES: usize = 1 << 26;
 

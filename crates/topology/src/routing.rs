@@ -51,7 +51,7 @@
 //! inject packets (all nodes by default; the butterfly's level-0 rows and
 //! the fat tree's leaves override it).
 //!
-//! The packet-level engines keep their packed per-arc fast paths (bit
+//! The packet-level engines keep their packed routing-word fast paths (bit
 //! tricks over XOR masks for the hypercube, level words for the
 //! butterfly), but those fast paths must agree with the trait — the
 //! property tests pin them together. "Add a topology" means implementing

@@ -18,7 +18,7 @@
 use crate::node::NodeId;
 
 /// Maximum supported node count (`2^26`, matching the hypercube/ring caps
-/// and the packed per-arc routing words the simulators use).
+/// and the packed arc routing words the simulators use).
 pub const MAX_TORUS_NODES: usize = 1 << 26;
 
 /// The `k`-ary `d`-cube: `k^d` nodes, `2d` arcs per node.
