@@ -18,16 +18,19 @@
 //! packet-over-arcs engine ([`crate::engine`]): its service model is
 //! per-*server* (including Processor Sharing with superseded tentative
 //! departures) and its randomness is per-server-positional rather than
-//! per-packet — the coupling above is the whole point. It still shares
-//! the scheduler, metrics, observers and the [`Report`] surface, and is
-//! constructed exclusively through [`crate::scenario::Scenario`] with
-//! [`crate::scenario::Topology::EqNet`].
+//! per-packet — the coupling above is the whole point. Its PS servers
+//! schedule departures at arbitrary times, so its future-event list is
+//! the [`EventQueue`] binary heap under either
+//! [`hyperroute_desim::SchedulerKind`] (the kind only selects the packet
+//! engine's completion list). It shares the metrics, observers and the
+//! [`Report`] surface, and is constructed exclusively through
+//! [`crate::scenario::Scenario`] with [`crate::scenario::Topology::EqNet`].
 
 use crate::metrics::MetricsCollector;
 use crate::observe::{NullObserver, Observer};
 use crate::pool::{ArcList, SlabPool};
 use crate::scenario::{EqNetExt, Report, ReportExt, RunControl, Scenario, Topology};
-use hyperroute_desim::{OccupancyHistogram, Scheduler, SimRng};
+use hyperroute_desim::{EventQueue, OccupancyHistogram, SimRng};
 use hyperroute_queueing::PsServer;
 use hyperroute_topology::LevelledNetwork;
 use serde::{Deserialize, Serialize};
@@ -72,7 +75,7 @@ struct Params {
     occupancy_cap: usize,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 enum Ev {
     Arrival(u32),
     FifoComplete(u32),
@@ -94,7 +97,7 @@ pub struct EqNetSim {
     route_rngs: Vec<SimRng>,
     external_rate: Vec<f64>,
     born: Vec<f64>,
-    events: Scheduler<Ev>,
+    events: EventQueue<Ev>,
     events_processed: u64,
     collector: MetricsCollector,
     departures: Vec<f64>,
@@ -168,11 +171,7 @@ impl EqNetSim {
             .map(|srv| SimRng::new(seed ^ (srv as u64).wrapping_mul(0xC2B2AE3D27D4EB4F) ^ 0xABCD))
             .collect();
 
-        // Rate hint: external arrivals plus one completion per stage
-        // visited (bounded by the server count per customer in these
-        // feed-forward networks; 4 is a comfortable average).
-        let events_per_unit = external_rate.iter().sum::<f64>() * 4.0 + n as f64;
-        let mut events = Scheduler::new(run.scheduler, events_per_unit);
+        let mut events = EventQueue::new();
         let mut arrival_rngs = arrival_rngs;
         for srv in 0..n {
             if external_rate[srv] > 0.0 {

@@ -42,7 +42,7 @@
 
 use crate::config::{FaultArrivals, FaultFallback, FaultMode, FaultSpec};
 use crate::engine::{Advance, ArcChoice, Engine, EngineCfg, EnginePacket, EngineSpec, Spawn};
-use crate::metrics::{MetricsCollector, ShardedArcTally};
+use crate::metrics::MetricsCollector;
 use crate::observe::{NullObserver, Observer};
 use crate::packet::sample_flip_mask;
 use crate::scenario::{GraphExt, OutcomeExt, Report, ReportExt, Scenario, StretchExt};
@@ -466,6 +466,13 @@ impl FaultState {
     }
 }
 
+/// Count an in-window packet arrival on `arc` (saturating at `u32::MAX`).
+#[inline]
+fn count_arrival(arc_arrivals: &mut [u32], arc: usize) {
+    let c = &mut arc_arrivals[arc];
+    *c = c.saturating_add(1);
+}
+
 /// The engine's choice of `arc`, whose routing word is its head node —
 /// read from the row `next_arc` (or the fallback) just scanned.
 #[inline]
@@ -547,12 +554,12 @@ pub struct GraphSpec<T: RoutingTopology> {
     topo: T,
     dest: GraphDestination,
     faults: Option<FaultState>,
-    /// In-window packet arrivals per arc (feeds the per-direction ring
-    /// rates and the [`GraphExt`] rate summary). Saturating counters
-    /// sharded by node range: untouched ranges of a ≥10⁷-arc graph
-    /// allocate nothing, and a window long enough to overflow one arc
-    /// 4 × 10⁹ times saturates harmlessly instead of wrapping.
-    arc_arrivals: ShardedArcTally,
+    /// In-window packet arrivals per dense arc index (feeds the
+    /// per-direction ring rates and the [`GraphExt`] rate summary).
+    /// Allocated zeroed, so the OS pages it in only as arcs are counted.
+    /// The counters saturate: a window long enough to overflow one arc
+    /// 4 × 10⁹ times pins it at `u32::MAX` instead of wrapping.
+    arc_arrivals: Vec<u32>,
     dropped_in_window: u64,
     /// Whether the scenario asked for the stretch extension (tallying is
     /// cheap and always on; this gates emission only).
@@ -589,7 +596,7 @@ impl<T: RoutingTopology> GraphSpec<T> {
     ) -> GraphSpec<T> {
         let faults = faults.map(|f| FaultState::build(&topo, f, horizon));
         GraphSpec {
-            arc_arrivals: ShardedArcTally::new(topo.num_arcs()),
+            arc_arrivals: vec![0; topo.num_arcs()],
             dropped_in_window: 0,
             stretch_on: stretch,
             outcomes: OutcomeTally::default(),
@@ -606,9 +613,8 @@ impl<T: RoutingTopology> GraphSpec<T> {
         &self.topo
     }
 
-    /// In-window packet arrivals per dense arc index (saturating,
-    /// node-range sharded).
-    pub fn arc_arrivals(&self) -> &ShardedArcTally {
+    /// In-window packet arrivals per dense arc index (saturating).
+    pub fn arc_arrivals(&self) -> &[u32] {
         &self.arc_arrivals
     }
 
@@ -715,7 +721,7 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
                             pkt.tries += 1;
                         }
                         if in_window {
-                            self.arc_arrivals.bump(arc);
+                            count_arrival(&mut self.arc_arrivals, arc);
                         }
                         take(topo, arc)
                     }
@@ -734,7 +740,7 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
         if !blocked {
             let arc = greedy.expect("unblocked implies a greedy arc");
             if in_window {
-                self.arc_arrivals.bump(arc);
+                count_arrival(&mut self.arc_arrivals, arc);
             }
             return take(topo, arc);
         }
@@ -771,7 +777,7 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
             Some((arc, paid)) => {
                 pkt.tries += paid as u16;
                 if in_window {
-                    self.arc_arrivals.bump(arc);
+                    count_arrival(&mut self.arc_arrivals, arc);
                 }
                 take(topo, arc)
             }
@@ -936,8 +942,8 @@ fn assemble<T: RoutingTopology>(
     let span = cfg.horizon - cfg.warmup;
     let arcs = spec.topology().num_arcs() as u64;
     let live = arcs - spec.dead_arcs();
-    let total: u64 = spec.arc_arrivals().total();
-    let max = spec.arc_arrivals().max();
+    let total: u64 = spec.arc_arrivals().iter().map(|&c| c as u64).sum();
+    let max = spec.arc_arrivals().iter().copied().max().unwrap_or(0);
     let delivered_measured = collector.delivered_measured();
     let dropped_measured = spec.dropped_in_window();
     let measured = delivered_measured + dropped_measured;
@@ -1031,6 +1037,18 @@ mod tests {
 
     fn graph(r: &Report) -> &GraphExt {
         r.graph().expect("graph extension")
+    }
+
+    #[test]
+    fn arc_arrival_counters_saturate_instead_of_wrapping() {
+        // Force a counter to the brink, then over it: it must pin at
+        // u32::MAX, not wrap to 0.
+        let mut arc_arrivals = vec![0u32; 4];
+        arc_arrivals[2] = u32::MAX - 1;
+        count_arrival(&mut arc_arrivals, 2);
+        assert_eq!(arc_arrivals[2], u32::MAX);
+        count_arrival(&mut arc_arrivals, 2);
+        assert_eq!(arc_arrivals, [0, 0, u32::MAX, 0], "must saturate, not wrap");
     }
 
     #[test]

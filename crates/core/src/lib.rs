@@ -35,9 +35,9 @@
 //! [`equivalent_network`] (per-*server* PS service with positional
 //! coupling — the §3.1 proof device) and [`pipelined`] (round-driven, no
 //! event queue). They share the metrics and report surface; the
-//! equivalent network drives the general `hyperroute_desim::Scheduler`
-//! (calendar queue or heap), since its PS servers schedule departures at
-//! arbitrary times.
+//! equivalent network drives the `hyperroute_desim::EventQueue` binary
+//! heap under either scheduler kind, since its PS servers schedule
+//! departures at arbitrary times.
 //!
 //! ## How to add a topology with zero event code
 //!

@@ -242,111 +242,6 @@ impl MetricsCollector {
     }
 }
 
-/// Arcs per [`ShardedArcTally`] shard (2¹⁶ × 4 B = 256 KiB): one shard
-/// spans the arcs of a contiguous node range, so a run that only loads
-/// part of a huge graph only allocates counters for the ranges it
-/// touches.
-const ARC_SHARD_BITS: u32 = 16;
-
-/// Per-arc arrival counters sharded by node range.
-///
-/// The flat `Vec<u32>` this replaces allocated (and zeroed, and walked)
-/// four bytes for *every* arc up front — fine at 10⁵ arcs, a 40 MB
-/// eager allocation at the ≥10⁷-arc scale the sparse-topology follow-up
-/// targets, where skewed demand leaves most ranges untouched. Shards are
-/// allocated lazily on first increment; counters saturate at `u32::MAX`
-/// instead of wrapping, so arbitrarily long horizons degrade gracefully
-/// (the summary rates read "at least this", never garbage).
-///
-/// Totals, maxima and iteration order are exactly those of the flat
-/// vector (missing shards read as zero), so reports are byte-identical
-/// across the representation change.
-#[derive(Clone, Debug)]
-pub struct ShardedArcTally {
-    /// `shards[i]` covers arcs `i·2¹⁶ .. min((i+1)·2¹⁶, len)`; `None`
-    /// until the first increment in that range. The tail shard is sized
-    /// exactly, so small graphs pay only their own footprint.
-    shards: Vec<Option<Box<[u32]>>>,
-    len: usize,
-}
-
-impl ShardedArcTally {
-    /// Tally over dense arc indices `0..len`; allocates only the shard
-    /// directory (one pointer per 2¹⁶ arcs).
-    pub fn new(len: usize) -> ShardedArcTally {
-        ShardedArcTally {
-            shards: vec![None; len.div_ceil(1 << ARC_SHARD_BITS)],
-            len,
-        }
-    }
-
-    /// Number of arcs tracked.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tally tracks no arcs.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn shard_span(&self, shard: usize) -> usize {
-        (self.len - (shard << ARC_SHARD_BITS)).min(1 << ARC_SHARD_BITS)
-    }
-
-    /// Saturating increment of `arc`'s counter, allocating its node
-    /// range's shard on first touch.
-    #[inline]
-    pub fn bump(&mut self, arc: usize) {
-        debug_assert!(arc < self.len);
-        let shard = arc >> ARC_SHARD_BITS;
-        let span = self.shard_span(shard);
-        let counters =
-            self.shards[shard].get_or_insert_with(|| vec![0u32; span].into_boxed_slice());
-        let c = &mut counters[arc & ((1 << ARC_SHARD_BITS) - 1)];
-        *c = c.saturating_add(1);
-    }
-
-    /// The counter of `arc` (0 if its shard was never touched).
-    #[inline]
-    pub fn get(&self, arc: usize) -> u32 {
-        debug_assert!(arc < self.len);
-        match &self.shards[arc >> ARC_SHARD_BITS] {
-            Some(counters) => counters[arc & ((1 << ARC_SHARD_BITS) - 1)],
-            None => 0,
-        }
-    }
-
-    /// Sum over all arcs (untouched shards contribute nothing).
-    pub fn total(&self) -> u64 {
-        self.shards
-            .iter()
-            .flatten()
-            .flat_map(|counters| counters.iter())
-            .map(|&c| c as u64)
-            .sum()
-    }
-
-    /// Largest single-arc counter (0 when no arc was ever bumped, like
-    /// `max().unwrap_or(0)` over the flat vector).
-    pub fn max(&self) -> u32 {
-        self.shards
-            .iter()
-            .flatten()
-            .flat_map(|counters| counters.iter())
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Counters in dense arc order, zeros for untouched shards — the
-    /// flat-vector view the report assemblers iterate.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len).map(move |arc| self.get(arc))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,65 +315,6 @@ mod tests {
         assert_eq!(m.in_flight(), 0);
         assert_eq!(m.current_in_system(), 0.0);
         assert_eq!(m.delay_stats().count, 1);
-    }
-
-    #[test]
-    fn sharded_tally_matches_flat_vector() {
-        // Spread bumps across three shards (arc indices straddling the
-        // 2^16 boundary) and check every read-side view against a flat
-        // model.
-        let len = (3 << ARC_SHARD_BITS) - 17;
-        let mut tally = ShardedArcTally::new(len);
-        let mut flat = vec![0u32; len];
-        let arcs = [0usize, 1, 65535, 65536, 65537, 131072, len - 1];
-        for (i, &arc) in arcs.iter().enumerate() {
-            for _ in 0..=i {
-                tally.bump(arc);
-                flat[arc] += 1;
-            }
-        }
-        assert_eq!(tally.len(), len);
-        assert_eq!(tally.total(), flat.iter().map(|&c| c as u64).sum::<u64>());
-        assert_eq!(tally.max(), *flat.iter().max().unwrap());
-        assert!(tally.iter().eq(flat.iter().copied()));
-        for &arc in &arcs {
-            assert_eq!(tally.get(arc), flat[arc]);
-        }
-    }
-
-    #[test]
-    fn sharded_tally_allocates_only_touched_ranges() {
-        // 10^6 arcs = 16 shards; touching two ranges must leave the other
-        // 14 directories empty (the lazy-allocation contract the ≥10^7-arc
-        // follow-up depends on).
-        let mut tally = ShardedArcTally::new(1_000_000);
-        tally.bump(3);
-        tally.bump(999_999);
-        let allocated = tally.shards.iter().flatten().count();
-        assert_eq!(allocated, 2);
-        assert_eq!(tally.total(), 2);
-        // Tail shard is sized exactly, not rounded up to 2^16.
-        assert_eq!(
-            tally.shards.last().unwrap().as_ref().unwrap().len(),
-            1_000_000 - 15 * (1 << ARC_SHARD_BITS)
-        );
-    }
-
-    #[test]
-    fn sharded_tally_saturates_instead_of_wrapping() {
-        let mut tally = ShardedArcTally::new(4);
-        // Force the counter to the brink, then over it: it must pin at
-        // u32::MAX, not wrap to 0 (the silent-overflow regression this
-        // guards against).
-        tally.bump(2);
-        if let Some(counters) = &mut tally.shards[0] {
-            counters[2] = u32::MAX - 1;
-        }
-        tally.bump(2);
-        assert_eq!(tally.get(2), u32::MAX);
-        tally.bump(2);
-        assert_eq!(tally.get(2), u32::MAX, "must saturate, not wrap");
-        assert_eq!(tally.max(), u32::MAX);
     }
 
     #[test]

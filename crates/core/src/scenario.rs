@@ -348,7 +348,8 @@ pub struct RunControl {
     pub warmup: f64,
     /// RNG seed; every run is a deterministic function of it.
     pub seed: u64,
-    /// Future-event-list backend (bit-identical results either way).
+    /// The packet engine's completion list; bit-identical results either
+    /// way. The equivalent network runs the heap under either kind.
     pub scheduler: SchedulerKind,
     /// After the horizon, keep serving until every in-flight packet is
     /// delivered. Disable for instability probes.
@@ -425,10 +426,10 @@ impl Scenario {
                         faults.validate(dim << dim)?;
                     }
                 }
-                // The exact checks `HypercubeSimConfig::check` runs, via
-                // the shared borrowed-field helper — no config assembly
-                // (which would clone a possibly-2^d-entry destination
-                // pmf), no possibility of drift.
+                // Dimension, workload, window and destination checks in
+                // the borrowed-field helper the butterfly arm shares: it
+                // borrows the possibly-2^d-entry destination pmf instead
+                // of copying it.
                 crate::config::check_sim_fields(
                     self.dim(),
                     26,
@@ -1228,7 +1229,7 @@ fn ring_ext(spec: &GraphSpec<Ring>, cfg: &EngineCfg, collector: &MetricsCollecto
     let span = cfg.horizon - cfg.warmup;
     let arcs_per_direction = ring.num_nodes() as f64;
     let (mut cw, mut ccw) = (0u64, 0u64);
-    for (arc, count) in spec.arc_arrivals().iter().enumerate() {
+    for (arc, &count) in spec.arc_arrivals().iter().enumerate() {
         if !ring.bidirectional() || arc & 1 == 0 {
             cw += count as u64;
         } else {
@@ -1401,7 +1402,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Select the future-event-list backend.
+    /// Select the packet engine's completion list ([`RunControl::scheduler`]).
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scenario.run.scheduler = scheduler;
         self

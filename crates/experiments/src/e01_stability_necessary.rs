@@ -2,10 +2,10 @@
 //! routing achieves it (Prop. 6), so the empirical stability frontier sits
 //! exactly at `ρ = 1`.
 
-use crate::runner::parallel_map;
 use crate::sweep::rho_grid_boundary;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::stability::probe_hypercube;
 use hyperroute_core::Scheme;
 

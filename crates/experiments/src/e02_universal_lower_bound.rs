@@ -5,11 +5,11 @@
 //! Both forms are reported: the provably valid workload bound and the
 //! paper-printed heavy-traffic form (see `hyperroute_queueing::mds`).
 
-use crate::runner::parallel_map;
 use crate::sweep::cartesian;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::hypercube_bounds;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// Measure T across (d, ρ) and compare with Prop. 2.

@@ -2,11 +2,11 @@
 //! `T ≥ max{dp, p(1 + ρ/(2(1-ρ)))}`. Greedy routing is oblivious, so its
 //! measured delay must respect it.
 
-use crate::runner::parallel_map;
 use crate::sweep::cartesian;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::hypercube_bounds;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// Measure T across (d, ρ) and compare with Prop. 3.

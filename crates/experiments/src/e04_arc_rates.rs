@@ -2,9 +2,9 @@
 //! arrival rate exactly `ρ = λp`, uniformly across dimensions — even though
 //! the *external* rates `λp(1-p)^i` are wildly asymmetric.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// Measure per-dimension per-arc arrival rates for symmetric and skewed p.

@@ -2,11 +2,11 @@
 //! stay bounded even at ρ = 0.95–0.98, and the mean backlog respects the
 //! product-form comparison `N ≤ d·2^d·ρ/(1-ρ)` (Eq. (13)).
 
-use crate::runner::parallel_map;
 use crate::sweep::cartesian;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::hypercube_bounds;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::stability::probe_hypercube;
 use hyperroute_core::Scheme;
 

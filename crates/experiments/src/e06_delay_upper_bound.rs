@@ -1,11 +1,11 @@
 //! E06 — Prop. 12 (the headline result): greedy delay satisfies
 //! `T ≤ dp/(1-ρ)`: O(d) at fixed load, `1/(1-ρ)` blow-up at fixed d.
 
-use crate::runner::parallel_map;
 use crate::sweep::{cartesian, rho_grid_standard};
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::hypercube_bounds;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// The main delay-vs-load sweep.

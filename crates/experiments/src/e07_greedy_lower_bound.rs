@@ -1,10 +1,10 @@
 //! E07 — Prop. 13: greedy delay satisfies `T ≥ dp + pρ/(2(1-ρ))`.
 
-use crate::runner::parallel_map;
 use crate::sweep::{cartesian, rho_grid_standard};
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::hypercube_bounds;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// Delay sweep against the Prop. 13 lower bound.

@@ -4,10 +4,10 @@
 //! system. Checked on the Fig. 2 network and on equivalent networks `Q` of
 //! small hypercubes.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_core::equivalent_network::Discipline;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::scenario::EqNetSpec;
 use hyperroute_core::{Scenario, Topology};
 use hyperroute_queueing::sample_path::counting_dominates;

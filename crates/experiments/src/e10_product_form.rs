@@ -2,10 +2,10 @@
 //! in §3.3): per-server occupancy is geometric(ρ) and
 //! `N̄ = d·2^d·ρ/(1-ρ)`.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_core::equivalent_network::Discipline;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::scenario::EqNetSpec;
 use hyperroute_core::{Scenario, Topology};
 

@@ -1,10 +1,10 @@
 //! E11 — §3.4 slotted time: with slot length `r` and per-slot Poisson
 //! batches the delay satisfies `T_slot ≤ dp/(1-ρ) + r`.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::hypercube_bounds;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{ArrivalModel, Scenario, Topology};
 
 /// Slotted-vs-continuous comparison across slot lengths.

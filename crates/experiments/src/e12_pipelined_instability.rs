@@ -3,9 +3,9 @@
 //! grows — while greedy routing sails on. This is the paper's motivation
 //! for studying the non-idling scheme.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::stability::probe_hypercube;
 use hyperroute_core::{Scenario, Scheme, Topology};
 

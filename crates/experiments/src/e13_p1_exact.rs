@@ -2,11 +2,11 @@
 //! arc-disjoint and the delay is exactly `T = d + ρ/(2(1-ρ))` — the one
 //! point where the Prop. 13 lower bound is tight.
 
-use crate::runner::parallel_map;
 use crate::sweep::cartesian;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::hypercube_bounds;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// Compare measured delay against the exact closed form at p = 1.

@@ -1,10 +1,10 @@
 //! E14 — heavy traffic (§3.3 end): for fixed `d`, the scaled delay
 //! `(1-ρ)·T` stays within the `[p/2, dp]` bracket as `ρ → 1`.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::heavy_traffic;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// Scaled-delay measurements approaching the boundary.

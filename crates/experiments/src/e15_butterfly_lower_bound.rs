@@ -1,11 +1,11 @@
 //! E15 — Prop. 14: the butterfly universal lower bound
 //! `T ≥ d + λp²/(2(1-λp)) + λ(1-p)²/(2(1-λ(1-p)))`.
 
-use crate::runner::parallel_map;
 use crate::sweep::cartesian;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::butterfly_bounds;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// Butterfly delay vs the Prop. 14 bound across (d, p).

@@ -3,9 +3,9 @@
 //! `p = 1/2`: vertical arcs bottleneck for large `p`, straight arcs for
 //! small `p` — the crossover the paper points out below Eq. (17).
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::stability::probe_butterfly;
 
 /// Sweep p at fixed λ across the stability window.

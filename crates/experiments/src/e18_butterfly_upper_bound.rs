@@ -1,11 +1,11 @@
 //! E18 — Prop. 17: butterfly greedy delay satisfies
 //! `T ≤ dp/(1-λp) + d(1-p)/(1-λ(1-p))`.
 
-use crate::runner::parallel_map;
 use crate::sweep::cartesian;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::butterfly_bounds;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// Butterfly delay vs the Prop. 17 bound across (d, λ, p).

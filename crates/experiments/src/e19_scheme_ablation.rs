@@ -9,9 +9,9 @@
 //!   sustainable load** (effective per-arc rate `λ(1/2 + p)`), the trade-off
 //!   §5 predicts.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::stability::probe_hypercube;
 use hyperroute_core::{Scenario, Scheme, Topology};
 

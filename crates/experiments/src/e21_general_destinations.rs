@@ -5,11 +5,11 @@
 //! bottleneck dimension — and the frontier sits exactly where the
 //! generalised load factor says.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_analysis::load::dimension_load_factors;
 use hyperroute_core::config::DestinationSpec;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::stability::probe_scenario;
 use hyperroute_core::{Scenario, Topology};
 

@@ -6,10 +6,10 @@
 //! a delay-bound guarantee, and the paper's mean-delay results are robust
 //! to the rule.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
 use hyperroute_core::config::ContentionPolicy;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 
 /// Mean and tail delay for each contention policy at moderate/high load.

@@ -12,9 +12,9 @@
 //! the PS/product-form bound (geometric occupancy at *every* server) is
 //! loose in the bulk.
 
-use crate::runner::parallel_map;
 use crate::table::{f4, yn, Table};
 use crate::Scale;
+use hyperroute_core::runner::parallel_map;
 use hyperroute_core::{Scenario, Topology};
 use hyperroute_queueing::md1;
 

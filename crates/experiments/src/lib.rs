@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod runner;
 pub mod sweep;
 pub mod table;
 

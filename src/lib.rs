@@ -27,7 +27,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`topology`] | hypercube, butterfly, ring, torus, de Bruijn, the generic `RoutingTopology` trait, canonical paths, equivalent networks Q/R, DOT figures |
-//! | [`desim`] | event schedulers (binary heap + calendar queue), RNG streams, statistics |
+//! | [`desim`] | the binary-heap future-event list, RNG streams, statistics |
 //! | [`queueing`] | M/M/1, M/D/1, M/D/s, FIFO/PS sample-path servers, product form |
 //! | [`analysis`] | every proposition's bound as a function |
 //! | [`routing`] | the topology-generic engine, the scenario API, and the per-topology simulator specs (crate `hyperroute-core`) |

@@ -1,12 +1,13 @@
 //! Differential tests of the two scheduler kinds.
 //!
 //! Under `SchedulerKind::Calendar` (the default) the packet engine keeps
-//! its pending service completions in a unit-service FIFO, and the
-//! equivalent network uses the calendar queue; `SchedulerKind::Heap`
-//! selects the reference binary heap in both. The contract is not
-//! "statistically equivalent" but **bit-identical**: for a fixed seed, the
-//! FIFO (or calendar) must pop every event in exactly the same order as
-//! the heap, consume exactly the same random draws, and therefore produce
+//! its pending service completions in a unit-service FIFO;
+//! `SchedulerKind::Heap` selects the reference binary heap. The
+//! equivalent network runs that heap under either kind, so its runs here
+//! check only that the kind does not leak into its reports. The contract
+//! is not "statistically equivalent" but **bit-identical**: for a fixed
+//! seed, the FIFO must pop every event in exactly the same order as the
+//! heap, consume exactly the same random draws, and therefore produce
 //! byte-for-byte equal reports. These tests run every simulator (through
 //! the unified `Scenario` spec, varying only `RunControl::scheduler`)
 //! across schemes, arrival models, and contention policies under both
