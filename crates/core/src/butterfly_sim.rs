@@ -8,18 +8,18 @@
 //! crosses all `d` straight arcs — the butterfly has no zero-hop
 //! deliveries.
 //!
-//! The event loop lives in [`crate::engine`]; this module is the
-//! butterfly's routing law ([`ButterflySpec`]), its per-level Prop. 15
-//! statistics, and its [`Report`] assembly. Construct through
-//! [`crate::scenario::Scenario`] with
-//! [`crate::scenario::Topology::Butterfly`].
+//! The event loop and the common report fields live in
+//! [`crate::engine`]; this module is the butterfly's routing law
+//! ([`ButterflySpec`]), its per-level Prop. 15 statistics, and its
+//! [`ButterflyExt`] report extension. [`crate::scenario::Scenario`] runs
+//! a fault-free [`Topology::Butterfly`] as an
+//! [`Engine`](crate::engine::Engine) over this spec.
 
-use crate::engine::{Advance, ArcChoice, Engine, EngineCfg, EnginePacket, EngineSpec, Spawn};
-use crate::observe::{NullObserver, Observer};
+use crate::engine::{Advance, ArcChoice, EngineCfg, EnginePacket, EngineSpec, Spawn};
+use crate::metrics::MetricsCollector;
 use crate::packet::sample_flip_mask;
-use crate::scenario::{ButterflyExt, Report, ReportExt, Scenario, Topology};
+use crate::scenario::{ButterflyExt, ReportExt, Scenario, Topology};
 use hyperroute_desim::{SimRng, Tally};
-use hyperroute_topology::Butterfly;
 
 /// An in-flight butterfly packet. Its current node (row, level) is implied
 /// by the arc queue holding it, so only the destination row rides along.
@@ -56,6 +56,22 @@ pub struct ButterflySpec {
     straight_arrivals: Vec<u64>,
     vertical_arrivals: Vec<u64>,
     vertical_stats: Tally,
+}
+
+impl ButterflySpec {
+    /// The spec of a validated fault-free butterfly scenario.
+    pub(crate) fn new(s: &Scenario) -> ButterflySpec {
+        let Topology::Butterfly { dim } = s.topology else {
+            unreachable!("butterfly spec for a non-butterfly scenario");
+        };
+        ButterflySpec {
+            dim,
+            p: s.workload.p,
+            straight_arrivals: vec![0; dim],
+            vertical_arrivals: vec![0; dim],
+            vertical_stats: Tally::new(),
+        }
+    }
 }
 
 impl EngineSpec for ButterflySpec {
@@ -129,90 +145,22 @@ impl EngineSpec for ButterflySpec {
             self.vertical_stats.push(pkt.verticals as f64);
         }
     }
-}
 
-/// The butterfly simulator: a [`ButterflySpec`] driven by the generic
-/// [`Engine`].
-pub struct ButterflySim {
-    engine: Engine<ButterflySpec>,
-}
-
-impl ButterflySim {
-    /// Build the simulator from a validated butterfly scenario.
-    pub(crate) fn from_scenario(s: &Scenario) -> ButterflySim {
-        let Topology::Butterfly { dim } = s.topology else {
-            unreachable!("butterfly simulator on a non-butterfly scenario");
-        };
-        let bf = Butterfly::new(dim);
-        let spec = ButterflySpec {
-            dim,
-            p: s.workload.p,
-            straight_arrivals: vec![0; dim],
-            vertical_arrivals: vec![0; dim],
-            vertical_stats: Tally::new(),
-        };
-        debug_assert_eq!(bf.num_arcs(), dim << (dim + 1));
-        let cfg = EngineCfg {
-            lambda: s.workload.lambda,
-            arrivals: s.workload.arrivals,
-            contention: s.policy.contention,
-            scheduler: s.run.scheduler,
-            horizon: s.run.horizon,
-            warmup: s.run.warmup,
-            seed: s.run.seed,
-            drain: s.run.drain,
-        };
-        ButterflySim {
-            engine: Engine::new(spec, cfg),
-        }
-    }
-
-    /// Run to completion and summarise.
-    pub fn run(self) -> Report {
-        self.run_observed(&mut NullObserver)
-    }
-
-    /// Run to completion under a streaming [`Observer`] and summarise.
-    ///
-    /// The observer never changes the simulation — reports are
-    /// bit-identical to an unobserved [`ButterflySim::run`].
-    pub fn run_observed<O: Observer>(mut self, obs: &mut O) -> Report {
-        self.engine.drive(obs);
-        self.report()
-    }
-
-    fn report(&self) -> Report {
-        let engine = &self.engine;
-        let (spec, cfg, collector) = (engine.spec(), engine.cfg(), engine.collector());
+    fn ext(&self, cfg: &EngineCfg, _collector: &MetricsCollector) -> ReportExt {
         let span = cfg.horizon - cfg.warmup;
-        let arcs_per_level = (1usize << spec.dim) as f64;
-        let straight: Vec<f64> = spec
-            .straight_arrivals
-            .iter()
-            .map(|&c| c as f64 / (span * arcs_per_level))
-            .collect();
-        let vertical: Vec<f64> = spec
-            .vertical_arrivals
-            .iter()
-            .map(|&c| c as f64 / (span * arcs_per_level))
-            .collect();
-        Report {
-            delay: collector.delay_stats(),
-            mean_in_system: collector.mean_in_system(cfg.horizon),
-            peak_in_system: collector.peak_in_system(),
-            throughput: collector.throughput(cfg.horizon),
-            little_error: collector.little_check(cfg.horizon).relative_error(),
-            generated: collector.generated(),
-            delivered: collector.delivered_total(),
-            events: engine.events_processed(),
-            ext: ReportExt::Butterfly(ButterflyExt {
-                rho: cfg.lambda * spec.p.max(1.0 - spec.p),
-                mean_vertical_hops: spec.vertical_stats.mean(),
-                straight_rate_per_level: straight,
-                vertical_rate_per_level: vertical,
-            }),
-            telemetry: None,
-        }
+        let arcs_per_level = (1usize << self.dim) as f64;
+        let rates = |arrivals: &[u64]| {
+            arrivals
+                .iter()
+                .map(|&c| c as f64 / (span * arcs_per_level))
+                .collect()
+        };
+        ReportExt::Butterfly(ButterflyExt {
+            rho: cfg.lambda * self.p.max(1.0 - self.p),
+            mean_vertical_hops: self.vertical_stats.mean(),
+            straight_rate_per_level: rates(&self.straight_arrivals),
+            vertical_rate_per_level: rates(&self.vertical_arrivals),
+        })
     }
 }
 
@@ -220,6 +168,7 @@ impl ButterflySim {
 mod tests {
     use super::*;
     use crate::config::ArrivalModel;
+    use crate::scenario::Report;
     use hyperroute_analysis::butterfly_bounds;
 
     fn base_scenario() -> Scenario {
@@ -234,20 +183,18 @@ mod tests {
     }
 
     fn run(s: &Scenario) -> Report {
-        ButterflySim::from_scenario(s).run()
+        s.run().expect("valid scenario")
     }
 
     #[test]
     fn chosen_routing_words_match_the_topology_arcs() {
         use hyperroute_topology::{ArcKind, ButterflyArc};
         let dim = 4;
-        let mut spec = ButterflySpec {
-            dim,
-            p: 0.5,
-            straight_arrivals: vec![0; dim],
-            vertical_arrivals: vec![0; dim],
-            vertical_stats: Tally::new(),
-        };
+        let mut spec = ButterflySpec::new(
+            &Scenario::builder(Topology::Butterfly { dim })
+                .build()
+                .unwrap(),
+        );
         let mut rng = SimRng::new(1);
         for level in 0..dim {
             for row in 0..1u32 << dim {

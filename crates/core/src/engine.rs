@@ -10,8 +10,12 @@
 //! ~100-line spec — or **zero** lines via the blanket
 //! `graph_sim::GraphSpec<T: RoutingTopology>`; everything
 //! else — slab packet pool, completion list, contention policies,
-//! warm-up truncation, drain control, metrics, observers — lives here
-//! **once**, monomorphised per topology by [`Engine::drive`].
+//! warm-up truncation, drain control, metrics, observers, the common
+//! report fields — lives here **once**, monomorphised per topology by
+//! [`Engine::drive`]. `Engine<S>` is itself the
+//! [`Simulator`](crate::scenario::Simulator) that
+//! [`Scenario::into_simulator`](crate::scenario::Scenario::into_simulator)
+//! returns for every packet-level topology.
 //!
 //! # Byte-compatibility with the per-topology loops it replaced
 //!
@@ -64,6 +68,7 @@ use crate::config::{ArrivalModel, ContentionPolicy};
 use crate::metrics::MetricsCollector;
 use crate::observe::Observer;
 use crate::pool::{ArcBag, ArcList, SlabPool};
+use crate::scenario::{Report, ReportExt, Scenario};
 use hyperroute_desim::{EventQueue, SchedulerKind, SimRng};
 use std::collections::VecDeque;
 
@@ -205,10 +210,14 @@ pub trait EngineSpec {
     fn in_escape(&self, _pkt: &Self::Pkt) -> bool {
         false
     }
+
+    /// The topology's report extension, rendered from the spec's own
+    /// statistics and the run's `collector` once the run is over.
+    fn ext(&self, cfg: &EngineCfg, collector: &MetricsCollector) -> ReportExt;
 }
 
 /// Execution parameters of one engine run — the topology-independent
-/// subset of a `Scenario`.
+/// subset of a [`Scenario`], built by [`EngineCfg::new`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineCfg {
     /// Per-source Poisson generation rate `λ`.
@@ -230,6 +239,23 @@ pub struct EngineCfg {
     /// Serve out all in-flight packets after the horizon (disable for
     /// instability probes).
     pub drain: bool,
+}
+
+impl EngineCfg {
+    /// The run parameters of a validated scenario: its workload's rate
+    /// and arrival model, its contention policy and its run control.
+    pub fn new(s: &Scenario) -> EngineCfg {
+        EngineCfg {
+            lambda: s.workload.lambda,
+            arrivals: s.workload.arrivals,
+            contention: s.policy.contention,
+            scheduler: s.run.scheduler,
+            horizon: s.run.horizon,
+            warmup: s.run.warmup,
+            seed: s.run.seed,
+            drain: s.run.drain,
+        }
+    }
 }
 
 /// Word of an idle arc.
@@ -300,8 +326,7 @@ impl<P> Completions<P> {
 }
 
 /// The topology-generic event-driven engine. Construct with
-/// [`Engine::new`], run with [`Engine::drive`], then read the spec and
-/// collector back out to build a report.
+/// [`Engine::new`], then [`Engine::run`] it to a [`Report`].
 pub struct Engine<T: EngineSpec> {
     spec: T,
     cfg: EngineCfg,
@@ -322,6 +347,9 @@ pub struct Engine<T: EngineSpec> {
     /// Service completions only: the arrival stream lives in
     /// `next_stream`, not here.
     completions: Completions<T::Pkt>,
+    /// Discrete events processed: arrival-stream firings (merged arrivals
+    /// or slot boundaries) plus service completions — the same count the
+    /// retired per-topology loops reported.
     events_processed: u64,
     /// Next firing of the self-scheduling arrival stream (merged Poisson
     /// arrival or slot boundary), or `None` once generation has ceased.
@@ -625,26 +653,14 @@ impl<T: EngineSpec> Engine<T> {
         }
     }
 
-    /// The spec, for report assembly after [`Engine::drive`].
-    pub fn spec(&self) -> &T {
-        &self.spec
-    }
-
-    /// The run parameters.
-    pub fn cfg(&self) -> &EngineCfg {
-        &self.cfg
-    }
-
-    /// The shared metrics collector.
-    pub fn collector(&self) -> &MetricsCollector {
-        &self.collector
-    }
-
-    /// Discrete events processed: arrival-stream firings (merged arrivals
-    /// or slot boundaries) plus service completions — the same count the
-    /// retired per-topology loops reported.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
+    /// Drive the simulation to completion under `obs` and summarise: the
+    /// collector fills the common [`Report`] fields and the spec renders
+    /// its extension. The observer never changes the simulation, so
+    /// reports are byte-identical whatever `obs` is.
+    pub fn run<O: Observer>(mut self, obs: &mut O) -> Report {
+        self.drive(obs);
+        let ext = self.spec.ext(&self.cfg, &self.collector);
+        self.collector.report(self.events_processed, ext)
     }
 }
 
@@ -695,6 +711,9 @@ mod tests {
             Advance::Deliver(1)
         }
         fn note_deliver(&mut self, _: &Born, _: bool) {}
+        fn ext(&self, _: &EngineCfg, _: &MetricsCollector) -> ReportExt {
+            unreachable!("the star is driven, never run to a report")
+        }
     }
 
     #[test]
@@ -728,8 +747,8 @@ mod tests {
             );
             assert!(engine.pool.is_empty(), "{contention:?}");
             assert_eq!(
-                engine.collector().delivered_total(),
-                engine.collector().generated()
+                engine.collector.delivered_total(),
+                engine.collector.generated()
             );
         }
     }

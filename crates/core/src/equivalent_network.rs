@@ -84,11 +84,16 @@ enum Ev {
 
 /// The equivalent-network simulator. Built by the scenario layer
 /// ([`crate::scenario::Topology::EqNet`]).
+///
+/// A customer is its birth time: the only thing the network remembers
+/// about it is the time's bits, carried as its token in the FIFO slab
+/// and as its `PsServer` job id, so memory is bounded by the population
+/// in the network, not by the customers generated over the horizon.
 pub struct EqNetSim {
     cfg: Params,
     routes: Vec<Vec<(u32, f64)>>,
-    /// Slab of queued customer ids; FIFO servers hold intrusive lists
-    /// whose front is the customer in service.
+    /// Slab of queued customer tokens (birth-time bits); FIFO servers
+    /// hold intrusive lists whose front is the customer in service.
     fifo_pool: SlabPool<u64>,
     fifo_queues: Vec<ArcList>,
     ps_servers: Vec<PsServer>,
@@ -96,7 +101,6 @@ pub struct EqNetSim {
     arrival_rngs: Vec<SimRng>,
     route_rngs: Vec<SimRng>,
     external_rate: Vec<f64>,
-    born: Vec<f64>,
     events: EventQueue<Ev>,
     events_processed: u64,
     collector: MetricsCollector,
@@ -207,7 +211,6 @@ impl EqNetSim {
             arrival_rngs,
             route_rngs,
             external_rate,
-            born: Vec::new(),
             events,
             events_processed: 0,
             collector,
@@ -228,7 +231,21 @@ impl EqNetSim {
     /// bit-identical to an unobserved [`EqNetSim::run`].
     pub fn run_observed<O: Observer>(mut self, obs: &mut O) -> Report {
         self.drive(obs);
-        self.report()
+        let cfg = &self.cfg;
+        let occupancy_fractions = self
+            .occupancy
+            .iter()
+            .map(|h| {
+                (0..cfg.occupancy_cap)
+                    .map(|n| h.fraction(n, cfg.horizon))
+                    .collect()
+            })
+            .collect();
+        let ext = ReportExt::EqNet(EqNetExt {
+            departures: self.departures,
+            occupancy_fractions,
+        });
+        self.collector.report(self.events_processed, ext)
     }
 
     fn drive<O: Observer>(&mut self, obs: &mut O) {
@@ -253,23 +270,22 @@ impl EqNetSim {
         if next < self.cfg.horizon {
             self.events.push(next, Ev::Arrival(srv as u32));
         }
-        let id = self.born.len() as u64;
-        self.born.push(t);
         self.collector.on_generated(t);
-        self.join(t, srv, id);
+        self.join(t, srv, t.to_bits());
     }
 
-    fn join(&mut self, t: f64, srv: usize, id: u64) {
+    /// Customer `token` (its birth time's bits) joins server `srv` at `t`.
+    fn join(&mut self, t: f64, srv: usize, token: u64) {
         self.occ_bump(t, srv, 1);
         match self.cfg.discipline {
             Discipline::Fifo => {
-                // A list of one: the server was idle and serves `id` now.
-                if self.fifo_queues[srv].push_back(&mut self.fifo_pool, id) == 1 {
+                // A list of one: the server was idle and serves `token` now.
+                if self.fifo_queues[srv].push_back(&mut self.fifo_pool, token) == 1 {
                     self.events.push(t + 1.0, Ev::FifoComplete(srv as u32));
                 }
             }
             Discipline::Ps => {
-                self.ps_servers[srv].arrive(t, id);
+                self.ps_servers[srv].arrive(t, token);
                 self.reschedule_ps(srv);
             }
         }
@@ -289,34 +305,35 @@ impl EqNetSim {
     }
 
     fn on_fifo_complete<O: Observer>(&mut self, t: f64, srv: usize, obs: &mut O) {
-        let id = self.fifo_queues[srv]
+        let token = self.fifo_queues[srv]
             .pop_front(&mut self.fifo_pool)
             .expect("completion on empty queue");
         if !self.fifo_queues[srv].is_empty() {
             self.events.push(t + 1.0, Ev::FifoComplete(srv as u32));
         }
-        self.route(t, srv, id, obs);
+        self.route(t, srv, token, obs);
     }
 
     fn on_ps_tentative<O: Observer>(&mut self, t: f64, srv: usize, generation: u32, obs: &mut O) {
         if generation != self.ps_generation[srv] {
             return; // superseded by a later arrival/departure
         }
-        let id = self.ps_servers[srv].complete_next(t);
+        let token = self.ps_servers[srv].complete_next(t);
         self.reschedule_ps(srv);
-        self.route(t, srv, id, obs);
+        self.route(t, srv, token, obs);
     }
 
     /// Positional routing decision: the k-th completion at server `srv`
     /// consumes the k-th draw of `route_rngs[srv]` (same in FIFO and PS).
-    fn route<O: Observer>(&mut self, t: f64, srv: usize, id: u64, obs: &mut O) {
+    fn route<O: Observer>(&mut self, t: f64, srv: usize, token: u64, obs: &mut O) {
         self.occ_bump(t, srv, -1);
         let decision = self.route_rngs[srv].route(&self.routes[srv]);
         match decision {
-            Some(next) => self.join(t, next as usize, id),
+            Some(next) => self.join(t, next as usize, token),
             None => {
-                self.collector.on_delivered(t, self.born[id as usize], 0);
-                obs.on_delivered(t, self.born[id as usize]);
+                let born = f64::from_bits(token);
+                self.collector.on_delivered(t, born, 0);
+                obs.on_delivered(t, born);
                 if self.cfg.record_departures {
                     self.departures.push(t);
                 }
@@ -331,34 +348,6 @@ impl EqNetSim {
         let c = (self.occ_count[srv] as i64 + delta).max(0) as usize;
         self.occ_count[srv] = c;
         self.occupancy[srv].set(t.min(self.cfg.horizon), c);
-    }
-
-    fn report(&self) -> Report {
-        let cfg = &self.cfg;
-        let occupancy_fractions = self
-            .occupancy
-            .iter()
-            .map(|h| {
-                (0..cfg.occupancy_cap)
-                    .map(|n| h.fraction(n, cfg.horizon))
-                    .collect()
-            })
-            .collect();
-        Report {
-            delay: self.collector.delay_stats(),
-            mean_in_system: self.collector.mean_in_system(cfg.horizon),
-            peak_in_system: self.collector.peak_in_system(),
-            throughput: self.collector.throughput(cfg.horizon),
-            little_error: self.collector.little_check(cfg.horizon).relative_error(),
-            generated: self.collector.generated(),
-            delivered: self.collector.delivered_total(),
-            events: self.events_processed,
-            ext: ReportExt::EqNet(EqNetExt {
-                departures: self.departures.clone(),
-                occupancy_fractions,
-            }),
-            telemetry: None,
-        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! The blanket graph simulator: **any** [`RoutingTopology`] runs on the
+//! The blanket graph spec: **any** [`RoutingTopology`] runs on the
 //! generic engine with zero per-topology event code.
 //!
 //! PR 4 proved the engine/topology split with a hand-written ring spec;
@@ -12,7 +12,11 @@
 //! de Bruijn graph and the generated sparse topologies
 //! (`hyperroute-sparse`) all route through this one spec, and the ring
 //! replays its former hand-written spec **draw for draw** (its corpus
-//! baselines are byte-identical across the port).
+//! baselines are byte-identical across the port). The scenario layer runs
+//! every graph-routed topology as an
+//! [`Engine<GraphSpec<T>>`](crate::engine::Engine); the spec's extension
+//! builder ([`graph_ext`], [`sparse_ext`], or the ring's own) is the only
+//! per-topology code in the run.
 //!
 //! The sparse topologies relax the greedy contract: `next_arc` may
 //! return `None` away from the destination when metric greedy stalls.
@@ -41,13 +45,12 @@
 //!   power-law ring offsets — see [`GraphDestination`].
 
 use crate::config::{FaultArrivals, FaultFallback, FaultMode, FaultSpec};
-use crate::engine::{Advance, ArcChoice, Engine, EngineCfg, EnginePacket, EngineSpec, Spawn};
+use crate::engine::{Advance, ArcChoice, EngineCfg, EnginePacket, EngineSpec, Spawn};
 use crate::metrics::MetricsCollector;
-use crate::observe::{NullObserver, Observer};
 use crate::packet::sample_flip_mask;
-use crate::scenario::{GraphExt, OutcomeExt, Report, ReportExt, Scenario, StretchExt};
+use crate::scenario::{GraphExt, OutcomeExt, ReportExt, RingExt, Scenario, StretchExt};
 use hyperroute_desim::{splitmix64, SimRng};
-use hyperroute_topology::RoutingTopology;
+use hyperroute_topology::{Ring, RoutingTopology};
 
 /// Sticky "ever escaped" bit of [`GraphPacket::state`] — survives escape
 /// exit so delivery can count the packet as recovered.
@@ -547,13 +550,20 @@ struct StretchTally {
     excess_sum: i64,
 }
 
+/// How a [`GraphSpec`] renders its per-topology report extension:
+/// [`graph_ext`], [`sparse_ext`], or a topology's own (the plain ring's
+/// byte-compatible `RingExt`).
+pub type ExtBuilder<T> = fn(&GraphSpec<T>, &EngineCfg, &MetricsCollector) -> ReportExt;
+
 /// The blanket per-topology half of the generic engine: routing delegated
-/// to `T`'s [`RoutingTopology`] impl, destination law and fault mask as
-/// data.
+/// to `T`'s [`RoutingTopology`] impl, destination law, fault mask and
+/// report extension builder as data (the builder is the **only**
+/// topology-specific code left).
 pub struct GraphSpec<T: RoutingTopology> {
     topo: T,
     dest: GraphDestination,
     faults: Option<FaultState>,
+    ext: ExtBuilder<T>,
     /// In-window packet arrivals per dense arc index (feeds the
     /// per-direction ring rates and the [`GraphExt`] rate summary).
     /// Allocated zeroed, so the OS pages it in only as arcs are counted.
@@ -584,48 +594,31 @@ enum DropKind {
 }
 
 impl<T: RoutingTopology> GraphSpec<T> {
-    /// Build the spec (materialising the fault mask and pre-drawing the
-    /// dynamic fault-arrival schedule up to `horizon`, if any).
-    /// `stretch` opts the report into the [`StretchExt`] block.
-    pub fn new(
-        topo: T,
-        dest: GraphDestination,
-        faults: Option<&FaultSpec>,
-        horizon: f64,
-        stretch: bool,
-    ) -> GraphSpec<T> {
-        let faults = faults.map(|f| FaultState::build(&topo, f, horizon));
+    /// Build the spec of `topo` under scenario `s`: its fault mask
+    /// (materialised, with the dynamic fault-arrival schedule pre-drawn
+    /// up to the horizon) and its stretch opt-in for the [`StretchExt`]
+    /// block. [`crate::scenario::Scenario::into_simulator`] is the
+    /// validated front door; this constructor stays public for harnesses
+    /// that need to measure combinations validation deliberately refuses
+    /// (E27 uses it for the butterfly's counterfactual drop baseline).
+    pub fn new(topo: T, dest: GraphDestination, s: &Scenario, ext: ExtBuilder<T>) -> GraphSpec<T> {
+        let faults = s
+            .workload
+            .faults
+            .as_ref()
+            .map(|f| FaultState::build(&topo, f, s.run.horizon));
         GraphSpec {
             arc_arrivals: vec![0; topo.num_arcs()],
             dropped_in_window: 0,
-            stretch_on: stretch,
+            stretch_on: s.workload.stretch.unwrap_or(false),
             outcomes: OutcomeTally::default(),
             stretch: StretchTally::default(),
             pending_drop: None,
             topo,
             dest,
             faults,
+            ext,
         }
-    }
-
-    /// The routed topology (for per-topology report assembly).
-    pub fn topology(&self) -> &T {
-        &self.topo
-    }
-
-    /// In-window packet arrivals per dense arc index (saturating).
-    pub fn arc_arrivals(&self) -> &[u32] {
-        &self.arc_arrivals
-    }
-
-    /// Number of dead arcs in the fault mask (0 without one).
-    pub fn dead_arcs(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.dead_count)
-    }
-
-    /// Packets born in the measurement window that were dropped.
-    pub fn dropped_in_window(&self) -> u64 {
-        self.dropped_in_window
     }
 }
 
@@ -853,79 +846,9 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
         // hop just chosen (set on fallback entry, cleared on recovery).
         pkt.state & ESCAPE_DEPTH != 0
     }
-}
 
-/// How a [`GraphSim`] renders its per-topology report extension.
-pub type ExtBuilder<T> = fn(&GraphSpec<T>, &EngineCfg, &MetricsCollector) -> ReportExt;
-
-/// The blanket graph simulator: a [`GraphSpec`] driven by the generic
-/// [`Engine`], plus a per-topology extension builder (the **only**
-/// topology-specific code left). Construct through
-/// [`crate::scenario::Scenario`].
-pub struct GraphSim<T: RoutingTopology> {
-    engine: Engine<GraphSpec<T>>,
-    ext: ExtBuilder<T>,
-}
-
-impl<T: RoutingTopology> GraphSim<T> {
-    /// Build the simulator from a scenario's run parameters.
-    ///
-    /// [`crate::scenario::Scenario::into_simulator`] is the validated
-    /// front door; this constructor stays public for harnesses that need
-    /// to measure combinations validation deliberately refuses (E27 uses
-    /// it for the butterfly's counterfactual drop baseline).
-    pub fn from_parts(
-        topo: T,
-        dest: GraphDestination,
-        s: &Scenario,
-        ext: ExtBuilder<T>,
-    ) -> GraphSim<T> {
-        let spec = GraphSpec::new(
-            topo,
-            dest,
-            s.workload.faults.as_ref(),
-            s.run.horizon,
-            s.workload.stretch.unwrap_or(false),
-        );
-        let cfg = EngineCfg {
-            lambda: s.workload.lambda,
-            arrivals: s.workload.arrivals,
-            contention: s.policy.contention,
-            scheduler: s.run.scheduler,
-            horizon: s.run.horizon,
-            warmup: s.run.warmup,
-            seed: s.run.seed,
-            drain: s.run.drain,
-        };
-        GraphSim {
-            engine: Engine::new(spec, cfg),
-            ext,
-        }
-    }
-
-    /// Run to completion and summarise.
-    pub fn run(self) -> Report {
-        self.run_observed(&mut NullObserver)
-    }
-
-    /// Run to completion under a streaming [`Observer`] and summarise
-    /// (bit-identical to an unobserved run).
-    pub fn run_observed<O: Observer>(mut self, obs: &mut O) -> Report {
-        self.engine.drive(obs);
-        let engine = &self.engine;
-        let (spec, cfg, collector) = (engine.spec(), engine.cfg(), engine.collector());
-        Report {
-            delay: collector.delay_stats(),
-            mean_in_system: collector.mean_in_system(cfg.horizon),
-            peak_in_system: collector.peak_in_system(),
-            throughput: collector.throughput(cfg.horizon),
-            little_error: collector.little_check(cfg.horizon).relative_error(),
-            generated: collector.generated(),
-            delivered: collector.delivered_total(),
-            events: engine.events_processed(),
-            ext: (self.ext)(spec, cfg, collector),
-            telemetry: None,
-        }
+    fn ext(&self, cfg: &EngineCfg, collector: &MetricsCollector) -> ReportExt {
+        (self.ext)(self, cfg, collector)
     }
 }
 
@@ -940,12 +863,13 @@ fn assemble<T: RoutingTopology>(
     emit_outcomes: bool,
 ) -> GraphExt {
     let span = cfg.horizon - cfg.warmup;
-    let arcs = spec.topology().num_arcs() as u64;
-    let live = arcs - spec.dead_arcs();
-    let total: u64 = spec.arc_arrivals().iter().map(|&c| c as u64).sum();
-    let max = spec.arc_arrivals().iter().copied().max().unwrap_or(0);
+    let arcs = spec.topo.num_arcs() as u64;
+    let dead_arcs = spec.faults.as_ref().map_or(0, |f| f.dead_count);
+    let live = arcs - dead_arcs;
+    let total: u64 = spec.arc_arrivals.iter().map(|&c| c as u64).sum();
+    let max = spec.arc_arrivals.iter().copied().max().unwrap_or(0);
     let delivered_measured = collector.delivered_measured();
-    let dropped_measured = spec.dropped_in_window();
+    let dropped_measured = spec.dropped_in_window;
     let measured = delivered_measured + dropped_measured;
     let outcomes = emit_outcomes.then(|| {
         let o = &spec.outcomes;
@@ -969,9 +893,9 @@ fn assemble<T: RoutingTopology>(
         }
     });
     GraphExt {
-        nodes: spec.topology().num_nodes() as u64,
+        nodes: spec.topo.num_nodes() as u64,
         arcs,
-        dead_arcs: spec.dead_arcs(),
+        dead_arcs,
         mean_hops: collector.mean_hops(),
         zero_hop_fraction: collector.zero_hop_fraction(),
         mean_arc_rate: if live == 0 {
@@ -1019,11 +943,44 @@ pub fn sparse_ext<T: RoutingTopology>(
     ReportExt::Graph(assemble(spec, cfg, collector, true))
 }
 
+/// The plain ring's byte-compatible extension builder: identical numbers
+/// to the retired hand-written `RingSpec` (the per-direction arrival sums
+/// fall out of the per-arc counters — even dense indices are clockwise
+/// on bidirectional rings).
+pub(crate) fn ring_ext(
+    spec: &GraphSpec<Ring>,
+    cfg: &EngineCfg,
+    collector: &MetricsCollector,
+) -> ReportExt {
+    let ring = spec.topo;
+    let span = cfg.horizon - cfg.warmup;
+    let arcs_per_direction = ring.num_nodes() as f64;
+    let (mut cw, mut ccw) = (0u64, 0u64);
+    for (arc, &count) in spec.arc_arrivals.iter().enumerate() {
+        if !ring.bidirectional() || arc & 1 == 0 {
+            cw += count as u64;
+        } else {
+            ccw += count as u64;
+        }
+    }
+    ReportExt::Ring(RingExt {
+        rho: ring.load_factor(cfg.lambda),
+        mean_hops: collector.mean_hops(),
+        zero_hop_fraction: collector.zero_hop_fraction(),
+        clockwise_arc_rate: cw as f64 / (span * arcs_per_direction),
+        counter_clockwise_arc_rate: if ring.bidirectional() {
+            ccw as f64 / (span * arcs_per_direction)
+        } else {
+            0.0
+        },
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ContentionPolicy, DestinationSpec};
-    use crate::scenario::{Scenario, Topology};
+    use crate::scenario::{Report, Topology};
 
     fn torus_scenario(radix: usize, dim: usize, lambda: f64) -> Scenario {
         Scenario::builder(Topology::Torus { radix, dim })
@@ -1111,7 +1068,10 @@ mod tests {
         .unwrap()
         .run()
         .unwrap();
-        assert_eq!(t.delay, r.delay);
+        assert_eq!(
+            serde_json::to_string(&t.delay).unwrap(),
+            serde_json::to_string(&r.delay).unwrap()
+        );
         assert_eq!(t.generated, r.generated);
         assert_eq!(t.events, r.events);
     }

@@ -8,19 +8,19 @@
 //! network-wide Poisson process of rate `λ·2^d` with uniform node
 //! assignment (superposition is exact, and keeps the event set small).
 //!
-//! Everything event-loop-shaped lives in [`crate::engine`]; this module is
-//! only the hypercube's routing law ([`HypercubeSpec`]), its per-dimension
-//! statistics, and its [`Report`] assembly. Construct through
-//! [`crate::scenario::Scenario`] with
-//! [`crate::scenario::Topology::Hypercube`].
+//! Everything event-loop-shaped, and the common report fields, live in
+//! [`crate::engine`]; this module is only the hypercube's routing law
+//! ([`HypercubeSpec`]), its per-dimension statistics, and its
+//! [`HypercubeExt`] report extension. [`crate::scenario::Scenario`] runs
+//! a fault-free [`Topology::Hypercube`] as an
+//! [`Engine`](crate::engine::Engine) over this spec.
 
 use crate::config::{DestinationSpec, Scheme};
-use crate::engine::{Advance, ArcChoice, Engine, EngineCfg, EnginePacket, EngineSpec, Spawn};
-use crate::observe::{NullObserver, Observer};
+use crate::engine::{Advance, ArcChoice, EngineCfg, EnginePacket, EngineSpec, Spawn};
+use crate::metrics::MetricsCollector;
 use crate::packet::{next_dim, sample_flip_mask, MaskSampler, Packet, NO_SECOND_LEG};
-use crate::scenario::{HypercubeExt, Report, ReportExt, Scenario, Topology};
+use crate::scenario::{HypercubeExt, ReportExt, Scenario, Topology};
 use hyperroute_desim::{SimRng, TimeIntegral};
-use hyperroute_topology::Hypercube;
 
 impl EnginePacket for Packet {
     #[inline]
@@ -64,6 +64,31 @@ pub struct HypercubeSpec {
 }
 
 impl HypercubeSpec {
+    /// The spec of a validated fault-free hypercube scenario.
+    pub(crate) fn new(s: &Scenario) -> HypercubeSpec {
+        let Topology::Hypercube { dim } = s.topology else {
+            unreachable!("hypercube spec for a non-hypercube scenario");
+        };
+        let mask_sampler = match &s.workload.dest {
+            DestinationSpec::BitFlip => None,
+            DestinationSpec::MaskPmf(pmf) => Some(MaskSampler::new(pmf)),
+            DestinationSpec::NodePmf(_) | DestinationSpec::RingPowerLaw { .. } => {
+                unreachable!("node-addressed laws are rejected for the hypercube")
+            }
+        };
+        HypercubeSpec {
+            dim,
+            p: s.workload.p,
+            scheme: s.policy.scheme,
+            mask_sampler,
+            warmup: s.run.warmup,
+            horizon: s.run.horizon,
+            dim_arrivals: vec![0; dim],
+            dim_occupancy: (0..dim).map(|_| TimeIntegral::new(0.0, 0.0)).collect(),
+            dim_occ_reset_done: s.run.warmup == 0.0,
+        }
+    }
+
     /// Track the pooled occupancy of one dimension's arcs; integration
     /// restarts at the warm-up boundary and freezes at the horizon, like
     /// the main collector's number-in-system signal.
@@ -174,104 +199,25 @@ impl EngineSpec for HypercubeSpec {
     }
 
     fn note_deliver(&mut self, _pkt: &Packet, _in_window: bool) {}
-}
 
-/// The hypercube simulator: a [`HypercubeSpec`] driven by the generic
-/// [`Engine`]. Built by the scenario layer; run with [`HypercubeSim::run`]
-/// or [`HypercubeSim::run_observed`].
-pub struct HypercubeSim {
-    engine: Engine<HypercubeSpec>,
-}
-
-impl HypercubeSim {
-    /// Build the simulator from a validated hypercube scenario.
-    pub(crate) fn from_scenario(s: &Scenario) -> HypercubeSim {
-        let Topology::Hypercube { dim } = s.topology else {
-            unreachable!("hypercube simulator on a non-hypercube scenario");
-        };
-        let cube = Hypercube::new(dim);
-        let mask_sampler = match &s.workload.dest {
-            DestinationSpec::BitFlip => None,
-            DestinationSpec::MaskPmf(pmf) => Some(MaskSampler::new(pmf)),
-            DestinationSpec::NodePmf(_) | DestinationSpec::RingPowerLaw { .. } => {
-                unreachable!("node-addressed laws are rejected for the hypercube")
-            }
-        };
-        let spec = HypercubeSpec {
-            dim,
-            p: s.workload.p,
-            scheme: s.policy.scheme,
-            mask_sampler,
-            warmup: s.run.warmup,
-            horizon: s.run.horizon,
-            dim_arrivals: vec![0; dim],
-            dim_occupancy: (0..dim).map(|_| TimeIntegral::new(0.0, 0.0)).collect(),
-            dim_occ_reset_done: s.run.warmup == 0.0,
-        };
-        let cfg = EngineCfg {
-            lambda: s.workload.lambda,
-            arrivals: s.workload.arrivals,
-            contention: s.policy.contention,
-            scheduler: s.run.scheduler,
-            horizon: s.run.horizon,
-            warmup: s.run.warmup,
-            seed: s.run.seed,
-            drain: s.run.drain,
-        };
-        debug_assert_eq!(cube.num_arcs(), dim << dim);
-        HypercubeSim {
-            engine: Engine::new(spec, cfg),
-        }
-    }
-
-    /// Run to completion and summarise.
-    pub fn run(self) -> Report {
-        self.run_observed(&mut NullObserver)
-    }
-
-    /// Run to completion under a streaming [`Observer`] and summarise.
-    ///
-    /// The observer sees every event (before it is applied) and every
-    /// delivery; it never changes the simulation — reports are
-    /// bit-identical to an unobserved [`HypercubeSim::run`].
-    pub fn run_observed<O: Observer>(mut self, obs: &mut O) -> Report {
-        self.engine.drive(obs);
-        self.report()
-    }
-
-    fn report(&self) -> Report {
-        let engine = &self.engine;
-        let (spec, cfg, collector) = (engine.spec(), engine.cfg(), engine.collector());
+    fn ext(&self, cfg: &EngineCfg, collector: &MetricsCollector) -> ReportExt {
         let span = cfg.horizon - cfg.warmup;
-        let arcs_per_dim = (1usize << spec.dim) as f64;
-        let per_dim_arc_rate: Vec<f64> = spec
-            .dim_arrivals
-            .iter()
-            .map(|&c| c as f64 / (span * arcs_per_dim))
-            .collect();
-        let per_dim_mean_queue: Vec<f64> = spec
-            .dim_occupancy
-            .iter()
-            .map(|tw| tw.mean(cfg.horizon) / arcs_per_dim)
-            .collect();
-        Report {
-            delay: collector.delay_stats(),
-            mean_in_system: collector.mean_in_system(cfg.horizon),
-            peak_in_system: collector.peak_in_system(),
-            throughput: collector.throughput(cfg.horizon),
-            little_error: collector.little_check(cfg.horizon).relative_error(),
-            generated: collector.generated(),
-            delivered: collector.delivered_total(),
-            events: engine.events_processed(),
-            ext: ReportExt::Hypercube(HypercubeExt {
-                rho: cfg.lambda * spec.p,
-                mean_hops: collector.mean_hops(),
-                zero_hop_fraction: collector.zero_hop_fraction(),
-                per_dim_arc_rate,
-                per_dim_mean_queue,
-            }),
-            telemetry: None,
-        }
+        let arcs_per_dim = (1usize << self.dim) as f64;
+        ReportExt::Hypercube(HypercubeExt {
+            rho: cfg.lambda * self.p,
+            mean_hops: collector.mean_hops(),
+            zero_hop_fraction: collector.zero_hop_fraction(),
+            per_dim_arc_rate: self
+                .dim_arrivals
+                .iter()
+                .map(|&c| c as f64 / (span * arcs_per_dim))
+                .collect(),
+            per_dim_mean_queue: self
+                .dim_occupancy
+                .iter()
+                .map(|tw| tw.mean(cfg.horizon) / arcs_per_dim)
+                .collect(),
+        })
     }
 }
 
@@ -279,7 +225,7 @@ impl HypercubeSim {
 mod tests {
     use super::*;
     use crate::config::{ArrivalModel, ConfigError, ContentionPolicy};
-    use crate::scenario::Scenario;
+    use crate::scenario::Report;
     use hyperroute_analysis::hypercube_bounds;
 
     fn base_scenario() -> Scenario {
@@ -294,24 +240,18 @@ mod tests {
     }
 
     fn run(s: &Scenario) -> Report {
-        HypercubeSim::from_scenario(s).run()
+        s.run().expect("valid scenario")
     }
 
     #[test]
     fn chosen_routing_words_match_the_topology_arcs() {
         use hyperroute_topology::HypercubeArc;
         let dim = 5;
-        let mut spec = HypercubeSpec {
-            dim,
-            p: 0.5,
-            scheme: Scheme::Greedy,
-            mask_sampler: None,
-            warmup: 0.0,
-            horizon: 1.0,
-            dim_arrivals: vec![0; dim],
-            dim_occupancy: (0..dim).map(|_| TimeIntegral::new(0.0, 0.0)).collect(),
-            dim_occ_reset_done: true,
-        };
+        let mut spec = HypercubeSpec::new(
+            &Scenario::builder(Topology::Hypercube { dim })
+                .build()
+                .unwrap(),
+        );
         let mut rng = SimRng::new(1);
         for node in 0..1u32 << dim {
             for d in 0..dim {
@@ -607,7 +547,7 @@ mod tests {
     #[test]
     fn observed_run_produces_monotone_timestamps() {
         let mut probe = crate::observe::TimeSeriesProbe::new(50.0, 3_000.0);
-        HypercubeSim::from_scenario(&base_scenario()).run_observed(&mut probe);
+        base_scenario().run_observed(&mut probe).unwrap();
         let samples = probe.into_samples();
         assert!(samples.len() >= 50);
         assert!(samples.windows(2).all(|w| w[0].0 < w[1].0));

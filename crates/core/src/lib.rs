@@ -31,6 +31,11 @@
 //! | [`butterfly_sim`] | unique levelled paths, per-level stats | §4 |
 //! | [`graph_sim`] | **any** `RoutingTopology` as pure data | ring (Papillon), torus, de Bruijn, the generated sparse graphs |
 //!
+//! Each spec also renders its report extension
+//! ([`engine::EngineSpec::ext`]); the [`metrics::MetricsCollector`] fills
+//! the common [`scenario::Report`] fields, and `Engine<Spec>` itself is
+//! the [`scenario::Simulator`] a scenario runs.
+//!
 //! Two simulators deliberately stay off the generic engine:
 //! [`equivalent_network`] (per-*server* PS service with positional
 //! coupling — the §3.1 proof device) and [`pipelined`] (round-driven, no
@@ -51,8 +56,9 @@
 //!    `tests/proptest_routing.rs` check strict per-hop progress.
 //! 2. Add a [`scenario::Topology`] variant and a validation arm, and
 //!    register it in `Scenario::into_simulator` as
-//!    `GraphSim::from_parts(YourGraph::new(..), dest, self, graph_ext)`
-//!    — done. Destination laws (uniform / weighted-node pmf), arc-fault
+//!    `self.engine(GraphSpec::new(YourGraph::new(..), dest, self, graph_ext))`
+//!    — done: the scenario runs as an `Engine<GraphSpec<YourGraph>>`.
+//!    Destination laws (uniform / weighted-node pmf), arc-fault
 //!    masks with all four fallbacks, contention policies, slotted
 //!    arrivals, sweeps, sharded grids, observers, stability probes and
 //!    the corpus gate all work immediately; reports carry the generic

@@ -1,19 +1,16 @@
 //! Measurement collection shared by the simulators.
 
+use crate::scenario::{Report, ReportExt};
 use hyperroute_desim::{BatchMeans, Reservoir, Tally, TimeWeighted};
 use hyperroute_queueing::little::LittleCheck;
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics of per-packet delay.
 ///
-/// `PartialEq` is bit-exact (no tolerance): it exists for the
-/// scheduler-equivalence tests, which demand identical reports from both
-/// event-queue backends. It compares floats by bit pattern, except that
-/// any two non-finite values are equal: JSON maps every non-finite `f64`
-/// through `null` (read back as the canonical NaN), so the NaN quantiles
-/// of an empty measurement window — and the infinite `ci95` of a
-/// too-short one — must compare equal across a baseline round-trip
-/// instead of poisoning `Report == Report` with IEEE `NaN != NaN`.
+/// There is no `PartialEq`: compare whole [`Report`]s, which are equal
+/// exactly when their JSON texts are (the NaN quantiles of an empty
+/// measurement window and the infinite `ci95` of a too-short one both
+/// print as `null`).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct DelayStats {
     /// Mean delay over measured packets.
@@ -28,20 +25,6 @@ pub struct DelayStats {
     pub p99: f64,
     /// Number of packets measured.
     pub count: u64,
-}
-
-impl PartialEq for DelayStats {
-    fn eq(&self, other: &Self) -> bool {
-        fn feq(a: f64, b: f64) -> bool {
-            a.to_bits() == b.to_bits() || (!a.is_finite() && !b.is_finite())
-        }
-        feq(self.mean, other.mean)
-            && feq(self.ci95, other.ci95)
-            && feq(self.p50, other.p50)
-            && feq(self.p90, other.p90)
-            && feq(self.p99, other.p99)
-            && self.count == other.count
-    }
 }
 
 /// Collects delay / occupancy / throughput measurements with warm-up
@@ -238,6 +221,26 @@ impl MetricsCollector {
             mean_in_system: self.mean_in_system(t_end),
             mean_delay: self.delays.mean(),
             throughput: self.throughput(t_end),
+        }
+    }
+
+    /// The run's [`Report`]: the common fields measured over the window
+    /// ending at the horizon, plus the simulator's `events` count and the
+    /// topology's extension `ext`. Every event-driven simulator assembles
+    /// its report here.
+    pub(crate) fn report(&self, events: u64, ext: ReportExt) -> Report {
+        let end = self.horizon;
+        Report {
+            delay: self.delay_stats(),
+            mean_in_system: self.mean_in_system(end),
+            peak_in_system: self.peak_in_system(),
+            throughput: self.throughput(end),
+            little_error: self.little_check(end).relative_error(),
+            generated: self.generated,
+            delivered: self.delivered_total,
+            events,
+            ext,
+            telemetry: None,
         }
     }
 }

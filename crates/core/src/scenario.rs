@@ -2,23 +2,24 @@
 //!
 //! A [`Scenario`] bundles **what** is simulated ([`Topology`]), **which
 //! traffic** hits it ([`Workload`]), **how contention is resolved**
-//! ([`Policy`]) and **how the run is executed** ([`RunControl`]). The four
-//! engines — hypercube packet simulator, butterfly packet simulator,
-//! equivalent queueing networks `Q`/`R`, and the §2.3 pipelined scheme —
-//! sit behind one [`Simulator`] trait, so every workload is expressed the
-//! same way and new harness layers (sweeps, scenario files, CI grids) are
-//! written once.
+//! ([`Policy`]) and **how the run is executed** ([`RunControl`]). Three
+//! simulators — the generic packet [`Engine`] over every packet-level
+//! topology's [`EngineSpec`], the equivalent queueing networks `Q`/`R`,
+//! and the §2.3 pipelined scheme — sit behind one [`Simulator`] trait, so
+//! every workload is expressed the same way and new harness layers
+//! (sweeps, scenario files, CI grids) are written once.
 //!
 //! Guarantees:
 //!
 //! * **Fallible construction.** [`ScenarioBuilder::build`] returns a
-//!   structured [`ConfigError`] for every malformed spec — nothing panics
-//!   until a deliberately-legacy entry point is used.
-//! * **Bit-identical dispatch.** [`Scenario::run`] drives the exact same
-//!   engines with the exact same RNG streams as the legacy per-simulator
-//!   entry points; `tests/scenario_api.rs` proves byte-equal reports
-//!   across every scheme × arrival model × contention policy ×
-//!   discipline.
+//!   structured [`ConfigError`] for every malformed spec, and
+//!   [`Scenario::into_simulator`] validates again, so no simulator is
+//!   built from an invalid one.
+//! * **One run path.** [`Scenario::run`] and [`Scenario::run_observed`]
+//!   build the scenario's simulator and run it. `tests/scenario_api.rs`
+//!   checks that reruns, observed runs and the boxed [`Simulator`]
+//!   dispatch give equal reports (equal JSON texts) across every scheme ×
+//!   arrival model × contention policy × discipline.
 //! * **Serde round-trip.** Scenarios (and reports) serialise to JSON via
 //!   `serde_json`; a parsed scenario reproduces its source's reports
 //!   bit-exactly.
@@ -42,15 +43,15 @@
 //! assert_eq!(report.generated, report.delivered);
 //! ```
 
-use crate::butterfly_sim::ButterflySim;
+use crate::butterfly_sim::ButterflySpec;
 use crate::config::{
     ArrivalModel, ContentionPolicy, DestinationSpec, FaultFallback, FaultSpec, Scheme,
 };
-use crate::engine::EngineCfg;
+use crate::engine::{Engine, EngineCfg, EngineSpec};
 use crate::equivalent_network::{Discipline, EqNetSim, MAX_OCCUPANCY_BINS};
-use crate::graph_sim::{graph_ext, sparse_ext, GraphDestination, GraphSim, GraphSpec};
-use crate::hypercube_sim::HypercubeSim;
-use crate::metrics::{DelayStats, MetricsCollector};
+use crate::graph_sim::{graph_ext, ring_ext, sparse_ext, GraphDestination, GraphSpec};
+use crate::hypercube_sim::HypercubeSpec;
+use crate::metrics::DelayStats;
 use crate::observe::{NullObserver, Observer};
 use crate::pipelined::simulate_pipelined_observed;
 use crate::runner::parallel_map;
@@ -61,8 +62,7 @@ use hyperroute_sparse::{
 };
 use hyperroute_topology::{
     debruijn::MAX_DEBRUIJN_DIM, fattree::MAX_LEVELS as MAX_FATTREE_LEVELS, ring::MAX_RING_NODES,
-    torus::MAX_TORUS_NODES, Butterfly, DeBruijn, FatTree, Hypercube, LevelledNetwork, Ring,
-    RoutingTopology, Torus,
+    torus::MAX_TORUS_NODES, Butterfly, DeBruijn, FatTree, Hypercube, LevelledNetwork, Ring, Torus,
 };
 use serde::{Deserialize, Serialize};
 
@@ -818,25 +818,25 @@ impl Scenario {
             // A fault mask sends the hypercube through the blanket graph
             // spec (trait-canonical greedy arcs + the detour/drop hook);
             // fault-free runs keep the packed fast-path spec.
-            Topology::Hypercube { dim } if w.faults.is_some() => Box::new(GraphSim::from_parts(
+            Topology::Hypercube { dim } if w.faults.is_some() => self.engine(GraphSpec::new(
                 Hypercube::new(*dim),
                 GraphDestination::FlipMask { dim: *dim, p: w.p },
                 self,
                 graph_ext,
             )),
-            Topology::Hypercube { .. } => Box::new(HypercubeSim::from_scenario(self)),
+            Topology::Hypercube { .. } => self.engine(HypercubeSpec::new(self)),
             // A faulty butterfly likewise routes through the blanket
             // graph spec: level-0 rows inject, Eq.-(1) row flips pick a
             // level-`d` output, and the ranked-alternate fallbacks
             // (validation admits only Multipath/Retry here) back-route
             // around dead arcs via an extra pass.
-            Topology::Butterfly { dim } if w.faults.is_some() => Box::new(GraphSim::from_parts(
+            Topology::Butterfly { dim } if w.faults.is_some() => self.engine(GraphSpec::new(
                 Butterfly::new(*dim),
                 GraphDestination::RowFlip { dim: *dim, p: w.p },
                 self,
                 graph_ext,
             )),
-            Topology::Butterfly { .. } => Box::new(ButterflySim::from_scenario(self)),
+            Topology::Butterfly { .. } => self.engine(ButterflySpec::new(self)),
             Topology::EqNet { net, .. } => {
                 let network = net.build(w.lambda, w.p);
                 Box::new(EqNetSim::from_scenario(&network, self))
@@ -854,25 +854,21 @@ impl Scenario {
                 // workload feature reports the generic graph extension.
                 let plain = w.faults.is_none() && w.dest == DestinationSpec::BitFlip;
                 let ext = if plain { ring_ext } else { graph_ext };
-                Box::new(GraphSim::from_parts(
-                    ring,
-                    graph_destination(&w.dest, *nodes),
-                    self,
-                    ext,
-                ))
+                let dest = graph_destination(&w.dest, *nodes);
+                self.engine(GraphSpec::new(ring, dest, self, ext))
             }
             Topology::Torus { radix, dim } => {
                 let torus = Torus::new(*radix, *dim);
                 let dest = graph_destination(&w.dest, torus.num_nodes());
-                Box::new(GraphSim::from_parts(torus, dest, self, graph_ext))
+                self.engine(GraphSpec::new(torus, dest, self, graph_ext))
             }
-            Topology::DeBruijn { dim } => Box::new(GraphSim::from_parts(
+            Topology::DeBruijn { dim } => self.engine(GraphSpec::new(
                 DeBruijn::new(*dim),
                 graph_destination(&w.dest, 1 << dim),
                 self,
                 graph_ext,
             )),
-            Topology::FatTree { levels } => Box::new(GraphSim::from_parts(
+            Topology::FatTree { levels } => self.engine(GraphSpec::new(
                 FatTree::new(*levels),
                 // Only the 2^L leaves send and receive; internal
                 // switches are transit-only.
@@ -890,7 +886,7 @@ impl Scenario {
                 links,
                 alpha,
                 seed,
-            } => Box::new(GraphSim::from_parts(
+            } => self.engine(GraphSpec::new(
                 small_world(*side, *dims, *links, *alpha, *seed),
                 GraphDestination::Uniform,
                 self,
@@ -901,7 +897,7 @@ impl Scenario {
                 alpha,
                 radius_offset,
                 seed,
-            } => Box::new(GraphSim::from_parts(
+            } => self.engine(GraphSpec::new(
                 hyperbolic(*nodes, *alpha, *radius_offset, *seed),
                 GraphDestination::Uniform,
                 self,
@@ -912,7 +908,7 @@ impl Scenario {
                 gamma,
                 min_degree,
                 seed,
-            } => Box::new(GraphSim::from_parts(
+            } => self.engine(GraphSpec::new(
                 scale_free(*nodes, *gamma, *min_degree, *seed),
                 GraphDestination::Uniform,
                 self,
@@ -922,13 +918,19 @@ impl Scenario {
                 nodes,
                 degree,
                 seed,
-            } => Box::new(GraphSim::from_parts(
+            } => self.engine(GraphSpec::new(
                 expander(*nodes, *degree, *seed),
                 GraphDestination::Uniform,
                 self,
                 sparse_ext,
             )),
         })
+    }
+
+    /// The generic engine running `spec` under this scenario's run
+    /// parameters.
+    fn engine<S: EngineSpec + 'static>(&self, spec: S) -> Box<dyn Simulator> {
+        Box::new(Engine::new(spec, EngineCfg::new(self)))
     }
 
     /// Run the scenario to completion.
@@ -1220,35 +1222,6 @@ fn graph_destination(dest: &DestinationSpec, nodes: usize) -> GraphDestination {
     }
 }
 
-/// The ring's byte-compatible report extension over the blanket graph
-/// spec: identical numbers to the retired hand-written `RingSpec` (the
-/// per-direction arrival sums fall out of the per-arc counters — even
-/// dense indices are clockwise on bidirectional rings).
-fn ring_ext(spec: &GraphSpec<Ring>, cfg: &EngineCfg, collector: &MetricsCollector) -> ReportExt {
-    let ring = *spec.topology();
-    let span = cfg.horizon - cfg.warmup;
-    let arcs_per_direction = ring.num_nodes() as f64;
-    let (mut cw, mut ccw) = (0u64, 0u64);
-    for (arc, &count) in spec.arc_arrivals().iter().enumerate() {
-        if !ring.bidirectional() || arc & 1 == 0 {
-            cw += count as u64;
-        } else {
-            ccw += count as u64;
-        }
-    }
-    ReportExt::Ring(RingExt {
-        rho: ring.load_factor(cfg.lambda),
-        mean_hops: collector.mean_hops(),
-        zero_hop_fraction: collector.zero_hop_fraction(),
-        clockwise_arc_rate: cw as f64 / (span * arcs_per_direction),
-        counter_clockwise_arc_rate: if ring.bidirectional() {
-            ccw as f64 / (span * arcs_per_direction)
-        } else {
-            0.0
-        },
-    })
-}
-
 /// Why a scenario file was rejected: malformed JSON, or well-formed JSON
 /// describing an invalid combination. Keeping the two sources distinct
 /// (and the [`ConfigError`] structured) lets file-driven harnesses report
@@ -1428,10 +1401,13 @@ impl ScenarioBuilder {
 /// Topology-independent summary of one scenario run, with a typed
 /// per-topology extension in [`Report::ext`].
 ///
-/// `PartialEq` is hand-written and bit-exact on every float (NaN equals
-/// NaN), so differential tests can assert `==` between scenario and
-/// legacy runs — including pipelined reports, whose fields without a
-/// meaningful value are NaN and would poison a derived IEEE comparison.
+/// Two reports are equal when their compact JSON texts are: the
+/// report-byte identity that the corpus gate and the differential suites
+/// check. The writer prints every finite `f64` as its shortest
+/// round-trip decimal and every non-finite one as `null`, so the
+/// comparison is bit-exact on finite floats (`0.0 != -0.0`) and equates
+/// any two non-finite ones — the NaN fields of a pipelined report, or a
+/// NaN that a JSON round trip read back from an infinity.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Report {
     /// Per-packet delay statistics over the measurement window.
@@ -1648,142 +1624,10 @@ pub struct StretchExt {
     pub mean_excess_hops: f64,
 }
 
-/// Bit-exact float comparison that also equates any two non-finite
-/// values (a JSON round-trip maps every NaN *and infinity* through
-/// `null` to the canonical `f64::NAN`, so non-finite values are
-/// indistinguishable after persisting a report).
-pub(crate) fn f64_eq(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits() || (!a.is_finite() && !b.is_finite())
-}
-
-pub(crate) fn f64_slice_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| f64_eq(x, y))
-}
-
 impl PartialEq for Report {
     fn eq(&self, other: &Self) -> bool {
-        self.delay == other.delay
-            && f64_eq(self.mean_in_system, other.mean_in_system)
-            && f64_eq(self.peak_in_system, other.peak_in_system)
-            && f64_eq(self.throughput, other.throughput)
-            && f64_eq(self.little_error, other.little_error)
-            && self.generated == other.generated
-            && self.delivered == other.delivered
-            && self.events == other.events
-            && self.ext == other.ext
-            && self.telemetry == other.telemetry
-    }
-}
-
-impl PartialEq for ReportExt {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (ReportExt::Hypercube(a), ReportExt::Hypercube(b)) => a == b,
-            (ReportExt::Butterfly(a), ReportExt::Butterfly(b)) => a == b,
-            (ReportExt::EqNet(a), ReportExt::EqNet(b)) => a == b,
-            (ReportExt::Pipelined(a), ReportExt::Pipelined(b)) => a == b,
-            (ReportExt::Ring(a), ReportExt::Ring(b)) => a == b,
-            (ReportExt::Graph(a), ReportExt::Graph(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-
-impl PartialEq for GraphExt {
-    fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes
-            && self.arcs == other.arcs
-            && self.dead_arcs == other.dead_arcs
-            && f64_eq(self.mean_hops, other.mean_hops)
-            && f64_eq(self.zero_hop_fraction, other.zero_hop_fraction)
-            && f64_eq(self.mean_arc_rate, other.mean_arc_rate)
-            && f64_eq(self.max_arc_rate, other.max_arc_rate)
-            && self.dropped == other.dropped
-            && self.dropped_in_window == other.dropped_in_window
-            && f64_eq(self.delivery_fraction, other.delivery_fraction)
-            && self.outcomes == other.outcomes
-            && self.stretch == other.stretch
-    }
-}
-
-impl PartialEq for OutcomeExt {
-    fn eq(&self, other: &Self) -> bool {
-        self.success == other.success
-            && self.local_minimum == other.local_minimum
-            && self.dead_end == other.dead_end
-            && self.recovered == other.recovered
-            && f64_eq(self.mean_escape_hops, other.mean_escape_hops)
-    }
-}
-
-impl PartialEq for StretchExt {
-    fn eq(&self, other: &Self) -> bool {
-        f64_eq(self.mean_stretch, other.mean_stretch)
-            && f64_eq(self.mean_deflections, other.mean_deflections)
-            && f64_eq(self.deflected_fraction, other.deflected_fraction)
-            && f64_eq(self.clean_stretch, other.clean_stretch)
-            && f64_eq(self.deflected_stretch, other.deflected_stretch)
-            && f64_eq(self.mean_excess_hops, other.mean_excess_hops)
-    }
-}
-
-impl PartialEq for RingExt {
-    fn eq(&self, other: &Self) -> bool {
-        f64_eq(self.rho, other.rho)
-            && f64_eq(self.mean_hops, other.mean_hops)
-            && f64_eq(self.zero_hop_fraction, other.zero_hop_fraction)
-            && f64_eq(self.clockwise_arc_rate, other.clockwise_arc_rate)
-            && f64_eq(
-                self.counter_clockwise_arc_rate,
-                other.counter_clockwise_arc_rate,
-            )
-    }
-}
-
-impl PartialEq for HypercubeExt {
-    fn eq(&self, other: &Self) -> bool {
-        f64_eq(self.rho, other.rho)
-            && f64_eq(self.mean_hops, other.mean_hops)
-            && f64_eq(self.zero_hop_fraction, other.zero_hop_fraction)
-            && f64_slice_eq(&self.per_dim_arc_rate, &other.per_dim_arc_rate)
-            && f64_slice_eq(&self.per_dim_mean_queue, &other.per_dim_mean_queue)
-    }
-}
-
-impl PartialEq for ButterflyExt {
-    fn eq(&self, other: &Self) -> bool {
-        f64_eq(self.rho, other.rho)
-            && f64_eq(self.mean_vertical_hops, other.mean_vertical_hops)
-            && f64_slice_eq(
-                &self.straight_rate_per_level,
-                &other.straight_rate_per_level,
-            )
-            && f64_slice_eq(
-                &self.vertical_rate_per_level,
-                &other.vertical_rate_per_level,
-            )
-    }
-}
-
-impl PartialEq for EqNetExt {
-    fn eq(&self, other: &Self) -> bool {
-        f64_slice_eq(&self.departures, &other.departures)
-            && self.occupancy_fractions.len() == other.occupancy_fractions.len()
-            && self
-                .occupancy_fractions
-                .iter()
-                .zip(&other.occupancy_fractions)
-                .all(|(a, b)| f64_slice_eq(a, b))
-    }
-}
-
-impl PartialEq for PipelinedExt {
-    fn eq(&self, other: &Self) -> bool {
-        f64_eq(self.mean_round_length, other.mean_round_length)
-            && f64_eq(self.round_constant, other.round_constant)
-            && f64_eq(self.mean_backlog, other.mean_backlog)
-            && self.final_backlog == other.final_backlog
-            && f64_eq(self.backlog_slope_per_round, other.backlog_slope_per_round)
+        let json = |r: &Report| serde_json::to_string(r).expect("reports always serialise");
+        json(self) == json(other)
     }
 }
 
@@ -1843,10 +1687,12 @@ impl Report {
 
 /// A fully-constructed simulation engine, ready to run once.
 ///
-/// Implemented by all four engines; [`Scenario::into_simulator`] is the
-/// only constructor the unified API needs. The `Box<Self>` receiver keeps
-/// the trait object-safe while letting engines consume themselves (their
-/// legacy `run` methods take `self` by value).
+/// Implemented once for the generic [`Engine`] — every packet-level
+/// topology, whatever its [`EngineSpec`] — and by the two simulators off
+/// that engine: the equivalent network and the pipelined scheme.
+/// [`Scenario::into_simulator`] is the only constructor the unified API
+/// needs. The `Box<Self>` receiver keeps the trait object-safe while
+/// letting a simulator consume itself as it runs.
 pub trait Simulator {
     /// Drive the simulation to completion under `obs` and summarise.
     fn run_boxed(self: Box<Self>, obs: &mut dyn Observer) -> Report;
@@ -1860,33 +1706,13 @@ pub trait Simulator {
     fn run_unobserved(self: Box<Self>) -> Report;
 }
 
-impl Simulator for HypercubeSim {
+impl<S: EngineSpec> Simulator for Engine<S> {
     fn run_boxed(self: Box<Self>, obs: &mut dyn Observer) -> Report {
-        self.run_observed(&mut &mut *obs)
+        self.run(&mut &mut *obs)
     }
 
     fn run_unobserved(self: Box<Self>) -> Report {
-        self.run()
-    }
-}
-
-impl Simulator for ButterflySim {
-    fn run_boxed(self: Box<Self>, obs: &mut dyn Observer) -> Report {
-        self.run_observed(&mut &mut *obs)
-    }
-
-    fn run_unobserved(self: Box<Self>) -> Report {
-        self.run()
-    }
-}
-
-impl<T: RoutingTopology> Simulator for GraphSim<T> {
-    fn run_boxed(self: Box<Self>, obs: &mut dyn Observer) -> Report {
-        self.run_observed(&mut &mut *obs)
-    }
-
-    fn run_unobserved(self: Box<Self>) -> Report {
-        self.run()
+        self.run(&mut NullObserver)
     }
 }
 
@@ -2382,8 +2208,8 @@ mod tests {
     fn pipelined_reports_with_nan_fields_compare_equal() {
         // Pipelined reports set fields without a meaningful value to NaN
         // (peak_in_system, throughput, little_error, delay quantiles);
-        // the hand-written PartialEq must still see identical runs as
-        // equal, including after a JSON round-trip (NaN → null → NaN).
+        // report equality must still see identical runs as equal,
+        // including after a JSON round-trip (NaN → null → NaN).
         let scenario = Scenario::builder(Topology::Pipelined { dim: 3, rounds: 40 })
             .lambda(0.05)
             .build()
@@ -2395,6 +2221,80 @@ mod tests {
         let text = serde_json::to_string(&a).unwrap();
         let back: Report = serde_json::from_str(&text).unwrap();
         assert_eq!(a, back);
+    }
+
+    #[test]
+    fn report_equality_is_json_equality() {
+        use crate::telemetry::{ArcTelemetry, LogHistogram};
+        // A pipelined report's NaN fields print as `null`, so the report
+        // equals its own JSON round trip.
+        let pipelined = Scenario::builder(Topology::Pipelined { dim: 3, rounds: 40 })
+            .lambda(0.05)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(
+            pipelined.little_error.is_nan(),
+            "fixture lost its NaN fields"
+        );
+        let text = serde_json::to_string(&pipelined).unwrap();
+        let back: Report = serde_json::from_str(&text).unwrap();
+        assert_eq!(pipelined, back);
+
+        // Any two non-finite values print alike; a finite one does not.
+        let hc = hypercube_scenario().run().unwrap();
+        let with_little = |x: f64| Report {
+            little_error: x,
+            ..hc.clone()
+        };
+        assert_eq!(with_little(f64::NAN), with_little(f64::INFINITY));
+        assert_ne!(with_little(f64::NAN), with_little(0.0));
+
+        // Finite floats compare bit for bit: signed zeros differ, and so
+        // do neighbours one ulp apart.
+        let with_rate = |x: f64| {
+            let mut r = hc.clone();
+            let ReportExt::Hypercube(ext) = &mut r.ext else {
+                unreachable!("a hypercube run");
+            };
+            ext.per_dim_arc_rate[0] = x;
+            r
+        };
+        assert_ne!(with_rate(0.0), with_rate(-0.0));
+        let rate = hc.hypercube().unwrap().per_dim_arc_rate[0];
+        assert_eq!(with_rate(rate), hc);
+        assert_ne!(
+            with_rate(rate),
+            with_rate(f64::from_bits(rate.to_bits() + 1))
+        );
+
+        // An attached telemetry block is part of the report.
+        let mut attached = hc.clone();
+        attached.telemetry = Some(Box::new(TelemetryExt {
+            delay: LogHistogram::for_times(),
+            queue_wait: LogHistogram::for_times(),
+            deflections: LogHistogram::for_counts(),
+            escape_walks: LogHistogram::for_counts(),
+            arcs: ArcTelemetry {
+                occupancy_time: Vec::new(),
+                peak_depth: Vec::new(),
+            },
+        }));
+        assert_ne!(hc, attached);
+
+        // So is a difference deep inside the graph extension.
+        let sparse = smallworld_scenario().run().unwrap();
+        let mut moved = sparse.clone();
+        let ReportExt::Graph(graph) = &mut moved.ext else {
+            unreachable!("a sparse run");
+        };
+        graph
+            .outcomes
+            .as_mut()
+            .expect("sparse runs report outcomes")
+            .dead_end += 1;
+        assert_ne!(sparse, moved);
     }
 
     #[test]

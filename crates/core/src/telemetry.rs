@@ -11,8 +11,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::scenario::{f64_eq, f64_slice_eq};
-
 /// An HDR-style histogram over non-negative values with power-of-two
 /// bucket boundaries.
 ///
@@ -130,17 +128,6 @@ impl LogHistogram {
     }
 }
 
-impl PartialEq for LogHistogram {
-    fn eq(&self, other: &Self) -> bool {
-        f64_eq(self.least, other.least)
-            && self.counts == other.counts
-            && self.count == other.count
-            && f64_eq(self.sum, other.sum)
-            && f64_eq(self.min, other.min)
-            && f64_eq(self.max, other.max)
-    }
-}
-
 /// Per-arc load summary accumulated from hop and service-end hooks.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ArcTelemetry {
@@ -150,13 +137,6 @@ pub struct ArcTelemetry {
     pub occupancy_time: Vec<f64>,
     /// Per-arc peak queue depth (waiting + in service).
     pub peak_depth: Vec<u32>,
-}
-
-impl PartialEq for ArcTelemetry {
-    fn eq(&self, other: &Self) -> bool {
-        f64_slice_eq(&self.occupancy_time, &other.occupancy_time)
-            && self.peak_depth == other.peak_depth
-    }
 }
 
 /// The telemetry extension of a [`crate::scenario::Report`]: log-bucketed
@@ -175,16 +155,6 @@ pub struct TelemetryExt {
     pub escape_walks: LogHistogram,
     /// Per-arc occupancy integrals and peaks.
     pub arcs: ArcTelemetry,
-}
-
-impl PartialEq for TelemetryExt {
-    fn eq(&self, other: &Self) -> bool {
-        self.delay == other.delay
-            && self.queue_wait == other.queue_wait
-            && self.deflections == other.deflections
-            && self.escape_walks == other.escape_walks
-            && self.arcs == other.arcs
-    }
 }
 
 #[cfg(test)]
@@ -254,8 +224,10 @@ mod tests {
         };
         let json = serde_json::to_string(&ext).expect("serialise");
         let back: TelemetryExt = serde_json::from_str(&json).expect("parse");
-        // NaN → null → NaN and ±∞ → null → NaN both satisfy f64_eq.
-        assert_eq!(ext, back);
+        // NaN → null → NaN, and the empty histograms' ±∞ bounds → null →
+        // NaN, all print as `null` again.
+        assert!(json.contains("null"), "fixture lost its non-finite values");
+        assert_eq!(serde_json::to_string(&back).expect("serialise"), json);
     }
 
     #[test]

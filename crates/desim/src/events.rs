@@ -93,7 +93,7 @@ impl<E> EventQueue<E> {
     /// Pop the earliest event only if its time is at or before `bound` —
     /// the one-call merge primitive for simulators that keep a
     /// self-scheduling stream (next firing known in advance) outside the
-    /// queue. Equivalent to `peek_time` + conditional `pop`.
+    /// queue: the stream fires next exactly when this returns `None`.
     #[inline]
     pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
         if self.heap.peek().is_some_and(|e| e.time <= bound) {
@@ -101,12 +101,6 @@ impl<E> EventQueue<E> {
         } else {
             None
         }
-    }
-
-    /// Time of the next event without removing it.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -119,17 +113,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Discard all pending events (the insertion counter keeps counting, so
-    /// determinism is preserved across reuse).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Total number of events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.seq
     }
 }
 
@@ -177,12 +160,11 @@ mod tests {
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         q.push(7.0, ());
-        assert_eq!(q.peek_time(), Some(7.0));
+        assert_eq!(q.pop_at_or_before(6.0), None);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.pop();
+        assert_eq!(q.pop_at_or_before(7.0), Some((7.0, ())));
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -199,18 +181,6 @@ mod tests {
     fn rejects_negative_in_debug() {
         let mut q = EventQueue::new();
         q.push(-1.0, ());
-    }
-
-    #[test]
-    fn clear_keeps_counter() {
-        let mut q = EventQueue::new();
-        q.push(1.0, 1);
-        q.push(1.0, 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 2);
-        q.push(1.0, 3);
-        assert_eq!(q.scheduled_total(), 3);
     }
 
     #[test]

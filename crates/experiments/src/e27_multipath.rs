@@ -22,8 +22,9 @@
 use crate::table::{f4, Table};
 use crate::Scale;
 use hyperroute_core::config::{FaultFallback, FaultMode, FaultSpec};
-use hyperroute_core::graph_sim::{graph_ext, GraphDestination, GraphSim};
-use hyperroute_core::{Report, Scenario, Topology};
+use hyperroute_core::engine::{Engine, EngineCfg};
+use hyperroute_core::graph_sim::{graph_ext, GraphDestination, GraphSpec};
+use hyperroute_core::{NullObserver, Report, Scenario, Topology};
 use hyperroute_topology::Butterfly;
 
 /// The fallbacks E27 compares, with table labels.
@@ -64,16 +65,15 @@ fn butterfly_counterfactual(
         ..spec.clone()
     });
     s.workload.faults = Some(spec);
-    GraphSim::from_parts(
-        Butterfly::new(dim),
-        GraphDestination::RowFlip {
-            dim,
-            p: s.workload.p,
-        },
-        &s,
-        graph_ext,
+    let dest = GraphDestination::RowFlip {
+        dim,
+        p: s.workload.p,
+    };
+    Engine::new(
+        GraphSpec::new(Butterfly::new(dim), dest, &s, graph_ext),
+        EngineCfg::new(&s),
     )
-    .run()
+    .run(&mut NullObserver)
 }
 
 /// Delivery rate vs dead-arc fraction, per topology × fallback, over the

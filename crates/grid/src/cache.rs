@@ -372,8 +372,9 @@ mod tests {
         assert_eq!(cache.get(&key), None);
         cache.put(&key, &report);
         let cached = cache.get(&key).expect("just inserted");
-        // Byte identity, not just PartialEq: the cache serves what the
-        // simulation would have produced, down to the JSON rendering.
+        // Byte identity (what `Report`'s `PartialEq` compares): the cache
+        // serves what the simulation would have produced, down to the
+        // JSON rendering.
         assert_eq!(
             serde_json::to_string(&cached).unwrap(),
             serde_json::to_string(&report).unwrap()

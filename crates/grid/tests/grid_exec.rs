@@ -4,8 +4,8 @@
 //!
 //! * **Differential**: thread-pool and subprocess backends, at any worker
 //!   count and slice length, produce a `Vec<Report>` *byte-identical*
-//!   (compared as serialised JSON, on top of the bit-exact `PartialEq`)
-//!   to in-process `Sweep::run`.
+//!   (compared as serialised JSON, which is also what `Report`'s
+//!   `PartialEq` compares) to in-process `Sweep::run`.
 //! * **Kill and resume**: a campaign aborted mid-flight resumes from its
 //!   disk report cache recomputing only the unfinished slices.
 //! * **Fault handling**: a crashed worker's slice is retried on a fresh
