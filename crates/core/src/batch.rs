@@ -8,7 +8,7 @@
 //! constant `R`.
 
 use crate::packet::sample_flip_mask;
-use hyperroute_desim::{EventQueue, SimRng};
+use hyperroute_desim::SimRng;
 use std::collections::VecDeque;
 
 /// Result of routing one batch.
@@ -28,6 +28,18 @@ struct BPacket {
     remaining: u32,
 }
 
+/// Schedule arc `arc`'s service completion at `time`. Every packet starts
+/// at time 0 and every arc serves in one unit, so each completion is
+/// pushed at `t + 1` for the time `t` being processed: push times never
+/// decrease, and the FIFO pops exactly a heap's `(time, insertion)` order.
+fn push_completion(events: &mut VecDeque<(f64, u32)>, time: f64, arc: u32) {
+    debug_assert!(
+        events.back().is_none_or(|&(last, _)| last <= time),
+        "completion at {time} pushed behind a later one"
+    );
+    events.push_back((time, arc));
+}
+
 /// Route `packets` (pairs of origin/destination node ids) greedily on the
 /// `d`-cube, all released at time 0. Dimensions are crossed in increasing
 /// index order; FIFO per arc; ties broken by input order (deterministic).
@@ -36,13 +48,13 @@ pub fn route_batch_greedy(d: usize, packets: &[(u32, u32)]) -> BatchResult {
     let nodes = 1u32 << d;
     let mut queues: Vec<VecDeque<BPacket>> = vec![VecDeque::new(); (d as u32 * nodes) as usize];
     let mut busy = vec![false; (d as u32 * nodes) as usize];
-    let mut events: EventQueue<u32> = EventQueue::with_capacity(packets.len());
+    let mut events: VecDeque<(f64, u32)> = VecDeque::with_capacity(packets.len());
     let mut completion = vec![0.0f64; packets.len()];
     let mut total_hops = 0u64;
 
     let enqueue = |queues: &mut Vec<VecDeque<BPacket>>,
                    busy: &mut Vec<bool>,
-                   events: &mut EventQueue<u32>,
+                   events: &mut VecDeque<(f64, u32)>,
                    t: f64,
                    node: u32,
                    pkt: BPacket| {
@@ -56,7 +68,7 @@ pub fn route_batch_greedy(d: usize, packets: &[(u32, u32)]) -> BatchResult {
         queues[arc].push_back(next);
         if !busy[arc] {
             busy[arc] = true;
-            events.push(t + 1.0, arc as u32);
+            push_completion(events, t + 1.0, arc as u32);
         }
     };
 
@@ -79,13 +91,13 @@ pub fn route_batch_greedy(d: usize, packets: &[(u32, u32)]) -> BatchResult {
     }
 
     let mut makespan = 0.0f64;
-    while let Some((t, arc)) = events.pop() {
+    while let Some((t, arc)) = events.pop_front() {
         let arc = arc as usize;
         let pkt = queues[arc].pop_front().expect("completion on empty queue");
         if queues[arc].is_empty() {
             busy[arc] = false;
         } else {
-            events.push(t + 1.0, arc as u32);
+            push_completion(&mut events, t + 1.0, arc as u32);
         }
         total_hops += 1;
         let node = (arc / d) as u32 ^ (1u32 << (arc % d));

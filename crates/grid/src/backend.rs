@@ -4,7 +4,8 @@
 //! their [`SliceResult`]s back **as each slice completes, in any order**
 //! — the dispatcher ([`crate::campaign::Campaign`]) owns ordering (via
 //! [`crate::slice::merge`]) and caching, so backends stay dumb
-//! executors. Two implementations ship:
+//! executors. Two implementations ship, both on [`fan_out`], the
+//! workspace's one thread fan-out:
 //!
 //! * [`ThreadPoolBackend`] — in-process fan-out over scoped worker
 //!   threads (the default; zero serialisation cost);
@@ -18,8 +19,7 @@
 
 use crate::error::GridError;
 use crate::slice::{GridSlice, SliceResult};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use hyperroute_core::runner::fan_out;
 
 /// A strategy for executing a batch of independent slice jobs.
 pub trait ExecBackend {
@@ -96,10 +96,8 @@ impl ExecBackend for ProgressBackend<'_> {
     }
 }
 
-/// In-process backend: a scoped thread pool with an atomic work-stealing
-/// cursor, mirroring `hyperroute_core::runner::parallel_map` but
-/// streaming results out as slices finish instead of waiting for the
-/// whole batch.
+/// In-process backend: [`fan_out`] over scoped threads, streaming each
+/// slice's result out as it finishes.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadPoolBackend {
     /// Worker threads to fan out over (`0` = hardware parallelism).
@@ -119,52 +117,14 @@ impl ExecBackend for ThreadPoolBackend {
         jobs: &[GridSlice],
         on_result: &mut dyn FnMut(SliceResult) -> Result<(), GridError>,
     ) -> Result<(), GridError> {
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let workers = if self.workers == 0 { hw } else { self.workers }
-            .min(jobs.len())
-            .max(1);
-        let cursor = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<Result<SliceResult, GridError>>();
-        std::thread::scope(|scope| -> Result<(), GridError> {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let cancelled = &cancelled;
-                scope.spawn(move || loop {
-                    if cancelled.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    if tx.send(jobs[i].execute()).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for outcome in rx {
-                let result = match outcome {
-                    Ok(result) => result,
-                    Err(e) => {
-                        cancelled.store(true, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                };
-                if let Err(e) = on_result(result) {
-                    cancelled.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-            Ok(())
-        })
+        fan_out(
+            jobs,
+            self.workers,
+            || (),
+            |(), slice| slice.execute(),
+            |(), _| {},
+            |_, result| on_result(result),
+        )
     }
 }
 

@@ -38,13 +38,15 @@
 //! campaigns —
 //!
 //! * **Workers.** Subprocess workers speak the worker protocol (a
-//!   version handshake plus tagged [`WorkerRequest`] frames) and are
-//!   parked in a [`WorkerPool`] when a campaign drains rather than
+//!   `Hello` version handshake plus tagged [`WorkerRequest`] frames) and
+//!   are parked in a [`WorkerPool`] when a campaign ends rather than
 //!   killed; the next campaign checks them out, so process spawn +
 //!   monomorphisation cost is paid once per fleet, not once per
-//!   campaign. Dispatch is one FIFO queue in partition order, and a
-//!   slice lost with its worker goes to the back — scheduling never
-//!   affects output bytes, only wall time.
+//!   campaign. Both backends run on
+//!   [`fan_out`](hyperroute_core::runner::fan_out): slices go out in
+//!   partition order to one thread per worker, and a slice lost with its
+//!   worker is retried by the same thread on a fresh process —
+//!   scheduling never affects output bytes, only wall time.
 //! * **Reports.** Every finished grid point is inserted into a
 //!   [`ReportCache`] keyed by [`CacheKey`]: FNV-1a-128 over typed,
 //!   length-prefixed words walked from the scenario's serde data model

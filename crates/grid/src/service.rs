@@ -85,7 +85,7 @@ pub enum CampaignState {
     Queued,
     /// Executing now.
     Running,
-    /// Finished; results are available.
+    /// Finished; results are available until they are read once.
     Done {
         /// Grid points in the result.
         points: usize,
@@ -129,7 +129,9 @@ pub enum ServiceRequest {
     },
     /// Stream a campaign's reports (blocks until it finishes): answered
     /// by one `Report` line per grid point, then `ResultsDone` — or
-    /// `Error` for unknown/failed campaigns.
+    /// `Error` for unknown/failed campaigns. A campaign's reports stream
+    /// once: the service lets go of them as it sends them, so a second
+    /// `Results` for the same campaign is answered by one `Error`.
     Results {
         /// The id from `Accepted`.
         campaign: u64,
@@ -182,7 +184,7 @@ pub enum ServiceReply {
         points: usize,
     },
     /// A request failed (unparseable line, unknown campaign, failed
-    /// campaign).
+    /// campaign, results already read).
     Error {
         /// What went wrong.
         message: String,
@@ -369,15 +371,17 @@ impl SweepService {
         }
     }
 
-    /// The finished campaign's reports, if it completed.
+    /// The finished campaign's reports, handed over once: the service
+    /// keeps them only until this call moves them out, so a second call
+    /// (or a call for a campaign that did not complete) returns `None`.
+    /// [`SweepService::status`] still says `Done` afterwards.
     pub fn results(&self, campaign: u64) -> Option<Vec<Report>> {
         self.shared
             .state
             .lock()
             .expect("service state lock")
             .results
-            .get(&campaign)
-            .cloned()
+            .remove(&campaign)
     }
 
     /// The service cache's cumulative counters.
@@ -449,19 +453,21 @@ pub fn serve(
                 cache: service.cache_stats(),
             })?,
             Ok(ServiceRequest::Results { campaign }) => match service.wait(campaign) {
-                CampaignState::Done { points } => {
-                    let reports = service
-                        .results(campaign)
-                        .expect("Done campaigns have results");
-                    for (index, report) in reports.into_iter().enumerate() {
-                        emit(&ServiceReply::Report {
-                            campaign,
-                            index,
-                            report,
-                        })?;
+                CampaignState::Done { points } => match service.results(campaign) {
+                    Some(reports) => {
+                        for (index, report) in reports.into_iter().enumerate() {
+                            emit(&ServiceReply::Report {
+                                campaign,
+                                index,
+                                report,
+                            })?;
+                        }
+                        emit(&ServiceReply::ResultsDone { campaign, points })?;
                     }
-                    emit(&ServiceReply::ResultsDone { campaign, points })?;
-                }
+                    None => emit(&ServiceReply::Error {
+                        message: format!("campaign {campaign}'s results were already read"),
+                    })?,
+                },
                 CampaignState::Failed { error } => emit(&ServiceReply::Error {
                     message: format!("campaign {campaign} failed: {error}"),
                 })?,
@@ -631,6 +637,58 @@ mod tests {
             }
         );
         assert_eq!(replies[replies.len() - 1], ServiceReply::Bye);
+    }
+
+    #[test]
+    fn a_campaigns_results_are_handed_over_once() {
+        let sweep = small_sweep();
+        let direct = sweep.run(1).unwrap();
+        let service = in_process_service();
+        let id = service.submit(sweep.clone(), 0).unwrap();
+        service.wait(id);
+        assert_eq!(service.results(id).unwrap(), direct);
+        assert_eq!(service.results(id), None, "the reports were moved out");
+        assert_eq!(service.status(id), CampaignState::Done { points: 2 });
+
+        // Over NDJSON: the second `Results` line for a streamed campaign
+        // gets exactly one `Error`, after the first stream's terminator.
+        let service = in_process_service();
+        let mut input = String::new();
+        for request in [
+            ServiceRequest::Submit {
+                sweep,
+                slice_len: 0,
+            },
+            ServiceRequest::Results { campaign: 0 },
+            ServiceRequest::Results { campaign: 0 },
+            ServiceRequest::Shutdown,
+        ] {
+            input.push_str(&serde_json::to_string(&request).unwrap());
+            input.push('\n');
+        }
+        let mut output = Vec::new();
+        serve(&service, Cursor::new(input), &mut output).unwrap();
+        let replies: Vec<ServiceReply> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(replies.len(), 6, "{replies:?}");
+        assert_eq!(replies[0], ServiceReply::Accepted { campaign: 0 });
+        assert!(replies[1..3]
+            .iter()
+            .all(|r| matches!(r, ServiceReply::Report { campaign: 0, .. })));
+        assert_eq!(
+            replies[3],
+            ServiceReply::ResultsDone {
+                campaign: 0,
+                points: 2
+            }
+        );
+        let [.., ServiceReply::Error { message }, ServiceReply::Bye] = replies.as_slice() else {
+            panic!("expected an Error and a Bye last, got {replies:?}");
+        };
+        assert!(message.contains("already read"), "{message}");
     }
 
     #[test]

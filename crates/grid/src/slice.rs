@@ -70,16 +70,7 @@ impl GridSlice {
     /// index, so executing the same slice anywhere — any process, any
     /// machine, any number of times — yields the same reports.
     pub fn execute(&self) -> Result<SliceResult, GridError> {
-        self.execute_with(&mut |_, _| {})
-    }
-
-    /// [`GridSlice::execute`] with progress reporting (see
-    /// [`SliceJob::execute_with`]): the slice's job, run in this process.
-    pub fn execute_with(
-        &self,
-        progress: &mut dyn FnMut(usize, usize),
-    ) -> Result<SliceResult, GridError> {
-        self.job()?.execute_with(progress)
+        self.job()?.execute_with(&mut |_, _| {})
     }
 }
 
@@ -261,6 +252,8 @@ mod tests {
         let slice = partition(&small_sweep(), 100).remove(0); // whole 5-point grid
         let mut seen = Vec::new();
         let observed = slice
+            .job()
+            .unwrap()
             .execute_with(&mut |done, total| seen.push((done, total)))
             .unwrap();
         assert_eq!(seen, vec![(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)]);

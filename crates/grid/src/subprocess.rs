@@ -11,24 +11,20 @@
 //! vector rather than a path.
 //!
 //! Every request line is a tagged [`WorkerRequest`]. The dispatcher
-//! opens the session with `Hello` (protocol version handshake), marks
-//! campaign boundaries with `CampaignSubmit`, parks an idle worker with
-//! `Drain`, and retires it with `Shutdown`. A `Slice` request carries the
-//! slice's [`SliceJob`]: the scenarios of its own points, not the sweep
-//! they were cut from. A line that does not parse as a request (a bare
-//! job, or a line that is not UTF-8) is answered with a
+//! opens the session with `Hello` (protocol version handshake), sends it
+//! again as the liveness ping when it takes a parked worker out of the
+//! warm pool, and retires a worker with `Shutdown`. A `Slice` request
+//! carries the slice's [`SliceJob`]: the scenarios of its own points, not
+//! the sweep they were cut from. A line that does not parse as a request
+//! (a bare job, or a line that is not UTF-8) is answered with a
 //! [`WorkerReply::Err`] whose id is `u64::MAX`.
 //!
 //! ```text
-//! dispatcher → worker:  {"Hello":{"version":3}}\n
-//! worker → dispatcher:  {"HelloOk":{"version":3}}\n
-//! dispatcher → worker:  {"CampaignSubmit":{"campaign":7}}\n
-//! worker → dispatcher:  {"CampaignAck":{"campaign":7}}\n
+//! dispatcher → worker:  {"Hello":{"version":4}}\n   (at spawn, and at each pool checkout)
+//! worker → dispatcher:  {"HelloOk":{"version":4}}\n
 //! dispatcher → worker:  {"Slice":{"id":3,"start":12,"scenarios":[…]}}\n
 //! worker → dispatcher:  {"Progress":{"id":3,"done":2,"total":4,"rows_per_sec":1.7}}\n  (zero or more)
 //!                       {"Ok":{"id":3,"start":12,"reports":[…]}}\n
-//! dispatcher → worker:  "Drain"\n            (park in the warm pool)
-//! worker → dispatcher:  "Drained"\n
 //! dispatcher → worker:  "Shutdown"\n
 //! worker → dispatcher:  "Bye"\n              (worker exits cleanly)
 //! ```
@@ -45,25 +41,26 @@
 //!
 //! Every backend keeps its workers in a [`crate::WorkerPool`]: a private
 //! one made by [`SubprocessBackend::new`], or one shared across backends
-//! through [`SubprocessBackend::with_pool`]. At campaign start the
-//! backend checks idle workers out of the pool (re-pinging each with
-//! `CampaignSubmit` and discarding any that died while parked) instead
-//! of spawning, and at campaign end it parks healthy workers back with
-//! `Drain` instead of killing them. Respawn becomes the exception, not
-//! the per-campaign rule. Each worker's manager thread pops the next
-//! slice from one shared FIFO queue in partition order; a slice lost
-//! with its worker goes to the back. Results merge deterministically,
-//! so dispatch order can never change campaign output, only wall time.
+//! through [`SubprocessBackend::with_pool`]. A campaign is one
+//! [`fan_out`] over its slices, and each fan-out thread owns at most one
+//! worker process. A thread's first slice checks an idle worker of the
+//! same argv out of the pool (re-pinged with `Hello`; one that died
+//! while parked is discarded) or spawns one; when the batch ends, the
+//! thread parks its worker back. A worker is parked only after its last
+//! terminal reply was read, so it is idle. Respawn becomes the
+//! exception, not the per-campaign rule. Slices go out in partition
+//! order; results merge deterministically, so dispatch order can never
+//! change campaign output, only wall time.
 //!
 //! # Fault handling
 //!
 //! Workers hold no campaign state — a job is a pure function of its
-//! JSON — so every failure mode has the same cure: kill the process,
-//! spawn a fresh one, hand the slice to someone else. The dispatcher
-//! retries a slice after a crash (stdin/stdout closed), a reply timeout,
-//! or a garbled reply, up to [`SubprocessBackend::max_retries`] times;
-//! only then does the campaign abort with [`GridError::SliceLost`]. A
-//! well-formed [`WorkerReply::Err`] is different: the worker is healthy
+//! JSON — so every failure mode has the same cure: kill the process and
+//! run the slice again on a fresh one. The thread that lost the worker
+//! retries its slice after a crash (stdin/stdout closed), a reply
+//! timeout, or a garbled reply, up to [`SubprocessBackend::max_retries`]
+//! times; only then does the campaign abort with [`GridError::SliceLost`].
+//! A well-formed [`WorkerReply::Err`] is different: the worker is healthy
 //! and the slice itself is bad, so it fails the campaign immediately
 //! ([`GridError::SliceFailed`]) instead of burning retries. Worker
 //! losses also bump a pool-wide failure streak that stretches the
@@ -73,43 +70,35 @@
 use crate::backend::ExecBackend;
 use crate::error::GridError;
 use crate::slice::{GridSlice, SliceJob, SliceResult};
-use crate::warm::{pool_key, WorkerPool};
+use crate::warm::WorkerPool;
+use hyperroute_core::runner::fan_out;
 use hyperroute_desim::splitmix64;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Version of the worker protocol spoken by this build. A dispatcher
 /// opens every worker with `Hello` and refuses one that answers with a
 /// different version.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// One request line of the worker protocol.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WorkerRequest {
     /// Protocol handshake: the dispatcher announces its version and the
-    /// worker answers [`WorkerReply::HelloOk`] with its own.
+    /// worker answers [`WorkerReply::HelloOk`] with its own. Sent at spawn
+    /// and again as the liveness ping when a worker is checked out of a
+    /// warm pool: a parked process that died answers nothing and is
+    /// discarded.
     Hello {
         /// Dispatcher protocol version (see [`PROTOCOL_VERSION`]).
         version: u32,
     },
     /// Execute one slice's job.
     Slice(SliceJob),
-    /// The worker is now serving this campaign. Doubles as the liveness
-    /// ping when a worker is checked out of a warm pool: a parked
-    /// process that died answers nothing and is discarded.
-    CampaignSubmit {
-        /// Dispatcher-local campaign sequence number.
-        campaign: u64,
-    },
-    /// Park: the campaign is over, confirm idleness with
-    /// [`WorkerReply::Drained`] and await the next `CampaignSubmit`.
-    Drain,
     /// Retire: answer [`WorkerReply::Bye`] and exit cleanly.
     Shutdown,
 }
@@ -149,15 +138,6 @@ pub enum WorkerReply {
         /// Worker protocol version (see [`PROTOCOL_VERSION`]).
         version: u32,
     },
-    /// Answer to [`WorkerRequest::CampaignSubmit`], echoing the campaign
-    /// number.
-    CampaignAck {
-        /// The campaign the worker now serves.
-        campaign: u64,
-    },
-    /// Answer to [`WorkerRequest::Drain`]: the worker is idle and
-    /// parked.
-    Drained,
     /// Answer to [`WorkerRequest::Shutdown`], sent just before exiting.
     Bye,
 }
@@ -167,10 +147,9 @@ pub enum WorkerReply {
 /// timeout, rare enough to stay invisible in fast campaigns.
 pub const DEFAULT_HEARTBEAT: Duration = Duration::from_secs(5);
 
-/// Ceiling on the timeout used for protocol control exchanges (Hello,
-/// CampaignSubmit, Drain): a healthy idle worker answers these
-/// instantly, so a long slice timeout must not stall pool checkout on a
-/// corpse for minutes.
+/// Ceiling on the timeout of the `Hello` exchange: a healthy idle worker
+/// answers it instantly, so a long slice timeout must not stall pool
+/// checkout on a corpse for minutes.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// First-retry respawn delay (doubles per attempt, jittered ±50%; see
@@ -211,8 +190,6 @@ pub fn run_worker_with(
             Ok(WorkerRequest::Hello { version: _ }) => WorkerReply::HelloOk {
                 version: PROTOCOL_VERSION,
             },
-            Ok(WorkerRequest::CampaignSubmit { campaign }) => WorkerReply::CampaignAck { campaign },
-            Ok(WorkerRequest::Drain) => WorkerReply::Drained,
             Ok(WorkerRequest::Shutdown) => {
                 retire = true;
                 WorkerReply::Bye
@@ -356,12 +333,6 @@ impl SubprocessBackend {
         self.pool = pool;
         self
     }
-
-    /// Timeout for control exchanges: never longer than the slice
-    /// timeout, never longer than [`HANDSHAKE_TIMEOUT`].
-    fn handshake_timeout(&self) -> Duration {
-        self.timeout.min(HANDSHAKE_TIMEOUT)
-    }
 }
 
 /// Delay before respawning a worker for retry `attempt` (1-based) of the
@@ -384,17 +355,8 @@ pub fn respawn_backoff(seed: u64, attempt: usize, base: Duration, cap: Duration)
     envelope.mul_f64(0.5 + u)
 }
 
-/// A queue entry: which job, and how many times it has been attempted.
-#[derive(Clone, Copy, Debug)]
-struct Attempt {
-    index: usize,
-    attempts: usize,
-}
-
-/// What one job round on one worker produced.
-enum RoundOutcome {
-    /// The slice completed.
-    Done(SliceResult),
+/// Why one round on a worker did not produce the slice's result.
+enum RoundError {
     /// Unrecoverable (spawn failure, deterministic slice failure).
     Fatal(GridError),
     /// The worker was lost (crash / timeout / garbled reply); the slice
@@ -402,10 +364,11 @@ enum RoundOutcome {
     Lost(String),
 }
 
-/// A live worker process: its stdin plus a channel of stdout lines fed
-/// by a detached reader thread (the only way to read with a timeout
-/// using std alone).
+/// A live worker process: the argv it was spawned from, its stdin, and
+/// a channel of stdout lines fed by a detached reader thread (the only
+/// way to read with a timeout using std alone).
 pub(crate) struct WorkerProc {
+    pub(crate) cmd: Vec<String>,
     child: Child,
     stdin: ChildStdin,
     lines: mpsc::Receiver<String>,
@@ -414,13 +377,14 @@ pub(crate) struct WorkerProc {
 impl std::fmt::Debug for WorkerProc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerProc")
+            .field("cmd", &self.cmd)
             .field("pid", &self.child.id())
             .finish_non_exhaustive()
     }
 }
 
 impl WorkerProc {
-    fn spawn(cmd: &[String]) -> Result<WorkerProc, GridError> {
+    pub(crate) fn spawn(cmd: &[String]) -> Result<WorkerProc, GridError> {
         let spawn_err = |error: String| GridError::Spawn {
             cmd: cmd.join(" "),
             error,
@@ -449,6 +413,7 @@ impl WorkerProc {
             }
         });
         Ok(WorkerProc {
+            cmd: cmd.to_vec(),
             child,
             stdin,
             lines,
@@ -456,40 +421,34 @@ impl WorkerProc {
     }
 
     /// Write one protocol line, flushed.
-    pub(crate) fn send_line(&mut self, line: &str) -> Result<(), String> {
+    fn send_line(&mut self, line: &str) -> Result<(), String> {
         writeln!(self.stdin, "{line}")
             .and_then(|()| self.stdin.flush())
             .map_err(|e| format!("worker stdin closed: {e}"))
     }
 
     /// Await the next reply line within `timeout` and parse it.
-    pub(crate) fn recv(&self, timeout: Duration) -> Result<WorkerReply, String> {
+    fn recv(&self, timeout: Duration) -> Result<WorkerReply, String> {
         match self.lines.recv_timeout(timeout) {
             Ok(line) => {
                 serde_json::from_str(&line).map_err(|e| format!("garbled worker reply: {e}"))
             }
-            Err(RecvTimeoutError::Timeout) => {
-                Err(format!("no reply within {:.1}s", timeout.as_secs_f64()))
-            }
+            Err(RecvTimeoutError::Timeout) => Err(format!(
+                "no reply or heartbeat within {:.1}s",
+                timeout.as_secs_f64()
+            )),
             Err(RecvTimeoutError::Disconnected) => Err("worker exited before replying".into()),
         }
     }
 
-    /// One control round-trip: send `request`, require `expect(reply)`.
+    /// One control round trip: send `request`, await its reply.
     pub(crate) fn control(
         &mut self,
         request: &WorkerRequest,
         timeout: Duration,
-        expect: impl Fn(&WorkerReply) -> bool,
     ) -> Result<WorkerReply, String> {
-        let line = serde_json::to_string(request).expect("requests always serialise");
-        self.send_line(&line)?;
-        let reply = self.recv(timeout)?;
-        if expect(&reply) {
-            Ok(reply)
-        } else {
-            Err(format!("unexpected reply to {request:?}: {reply:?}"))
-        }
+        self.send_line(&serde_json::to_string(request).expect("requests always serialise"))?;
+        self.recv(timeout)
     }
 }
 
@@ -501,207 +460,125 @@ impl Drop for WorkerProc {
 }
 
 impl SubprocessBackend {
-    /// Obtain a worker for this campaign: checked out of the warm pool
-    /// (re-pinged, stale corpses discarded) when one is available,
-    /// freshly spawned and version-handshaked otherwise.
-    fn acquire(&self, campaign: u64) -> Result<WorkerProc, RoundOutcome> {
-        let key = pool_key(&self.worker_cmd);
-        while let Some(mut idle) = self.pool.check_out(key) {
-            // Liveness ping doubling as the campaign marker: a worker
-            // that died while parked answers nothing and is discarded
-            // (drop kills), falling through to the next idle one.
-            let submit = WorkerRequest::CampaignSubmit { campaign };
-            let ack = |r: &WorkerReply| matches!(r, WorkerReply::CampaignAck { campaign: c } if *c == campaign);
-            if idle.control(&submit, self.handshake_timeout(), ack).is_ok() {
+    /// `Hello` → `HelloOk` with this build's protocol version: the
+    /// handshake of a fresh worker and the liveness ping of a parked one.
+    fn hello(&self, worker: &mut WorkerProc) -> Result<(), String> {
+        let hello = WorkerRequest::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        match worker.control(&hello, self.timeout.min(HANDSHAKE_TIMEOUT)) {
+            Ok(WorkerReply::HelloOk {
+                version: PROTOCOL_VERSION,
+            }) => Ok(()),
+            Ok(WorkerReply::HelloOk { version }) => Err(format!(
+                "protocol version mismatch: worker speaks v{version}, dispatcher v{PROTOCOL_VERSION}"
+            )),
+            Ok(other) => Err(format!("protocol handshake failed: unexpected reply {other:?}")),
+            Err(e) => Err(format!("protocol handshake failed: {e}")),
+        }
+    }
+
+    /// A worker for this thread: an idle one of the same argv checked out
+    /// of the warm pool (re-pinged; one that died while parked is
+    /// dropped, which kills it), or a freshly spawned, handshaked one.
+    fn acquire(&self) -> Result<WorkerProc, RoundError> {
+        while let Some(mut idle) = self.pool.check_out(&self.worker_cmd) {
+            if self.hello(&mut idle).is_ok() {
                 self.pool.note_reuse();
                 return Ok(idle);
             }
         }
-        let mut proc = WorkerProc::spawn(&self.worker_cmd).map_err(RoundOutcome::Fatal)?;
+        let mut worker = WorkerProc::spawn(&self.worker_cmd).map_err(RoundError::Fatal)?;
         self.pool.note_spawn();
-        let hello = WorkerRequest::Hello {
-            version: PROTOCOL_VERSION,
-        };
-        match proc.control(&hello, self.handshake_timeout(), |r| {
-            matches!(r, WorkerReply::HelloOk { .. })
-        }) {
-            Ok(WorkerReply::HelloOk { version }) if version == PROTOCOL_VERSION => {}
-            Ok(WorkerReply::HelloOk { version }) => {
-                return Err(RoundOutcome::Lost(format!(
-                    "protocol version mismatch: worker speaks v{version}, dispatcher v{PROTOCOL_VERSION}"
-                )));
-            }
-            Ok(_) => unreachable!("control() filtered non-HelloOk replies"),
-            Err(e) => {
-                return Err(RoundOutcome::Lost(format!(
-                    "protocol handshake failed: {e}"
-                )))
-            }
-        }
-        let submit = WorkerRequest::CampaignSubmit { campaign };
-        proc.control(
-            &submit,
-            self.handshake_timeout(),
-            |r| matches!(r, WorkerReply::CampaignAck { campaign: c } if *c == campaign),
-        )
-        .map_err(|e| RoundOutcome::Lost(format!("campaign submit failed: {e}")))?;
-        Ok(proc)
+        self.hello(&mut worker).map_err(RoundError::Lost)?;
+        Ok(worker)
     }
 
-    /// Park a healthy worker back into the pool at campaign end (`Drain`
-    /// → `Drained`), or let drop kill it when draining fails or the
-    /// campaign was cancelled.
-    fn release(&self, proc: Option<WorkerProc>, cancelled: bool) {
-        let Some(mut proc) = proc else { return };
-        if cancelled {
-            return; // failed campaign: don't trust the worker's state
-        }
-        let drained = proc
-            .control(&WorkerRequest::Drain, self.handshake_timeout(), |r| {
-                matches!(r, WorkerReply::Drained)
-            })
-            .is_ok();
-        if drained {
-            self.pool.check_in(pool_key(&self.worker_cmd), proc);
-        }
-    }
-
-    /// Send one job to (possibly fresh) `proc` and await its reply.
-    /// On [`RoundOutcome::Lost`] the caller must discard `proc`.
+    /// Send one job line to this thread's worker (acquiring one first if
+    /// it has none) and await the slice's terminal reply. On
+    /// [`RoundError::Lost`] the caller must discard the worker.
     fn one_round(
         &self,
-        slice: &GridSlice,
-        proc: &mut Option<WorkerProc>,
-        campaign: u64,
-    ) -> RoundOutcome {
-        // The job comes first: a point that fails validation fails the
-        // slice exactly as a worker's `Err` reply would, without
-        // spawning or pinging a worker.
-        let request = match slice.job() {
-            Ok(job) => WorkerRequest::Slice(job),
-            Err(e) => {
-                return RoundOutcome::Fatal(GridError::SliceFailed {
-                    slice: slice.id,
-                    message: e.to_string(),
-                })
-            }
+        worker: &mut Option<WorkerProc>,
+        line: &str,
+        id: u64,
+    ) -> Result<SliceResult, RoundError> {
+        let worker = match worker {
+            Some(worker) => worker,
+            None => worker.insert(self.acquire()?),
         };
-        let line = serde_json::to_string(&request).expect("requests always serialise");
-        if proc.is_none() {
-            match self.acquire(campaign) {
-                Ok(p) => *proc = Some(p),
-                Err(outcome) => return outcome,
-            }
-        }
-        let worker = proc.as_mut().expect("acquired above");
-        if let Err(e) = worker.send_line(&line) {
-            return RoundOutcome::Lost(e);
-        }
+        worker.send_line(line).map_err(RoundError::Lost)?;
         // Heartbeats are keep-alives: each Progress line for the pending
         // slice restarts the timeout, so only true silence is a loss.
         loop {
-            return match worker.lines.recv_timeout(self.timeout) {
-                Ok(line) => match serde_json::from_str::<WorkerReply>(&line) {
-                    Ok(WorkerReply::Progress { id, .. }) if id == slice.id => continue,
-                    Ok(WorkerReply::Progress { id, .. }) => RoundOutcome::Lost(format!(
-                        "worker heartbeat for slice {id} while slice {} was pending",
-                        slice.id
-                    )),
-                    Ok(WorkerReply::Ok(result)) if result.id == slice.id => {
-                        RoundOutcome::Done(result)
-                    }
-                    Ok(WorkerReply::Ok(result)) => RoundOutcome::Lost(format!(
-                        "worker answered slice {} while slice {} was pending",
-                        result.id, slice.id
-                    )),
-                    Ok(WorkerReply::Err { id, message }) => {
-                        RoundOutcome::Fatal(GridError::SliceFailed {
-                            slice: if id == u64::MAX { slice.id } else { id },
-                            message,
-                        })
-                    }
-                    Ok(other) => RoundOutcome::Lost(format!(
-                        "unexpected control reply while slice {} was pending: {other:?}",
-                        slice.id
-                    )),
-                    Err(e) => RoundOutcome::Lost(format!("garbled worker reply: {e}")),
-                },
-                Err(RecvTimeoutError::Timeout) => RoundOutcome::Lost(format!(
-                    "no reply or heartbeat within {:.1}s",
-                    self.timeout.as_secs_f64()
-                )),
-                Err(RecvTimeoutError::Disconnected) => {
-                    RoundOutcome::Lost("worker exited before replying".into())
-                }
+            return match worker.recv(self.timeout) {
+                Ok(WorkerReply::Progress { id: beat, .. }) if beat == id => continue,
+                Ok(WorkerReply::Ok(result)) if result.id == id => Ok(result),
+                Ok(WorkerReply::Ok(result)) => Err(RoundError::Lost(format!(
+                    "worker answered slice {} while slice {id} was pending",
+                    result.id
+                ))),
+                Ok(WorkerReply::Err {
+                    id: failed,
+                    message,
+                }) => Err(RoundError::Fatal(GridError::SliceFailed {
+                    slice: if failed == u64::MAX { id } else { failed },
+                    message,
+                })),
+                Ok(other) => Err(RoundError::Lost(format!(
+                    "unexpected reply while slice {id} was pending: {other:?}"
+                ))),
+                Err(e) => Err(RoundError::Lost(e)),
             };
         }
     }
 
-    /// One manager loop: own a worker process, pop jobs off the shared
-    /// FIFO queue, retry lost slices (at the back of the queue, so
-    /// another manager may pick them up) until the queue drains or the
-    /// campaign cancels; then park the worker in the warm pool.
-    fn manage_worker(
+    /// Run one slice on this thread's worker, retrying it on a fresh
+    /// process after each loss until the retry budget is spent.
+    fn run_slice(
         &self,
-        jobs: &[GridSlice],
-        queue: &Mutex<VecDeque<Attempt>>,
-        cancelled: &AtomicBool,
-        tx: &mpsc::Sender<Result<SliceResult, GridError>>,
-        campaign: u64,
-    ) {
-        let mut proc: Option<WorkerProc> = None;
+        worker: &mut Option<WorkerProc>,
+        slice: &GridSlice,
+    ) -> Result<SliceResult, GridError> {
+        // The job comes first: a point that fails validation fails the
+        // slice exactly as a worker's `Err` reply would, without
+        // spawning or pinging a worker.
+        let job = slice.job().map_err(|e| GridError::SliceFailed {
+            slice: slice.id,
+            message: e.to_string(),
+        })?;
+        let line =
+            serde_json::to_string(&WorkerRequest::Slice(job)).expect("requests always serialise");
+        let mut attempts = 0;
         loop {
-            if cancelled.load(Ordering::Relaxed) {
-                break;
-            }
-            let Some(job) = queue.lock().expect("dispatch queue lock").pop_front() else {
-                break;
+            let reason = match self.one_round(worker, &line, slice.id) {
+                Ok(result) => return Ok(result),
+                Err(RoundError::Fatal(e)) => return Err(e),
+                Err(RoundError::Lost(reason)) => reason,
             };
-            match self.one_round(&jobs[job.index], &mut proc, campaign) {
-                RoundOutcome::Done(result) => {
-                    if tx.send(Ok(result)).is_err() {
-                        break;
-                    }
-                }
-                RoundOutcome::Fatal(e) => {
-                    let _ = tx.send(Err(e));
-                    break;
-                }
-                RoundOutcome::Lost(reason) => {
-                    proc = None; // drop kills the stale process
-                    let attempts = job.attempts + 1;
-                    if attempts > self.max_retries {
-                        let _ = tx.send(Err(GridError::SliceLost {
-                            slice: jobs[job.index].id,
-                            attempts,
-                            last_error: reason,
-                        }));
-                        break;
-                    }
-                    // Back off before the retry reaches a fresh process —
-                    // a worker command that dies on startup would
-                    // otherwise respawn in a tight fork loop. A pool-wide
-                    // failure streak (reset each campaign) stretches the
-                    // envelope when the whole fleet is struggling.
-                    self.pool.note_loss();
-                    let streak = self.pool.loss_streak().min(8);
-                    std::thread::sleep(respawn_backoff(
-                        jobs[job.index].id,
-                        attempts + streak,
-                        BACKOFF_BASE,
-                        BACKOFF_CAP,
-                    ));
-                    queue
-                        .lock()
-                        .expect("dispatch queue lock")
-                        .push_back(Attempt {
-                            index: job.index,
-                            attempts,
-                        });
-                }
+            *worker = None; // drop kills the stale process
+            attempts += 1;
+            if attempts > self.max_retries {
+                return Err(GridError::SliceLost {
+                    slice: slice.id,
+                    attempts,
+                    last_error: reason,
+                });
             }
+            // Back off before the retry reaches a fresh process — a
+            // worker command that dies on startup would otherwise respawn
+            // in a tight fork loop. A pool-wide failure streak (reset each
+            // campaign) stretches the envelope when the whole fleet is
+            // struggling.
+            self.pool.note_loss();
+            let streak = self.pool.loss_streak().min(8);
+            std::thread::sleep(respawn_backoff(
+                slice.id,
+                attempts + streak,
+                BACKOFF_BASE,
+                BACKOFF_CAP,
+            ));
         }
-        self.release(proc.take(), cancelled.load(Ordering::Relaxed));
     }
 }
 
@@ -711,64 +588,23 @@ impl ExecBackend for SubprocessBackend {
         jobs: &[GridSlice],
         on_result: &mut dyn FnMut(SliceResult) -> Result<(), GridError>,
     ) -> Result<(), GridError> {
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let workers = if self.workers == 0 { hw } else { self.workers }
-            .min(jobs.len())
-            .max(1);
-        // Campaign boundary: tag the campaign and wipe the pool-wide
-        // failure streak so this campaign's backoff starts from a clean
-        // slate.
-        let campaign = self.pool.begin_campaign();
-        let queue: Mutex<VecDeque<Attempt>> = Mutex::new(
-            (0..jobs.len())
-                .map(|index| Attempt { index, attempts: 0 })
-                .collect(),
-        );
-        let cancelled = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<Result<SliceResult, GridError>>();
-        std::thread::scope(|scope| -> Result<(), GridError> {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let queue = &queue;
-                let cancelled = &cancelled;
-                scope.spawn(move || self.manage_worker(jobs, queue, cancelled, &tx, campaign));
-            }
-            drop(tx);
-            let mut received = 0usize;
-            for outcome in rx {
-                let result = match outcome {
-                    Ok(result) => result,
-                    Err(e) => {
-                        cancelled.store(true, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                };
-                if let Err(e) = on_result(result) {
-                    cancelled.store(true, Ordering::Relaxed);
-                    return Err(e);
+        // Campaign boundary: wipe the pool-wide failure streak so this
+        // campaign's backoff starts from a clean slate.
+        self.pool.begin_campaign();
+        fan_out(
+            jobs,
+            self.workers,
+            || None,
+            |worker, slice| self.run_slice(worker, slice),
+            |worker, stopped| {
+                // A stopped batch does not trust its workers' state: drop
+                // kills them.
+                if let (Some(worker), false) = (worker, stopped) {
+                    self.pool.check_in(worker);
                 }
-                received += 1;
-                if received == jobs.len() {
-                    break;
-                }
-            }
-            if received == jobs.len() {
-                Ok(())
-            } else {
-                // Every manager exited without delivering the full batch
-                // (all of them hit fatal sends racing the cancel flag, or
-                // the queue drained into failures).
-                Err(GridError::Merge(format!(
-                    "workers delivered {received} of {} slices",
-                    jobs.len()
-                )))
-            }
-        })
+            },
+            |_, result| on_result(result),
+        )
     }
 }
 
@@ -837,9 +673,10 @@ mod tests {
             WorkerRequest::Hello {
                 version: PROTOCOL_VERSION,
             },
-            WorkerRequest::CampaignSubmit { campaign: 7 },
             WorkerRequest::Slice(slice.job().unwrap()),
-            WorkerRequest::Drain,
+            WorkerRequest::Hello {
+                version: PROTOCOL_VERSION,
+            },
             WorkerRequest::Shutdown,
         ] {
             input.push_str(&serde_json::to_string(&request).unwrap());
@@ -853,9 +690,10 @@ mod tests {
                 WorkerReply::HelloOk {
                     version: PROTOCOL_VERSION
                 },
-                WorkerReply::CampaignAck { campaign: 7 },
                 WorkerReply::Ok(slice.execute().unwrap()),
-                WorkerReply::Drained,
+                WorkerReply::HelloOk {
+                    version: PROTOCOL_VERSION
+                },
                 WorkerReply::Bye,
             ]
         );
@@ -943,7 +781,7 @@ mod tests {
         // dispatcher must wait for the terminal reply instead of
         // declaring the worker lost (retries are disabled, so a spurious
         // timeout would fail the whole batch). It answers the handshake
-        // and the first campaign's marker before reading the slice.
+        // before reading the slice.
         let hello = serde_json::to_string(&WorkerReply::HelloOk {
             version: PROTOCOL_VERSION,
         })
@@ -951,7 +789,6 @@ mod tests {
         let script = format!(
             "read line; echo '{hello}'; {}",
             concat!(
-                r#"read line; echo '{"CampaignAck":{"campaign":0}}'; "#,
                 "read line; ",
                 r#"for i in 1 2 3 4; do "#,
                 r#"echo "{\"Progress\":{\"id\":0,\"done\":$i,\"total\":4,\"rows_per_sec\":1.0}}"; "#,

@@ -1,13 +1,14 @@
 //! Warm worker pools: keep subprocess workers alive between campaigns.
 //!
 //! A [`WorkerPool`] turns a [`crate::SubprocessBackend`]'s worker fleet
-//! into a reusable resource: at campaign end healthy workers are
-//! *drained* (protocol `Drain` → `Drained`) and parked here, keyed by a
-//! hash of the worker argv, and the next campaign with the same argv
-//! checks them out again (re-pinged with `CampaignSubmit`, so a process
-//! that died while parked is discarded, never trusted). Respawn becomes
-//! the exception: it happens only on first use, after a worker loss, or
-//! when the pool ran dry. Every backend owns a private pool;
+//! into a reusable resource: when a campaign's batch ends, each fan-out
+//! thread parks its worker here (it has read the worker's last terminal
+//! reply, so the worker is idle), tagged with the argv it was spawned
+//! from, and the next campaign with the same argv checks it out again
+//! (re-pinged with `Hello`, so a process that died while parked is
+//! discarded, never trusted). Respawn becomes the exception: it happens
+//! only on first use, after a worker loss, or when the pool ran dry.
+//! Every backend owns a private pool;
 //! [`crate::SubprocessBackend::with_pool`] shares one across backends,
 //! which is how the sweep service keeps one fleet warm while it builds a
 //! fresh backend per campaign.
@@ -17,7 +18,6 @@
 //! produces bytes identical to a cold one.
 
 use crate::subprocess::{WorkerProc, WorkerRequest};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -26,40 +26,24 @@ use std::time::Duration;
 /// falling back to the kill-on-drop path.
 const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Most idle workers kept per argv key; overflow check-ins are dropped
+/// Most idle workers kept in one pool; overflow check-ins are dropped
 /// (killed).
-const MAX_IDLE_PER_KEY: usize = 32;
+const MAX_IDLE: usize = 32;
 
-/// Hash a worker argv into the pool key its idle workers are parked
-/// under (FNV-1a 64 over NUL-joined args, folded with the protocol
-/// version so a protocol bump can never resurrect stale workers).
-pub(crate) fn pool_key(cmd: &[String]) -> u64 {
-    let mut bytes = Vec::new();
-    for arg in cmd {
-        bytes.extend_from_slice(arg.as_bytes());
-        bytes.push(0);
-    }
-    bytes.extend_from_slice(&crate::subprocess::PROTOCOL_VERSION.to_le_bytes());
-    crate::cache::fnv1a64(&bytes)
-}
-
-/// A pool of drained subprocess workers, keyed by worker-argv hash,
-/// shared across campaigns (and across backends — `Arc` it into every
+/// A pool of idle subprocess workers, each tagged with its argv, shared
+/// across campaigns (and across backends — `Arc` it into every
 /// [`crate::SubprocessBackend::with_pool`] that should reuse the fleet).
 ///
 /// The pool is passive: it never spawns. Backends park workers here at
 /// campaign end and check them out at campaign start; the pool's own job
-/// is bookkeeping — idle storage with a per-key cap, spawn/reuse
-/// counters for telemetry, and the campaign-scoped failure streak that
-/// stretches respawn backoff while a fleet is struggling (and is wiped
-/// at every campaign boundary, so one bad campaign never slows down the
-/// next).
+/// is bookkeeping — idle storage with a cap, spawn/reuse counters for
+/// telemetry, and the campaign-scoped failure streak that stretches
+/// respawn backoff while a fleet is struggling (and is wiped at every
+/// campaign boundary, so one bad campaign never slows down the next).
 #[derive(Debug)]
 pub struct WorkerPool {
-    /// Drained, live workers by argv hash.
-    idle: Mutex<HashMap<u64, Vec<WorkerProc>>>,
-    /// Campaign sequence number, bumped by [`WorkerPool::begin_campaign`].
-    campaigns: AtomicU64,
+    /// Idle, live workers, most recently parked last.
+    idle: Mutex<Vec<WorkerProc>>,
     /// Worker losses since the last campaign boundary.
     losses: AtomicUsize,
     /// Total processes ever spawned through this pool's backends.
@@ -75,23 +59,19 @@ impl Default for WorkerPool {
 }
 
 impl WorkerPool {
-    /// An empty pool keeping at most 32 idle workers per argv key.
+    /// An empty pool keeping at most 32 idle workers.
     pub fn new() -> WorkerPool {
         WorkerPool {
-            idle: Mutex::new(HashMap::new()),
-            campaigns: AtomicU64::new(0),
+            idle: Mutex::new(Vec::new()),
             losses: AtomicUsize::new(0),
             spawns: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
         }
     }
 
-    /// Workers currently parked, across all keys.
+    /// Workers currently parked.
     pub fn idle_workers(&self) -> usize {
-        self.idle
-            .lock()
-            .map(|idle| idle.values().map(Vec::len).sum())
-            .unwrap_or(0)
+        self.idle.lock().map(|idle| idle.len()).unwrap_or(0)
     }
 
     /// Processes spawned through this pool's backends so far. A steady
@@ -112,11 +92,9 @@ impl WorkerPool {
     }
 
     /// Mark a campaign boundary: wipe the failure streak — backoff state
-    /// must never leak from one campaign into the next — and hand out
-    /// the campaign's protocol tag.
-    pub(crate) fn begin_campaign(&self) -> u64 {
+    /// must never leak from one campaign into the next.
+    pub(crate) fn begin_campaign(&self) {
         self.losses.store(0, Ordering::Relaxed);
-        self.campaigns.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Record a worker loss (crash / timeout / garbled reply).
@@ -134,20 +112,21 @@ impl WorkerPool {
         self.reuses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Take one idle worker parked under `key`, if any. The caller must
-    /// re-ping it (`CampaignSubmit`) before trusting it.
-    pub(crate) fn check_out(&self, key: u64) -> Option<WorkerProc> {
+    /// Take the most recently parked idle worker spawned from exactly
+    /// `cmd`, if any. The caller must re-ping it (`Hello`) before
+    /// trusting it.
+    pub(crate) fn check_out(&self, cmd: &[String]) -> Option<WorkerProc> {
         let mut idle = self.idle.lock().expect("pool lock");
-        idle.get_mut(&key)?.pop()
+        let at = idle.iter().rposition(|worker| worker.cmd == cmd)?;
+        Some(idle.remove(at))
     }
 
-    /// Park a drained worker under `key`; dropped (killed) when the
-    /// per-key cap is already reached.
-    pub(crate) fn check_in(&self, key: u64, worker: WorkerProc) {
+    /// Park an idle worker; dropped (killed) when the pool already holds
+    /// its cap.
+    pub(crate) fn check_in(&self, worker: WorkerProc) {
         let mut idle = self.idle.lock().expect("pool lock");
-        let parked = idle.entry(key).or_default();
-        if parked.len() < MAX_IDLE_PER_KEY {
-            parked.push(worker);
+        if idle.len() < MAX_IDLE {
+            idle.push(worker);
         }
         // else: drop kills the overflow worker
     }
@@ -156,19 +135,17 @@ impl WorkerPool {
     /// handshake for a clean exit, kill-on-drop as the backstop. The
     /// pool is empty afterwards but remains usable.
     pub fn shutdown(&self) {
-        let drained: Vec<WorkerProc> = {
+        let parked: Vec<WorkerProc> = {
             // Poisoned lock (a panicking campaign thread) still holds
-            // real workers; recover the map rather than leaking them.
+            // real workers; recover the list rather than leaking them.
             let mut idle = match self.idle.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            idle.drain().flat_map(|(_, workers)| workers).collect()
+            std::mem::take(&mut *idle)
         };
-        for mut worker in drained {
-            let _ = worker.control(&WorkerRequest::Shutdown, SHUTDOWN_TIMEOUT, |r| {
-                matches!(r, crate::subprocess::WorkerReply::Bye)
-            });
+        for mut worker in parked {
+            let _ = worker.control(&WorkerRequest::Shutdown, SHUTDOWN_TIMEOUT);
             // drop kills if the worker ignored the handshake
         }
     }
@@ -184,16 +161,32 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
 
+    /// A parked process tagged with `cmd`. `cat` stands in for a worker:
+    /// checkout and check-in never talk to it.
+    fn parked(cmd: &[&str]) -> WorkerProc {
+        let mut worker = WorkerProc::spawn(&["cat".into()]).unwrap();
+        worker.cmd = cmd.iter().map(|arg| arg.to_string()).collect();
+        worker
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|arg| arg.to_string()).collect()
+    }
+
     #[test]
-    fn pool_key_depends_on_every_arg_and_on_arg_boundaries() {
-        let a = pool_key(&["worker".into(), "--fast".into()]);
-        let b = pool_key(&["worker".into(), "--slow".into()]);
-        let c = pool_key(&["worker --fast".into()]);
-        assert_ne!(a, b);
-        // NUL joining keeps ["worker", "--fast"] distinct from
-        // ["worker --fast"] even though their bytes agree.
-        assert_ne!(a, c);
-        assert_eq!(a, pool_key(&["worker".into(), "--fast".into()]));
+    fn checkout_takes_only_a_worker_of_the_same_argv() {
+        let pool = WorkerPool::new();
+        pool.check_in(parked(&["worker", "--fast"]));
+        assert_eq!(pool.idle_workers(), 1);
+        // Another argument, or the same bytes split at another argument
+        // boundary, is another worker command.
+        assert!(pool.check_out(&argv(&["worker", "--slow"])).is_none());
+        assert!(pool.check_out(&argv(&["worker --fast"])).is_none());
+        assert!(pool.check_out(&argv(&["worker"])).is_none());
+        assert_eq!(pool.idle_workers(), 1);
+        let worker = pool.check_out(&argv(&["worker", "--fast"])).unwrap();
+        assert_eq!(worker.cmd, argv(&["worker", "--fast"]));
+        assert_eq!(pool.idle_workers(), 0);
     }
 
     #[test]
@@ -206,19 +199,18 @@ mod tests {
         pool.note_loss();
         pool.note_loss();
         assert_eq!(pool.loss_streak(), 3);
-        let first = pool.begin_campaign();
+        pool.begin_campaign();
         assert_eq!(pool.loss_streak(), 0, "new campaign starts clean");
         pool.note_loss();
         assert_eq!(pool.loss_streak(), 1);
-        let second = pool.begin_campaign();
+        pool.begin_campaign();
         assert_eq!(pool.loss_streak(), 0);
-        assert!(second > first, "campaign tags are monotonic");
     }
 
     #[test]
     fn empty_pool_checks_out_nothing_and_shuts_down_quietly() {
         let pool = WorkerPool::new();
-        assert!(pool.check_out(pool_key(&["x".into()])).is_none());
+        assert!(pool.check_out(&argv(&["x"])).is_none());
         assert_eq!(pool.idle_workers(), 0);
         pool.shutdown();
         assert_eq!((pool.spawns(), pool.reuses()), (0, 0));

@@ -248,17 +248,14 @@ fn kill_and_resume_recomputes_only_unfinished_slices() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A stub worker that answers the handshake of a fresh backend's first
-/// campaign (`Hello`, then `CampaignSubmit` for campaign 0), so that
-/// whatever `then` does happens after a slice was sent.
+/// A stub worker that answers the `Hello` handshake, so that whatever
+/// `then` does happens after a slice was sent.
 fn handshaking_stub(then: &str) -> String {
     let hello = serde_json::to_string(&WorkerReply::HelloOk {
         version: PROTOCOL_VERSION,
     })
     .unwrap();
-    format!(
-        r#"read line; echo '{hello}'; read line; echo '{{"CampaignAck":{{"campaign":0}}}}'; {then}"#
-    )
+    format!("read line; echo '{hello}'; {then}")
 }
 
 #[test]
@@ -338,6 +335,39 @@ fn unresponsive_worker_times_out_and_exhausts_retries() {
     assert_eq!(slice, 0);
     assert_eq!(attempts, 2, "one original attempt + one retry");
     assert_eq!(last_error, "no reply or heartbeat within 0.5s");
+}
+
+#[test]
+fn a_parked_worker_that_died_costs_no_retry() {
+    // The stub answers `Hello`, pipes one `Slice` line into a real worker
+    // and exits with it, so the process its thread parks after the first
+    // campaign is already dead. The second campaign's checkout ping must
+    // discard it and spawn a fresh one without spending a retry: with a
+    // budget of zero, a retry would fail the campaign.
+    let stub = handshaking_stub(&format!(
+        r#"read line; printf '%s\n' "$line" | {bin} worker"#,
+        bin = grid_bin()
+    ));
+    let pool = Arc::new(WorkerPool::new());
+    let backend = SubprocessBackend::new(vec!["sh".into(), "-c".into(), stub], 1)
+        .with_max_retries(0)
+        .with_pool(Arc::clone(&pool));
+    let base = hypercube_sweep().base;
+    for (campaign, lambda) in [0.5, 1.1].into_iter().enumerate() {
+        let sweep = Sweep::new(
+            base.clone(),
+            vec![Axis::new(SweepParam::Lambda, vec![lambda])],
+        );
+        let direct = sweep.run(1).unwrap();
+        let got = Campaign::new(sweep, 1).run(&backend).unwrap();
+        assert_eq!(as_json(&got), as_json(&direct), "campaign {campaign}");
+        assert_eq!(
+            pool.idle_workers(),
+            1,
+            "the stub is parked after campaign {campaign}"
+        );
+    }
+    assert_eq!((pool.spawns(), pool.reuses()), (2, 0));
 }
 
 // ---------------------------------------------------------------------
