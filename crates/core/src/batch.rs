@@ -7,8 +7,6 @@
 //! completion time of a random batch is `≤ R·d` with high probability for a
 //! constant `R`.
 
-use crate::packet::sample_flip_mask;
-use hyperroute_desim::SimRng;
 use std::collections::VecDeque;
 
 /// Result of routing one batch.
@@ -118,43 +116,33 @@ pub fn route_batch_greedy(d: usize, packets: &[(u32, u32)]) -> BatchResult {
     }
 }
 
-/// A uniformly random permutation batch: node `i` sends one packet to
-/// `σ(i)` for a uniform permutation `σ` (the \[Val82\] permutation task).
-pub fn random_permutation_batch(d: usize, rng: &mut SimRng) -> Vec<(u32, u32)> {
-    let n = 1u32 << d;
-    let mut dests: Vec<u32> = (0..n).collect();
-    // Fisher–Yates.
-    for i in (1..n as usize).rev() {
-        let j = rng.below(i + 1);
-        dests.swap(i, j);
-    }
-    (0..n).map(|i| (i, dests[i as usize])).collect()
-}
-
-/// A random batch with one packet per node and bit-flip destinations with
-/// probability `p` (the §2.3 round workload).
-pub fn random_flip_batch(d: usize, p: f64, rng: &mut SimRng) -> Vec<(u32, u32)> {
-    let n = 1u32 << d;
-    (0..n)
-        .map(|i| (i, i ^ sample_flip_mask(rng, d, p)))
-        .collect()
-}
-
-/// Empirical estimate of the \[VaB81\] round-length constant `R`: the mean
-/// makespan of `reps` random batches divided by `d`.
-pub fn estimate_round_constant(d: usize, p: f64, reps: usize, seed: u64) -> f64 {
-    let mut rng = SimRng::new(seed);
-    let mut total = 0.0;
-    for _ in 0..reps {
-        let batch = random_flip_batch(d, p, &mut rng);
-        total += route_batch_greedy(d, &batch).makespan;
-    }
-    total / (reps as f64 * d as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::sample_flip_mask;
+    use hyperroute_desim::SimRng;
+
+    /// A uniformly random permutation batch: node `i` sends one packet to
+    /// `σ(i)` for a uniform permutation `σ` (the \[Val82\] permutation task).
+    fn random_permutation_batch(d: usize, rng: &mut SimRng) -> Vec<(u32, u32)> {
+        let n = 1u32 << d;
+        let mut dests: Vec<u32> = (0..n).collect();
+        // Fisher–Yates.
+        for i in (1..n as usize).rev() {
+            let j = rng.below(i + 1);
+            dests.swap(i, j);
+        }
+        (0..n).map(|i| (i, dests[i as usize])).collect()
+    }
+
+    /// A random batch with one packet per node and bit-flip destinations
+    /// with probability `p` (the §2.3 round workload).
+    fn random_flip_batch(d: usize, p: f64, rng: &mut SimRng) -> Vec<(u32, u32)> {
+        let n = 1u32 << d;
+        (0..n)
+            .map(|i| (i, i ^ sample_flip_mask(rng, d, p)))
+            .collect()
+    }
 
     #[test]
     fn single_packet_takes_hamming_distance() {
@@ -215,12 +203,6 @@ mod tests {
             );
             assert!(r.makespan >= 1.0);
         }
-    }
-
-    #[test]
-    fn estimated_round_constant_is_order_one() {
-        let r = estimate_round_constant(6, 0.5, 10, 11);
-        assert!(r > 0.4 && r < 4.0, "R estimate {r}");
     }
 
     #[test]

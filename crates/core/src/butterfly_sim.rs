@@ -10,16 +10,18 @@
 //!
 //! The event loop and the common report fields live in
 //! [`crate::engine`]; this module is the butterfly's routing law
-//! ([`ButterflySpec`]), its per-level Prop. 15 statistics, and its
-//! [`ButterflyExt`] report extension. [`crate::scenario::Scenario`] runs
+//! ([`ButterflySpec`]), its vertical-hop tally, and its [`ButterflyExt`]
+//! report extension, whose Prop. 15 per-level rates sum the engine's
+//! per-arc arrival counts. [`crate::scenario::Scenario`] runs
 //! a fault-free [`Topology::Butterfly`] as an
 //! [`Engine`](crate::engine::Engine) over this spec.
 
-use crate::engine::{Advance, ArcChoice, EngineCfg, EnginePacket, EngineSpec, Spawn};
+use crate::engine::{Advance, ArcArrivals, ArcChoice, EngineCfg, EnginePacket, EngineSpec, Spawn};
 use crate::metrics::MetricsCollector;
 use crate::packet::sample_flip_mask;
 use crate::scenario::{ButterflyExt, ReportExt, Scenario, Topology};
 use hyperroute_desim::{SimRng, Tally};
+use hyperroute_topology::{ArcKind, ButterflyArc};
 
 /// An in-flight butterfly packet. Its current node (row, level) is implied
 /// by the arc queue holding it, so only the destination row rides along.
@@ -53,8 +55,6 @@ const ARC_VERTICAL: u32 = 1 << 29;
 pub struct ButterflySpec {
     dim: usize,
     p: f64,
-    straight_arrivals: Vec<u64>,
-    vertical_arrivals: Vec<u64>,
     vertical_stats: Tally,
 }
 
@@ -67,8 +67,6 @@ impl ButterflySpec {
         ButterflySpec {
             dim,
             p: s.workload.p,
-            straight_arrivals: vec![0; dim],
-            vertical_arrivals: vec![0; dim],
             vertical_stats: Tally::new(),
         }
     }
@@ -99,7 +97,6 @@ impl EngineSpec for ButterflySpec {
     fn choose_arc(
         &mut self,
         _t: f64,
-        in_window: bool,
         node: u32,
         pkt: &mut BfPacket,
         _route_rng: &mut SimRng,
@@ -108,13 +105,6 @@ impl EngineSpec for ButterflySpec {
         let level = (node >> self.dim) as usize;
         debug_assert!(level < self.dim);
         let vertical = (row >> level) & 1 != (pkt.dest >> level) & 1;
-        if in_window {
-            if vertical {
-                self.vertical_arrivals[level] += 1;
-            } else {
-                self.straight_arrivals[level] += 1;
-            }
-        }
         // Dense butterfly arc index: ((level·2^d) + row)·2 + kind; a
         // vertical arc's head row flips the level's bit.
         ArcChoice::Arc {
@@ -140,15 +130,28 @@ impl EngineSpec for ButterflySpec {
         }
     }
 
-    fn note_deliver(&mut self, pkt: &BfPacket, in_window: bool) {
-        if in_window {
-            self.vertical_stats.push(pkt.verticals as f64);
-        }
+    fn note_deliver(&mut self, pkt: &BfPacket) {
+        self.vertical_stats.push(pkt.verticals as f64);
     }
 
-    fn ext(&self, cfg: &EngineCfg, _collector: &MetricsCollector) -> ReportExt {
+    fn ext(
+        &self,
+        cfg: &EngineCfg,
+        _collector: &MetricsCollector,
+        arrivals: ArcArrivals<'_>,
+    ) -> ReportExt {
         let span = cfg.horizon - cfg.warmup;
         let arcs_per_level = (1usize << self.dim) as f64;
+        let mut straight = vec![0u64; self.dim];
+        let mut vertical = vec![0u64; self.dim];
+        for (arc, count) in arrivals.enumerate() {
+            let a = ButterflyArc::from_index(arc, self.dim);
+            let per_level = match a.kind {
+                ArcKind::Straight => &mut straight,
+                ArcKind::Vertical => &mut vertical,
+            };
+            per_level[a.level] += u64::from(count);
+        }
         let rates = |arrivals: &[u64]| {
             arrivals
                 .iter()
@@ -158,8 +161,8 @@ impl EngineSpec for ButterflySpec {
         ReportExt::Butterfly(ButterflyExt {
             rho: cfg.lambda * self.p.max(1.0 - self.p),
             mean_vertical_hops: self.vertical_stats.mean(),
-            straight_rate_per_level: rates(&self.straight_arrivals),
-            vertical_rate_per_level: rates(&self.vertical_arrivals),
+            straight_rate_per_level: rates(&straight),
+            vertical_rate_per_level: rates(&vertical),
         })
     }
 }
@@ -188,7 +191,6 @@ mod tests {
 
     #[test]
     fn chosen_routing_words_match_the_topology_arcs() {
-        use hyperroute_topology::{ArcKind, ButterflyArc};
         let dim = 4;
         let mut spec = ButterflySpec::new(
             &Scenario::builder(Topology::Butterfly { dim })
@@ -206,7 +208,7 @@ mod tests {
                         verticals: 0,
                     };
                     let ArcChoice::Arc { arc, meta } =
-                        spec.choose_arc(0.0, false, node, &mut pkt, &mut rng)
+                        spec.choose_arc(0.0, node, &mut pkt, &mut rng)
                     else {
                         panic!("the butterfly never drops");
                     };

@@ -288,14 +288,6 @@ pub enum ArrivalModel {
 }
 
 impl ArrivalModel {
-    /// Slot length `r` (1.0 for the continuous model, where it is unused).
-    pub fn slot_length(self) -> f64 {
-        match self {
-            ArrivalModel::Poisson => 1.0,
-            ArrivalModel::Slotted { slots_per_unit } => 1.0 / slots_per_unit as f64,
-        }
-    }
-
     /// Reject zero-slot configurations.
     pub fn validate(self) -> Result<(), ConfigError> {
         match self {
@@ -534,12 +526,6 @@ impl DestinationSpec {
         }
     }
 
-    /// Papillon-style harmonic ring demand (`RingPowerLaw` with
-    /// `alpha = 1`).
-    pub fn ring_harmonic() -> DestinationSpec {
-        DestinationSpec::RingPowerLaw { alpha: 1.0 }
-    }
-
     /// Build the Eq.-(1)-style product pmf from per-dimension flip
     /// probabilities (a convenient way to construct skewed but structured
     /// distributions).
@@ -693,16 +679,6 @@ impl FaultSpec {
         }
         Ok(())
     }
-
-    /// Whether any arc can ever be dead under this spec — `false` only
-    /// for a statically-empty mask with no dynamic arrivals.
-    pub fn can_kill(&self) -> bool {
-        let static_kill = match &self.mode {
-            FaultMode::Seeded { fraction, .. } => *fraction > 0.0,
-            FaultMode::Explicit { arcs } => !arcs.is_empty(),
-        };
-        static_kill || self.dynamics.is_some_and(|d| d.rate > 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -718,15 +694,6 @@ mod tests {
         ];
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), 3);
-    }
-
-    #[test]
-    fn slot_lengths() {
-        assert_eq!(ArrivalModel::Poisson.slot_length(), 1.0);
-        assert_eq!(
-            ArrivalModel::Slotted { slots_per_unit: 4 }.slot_length(),
-            0.25
-        );
     }
 
     #[test]
@@ -853,7 +820,9 @@ mod tests {
 
     #[test]
     fn power_law_validation() {
-        assert!(DestinationSpec::ring_harmonic().validate_nodes(8).is_ok());
+        assert!(DestinationSpec::RingPowerLaw { alpha: 1.0 }
+            .validate_nodes(8)
+            .is_ok());
         assert!(matches!(
             DestinationSpec::RingPowerLaw { alpha: f64::NAN }.validate_nodes(8),
             Err(ConfigError::PowerLawExponent(a)) if a.is_nan()
@@ -930,34 +899,6 @@ mod tests {
             };
             assert!(matches!(spec.validate(64), Err(ConfigError::FaultRate(_))));
         }
-    }
-
-    #[test]
-    fn can_kill_accounts_for_statics_and_dynamics() {
-        let empty = FaultSpec {
-            mode: FaultMode::Explicit { arcs: vec![] },
-            fallback: FaultFallback::Detour,
-            dynamics: None,
-        };
-        assert!(!empty.can_kill());
-        assert!(FaultSpec {
-            dynamics: Some(FaultArrivals { rate: 0.1, seed: 1 }),
-            ..empty.clone()
-        }
-        .can_kill());
-        assert!(!FaultSpec {
-            dynamics: Some(FaultArrivals { rate: 0.0, seed: 1 }),
-            ..empty.clone()
-        }
-        .can_kill());
-        assert!(FaultSpec {
-            mode: FaultMode::Seeded {
-                fraction: 0.2,
-                seed: 3,
-            },
-            ..empty
-        }
-        .can_kill());
     }
 
     #[test]

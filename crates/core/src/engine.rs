@@ -51,18 +51,23 @@
 //!   At most one completion is pending per busy arc, so the FIFO never
 //!   holds more than `num_arcs` entries; it grows on demand rather than
 //!   reserving that bound (a million-arc small world keeps few arcs busy).
-//! * **One `u32` of state per arc.** An arc's word is `0` while it is
-//!   idle, [`ArcList::EMPTY`]'s word while it is busy with nobody
-//!   waiting, and otherwise the word of its waiting list (a one-word ring
-//!   over the shared slab pool, whose words are never 0). The array is
-//!   allocated zeroed, so [`Engine::new`] makes no pass over the arcs: the
-//!   million-node small world's 6.3M arcs cost 25 MB, not the 100 MB of
-//!   a 16-byte list-plus-routing-word record. The routing word a spec
-//!   needs to advance a packet across an arc (head node,
-//!   dimension/level bits) is not stored per arc at all: the spec hands
-//!   it over with the arc from [`EngineSpec::choose_arc`], it rides in
-//!   the pending completion entry (in what is otherwise padding), and
-//!   the next waiter on the arc reuses the completing entry's word.
+//! * **One 8-byte record per arc: a state word and an arrival count.**
+//!   An arc's word is `0` while it is idle, [`ArcList::EMPTY`]'s word
+//!   while it is busy with nobody waiting, and otherwise the word of its
+//!   waiting list (a one-word ring over the shared slab pool, whose words
+//!   are never 0). Beside it sits the arc's saturating count of packets
+//!   that joined it inside the measurement window, bumped where
+//!   `Engine::enqueue` already reads the word, so a hop touches one
+//!   cache line of per-arc state. Every topology's rate fields are sums
+//!   of these counts, handed to [`EngineSpec::ext`] as [`ArcArrivals`].
+//!   The array is `vec![[0; 2]; n]`, allocated zeroed, so [`Engine::new`]
+//!   makes no pass over the arcs: the million-node small world's 6.3M
+//!   arcs cost 50 MB. The routing word a spec needs to advance a packet
+//!   across an arc (head node, dimension/level bits) is not stored per
+//!   arc at all: the spec hands it over with the arc from
+//!   [`EngineSpec::choose_arc`], it rides in the pending completion entry
+//!   (in what is otherwise padding), and the next waiter on the arc
+//!   reuses the completing entry's word.
 
 use crate::config::{ArrivalModel, ContentionPolicy};
 use crate::metrics::MetricsCollector;
@@ -168,18 +173,16 @@ pub trait EngineSpec {
     /// `dest_rng` exactly as the topology's destination law dictates.
     fn generate(&mut self, t: f64, source: u32, dest_rng: &mut SimRng) -> Spawn<Self::Pkt>;
 
-    /// The arc `pkt` takes out of `node` and that arc's routing word
-    /// (mutating `pkt`'s routing state), plus any per-arc arrival
-    /// bookkeeping (`in_window` is `warmup <= t < horizon`). An arc's
-    /// word must be the same whichever packet chooses it: the next waiter
-    /// on the arc crosses it with the word of the packet served before.
-    /// `route_rng` is the dedicated stream for randomised schemes. Specs
-    /// with fault masks may return [`ArcChoice::Drop`] when no usable arc
-    /// exists.
+    /// The arc `pkt` takes out of `node` at `t` and that arc's routing
+    /// word (mutating `pkt`'s routing state); the engine counts the
+    /// arrival. An arc's word must be the same whichever packet chooses
+    /// it: the next waiter on the arc crosses it with the word of the
+    /// packet served before. `route_rng` is the dedicated stream for
+    /// randomised schemes. Specs with fault masks may return
+    /// [`ArcChoice::Drop`] when no usable arc exists.
     fn choose_arc(
         &mut self,
         t: f64,
-        in_window: bool,
         node: u32,
         pkt: &mut Self::Pkt,
         route_rng: &mut SimRng,
@@ -193,9 +196,9 @@ pub trait EngineSpec {
     /// hop/leg state and decide where it goes next.
     fn advance(&mut self, meta: u32, pkt: &mut Self::Pkt) -> Advance;
 
-    /// A packet is delivered (`in_window` refers to its *birth* time) —
-    /// per-topology delivery statistics hook.
-    fn note_deliver(&mut self, pkt: &Self::Pkt, in_window: bool);
+    /// A packet born inside the measurement window is delivered —
+    /// per-topology delivery statistics hook. The default is a no-op.
+    fn note_deliver(&mut self, _pkt: &Self::Pkt) {}
 
     /// A packet was dropped after [`EngineSpec::choose_arc`] returned
     /// [`ArcChoice::Drop`] (`in_window` refers to its *birth* time).
@@ -211,9 +214,30 @@ pub trait EngineSpec {
         false
     }
 
-    /// The topology's report extension, rendered from the spec's own
-    /// statistics and the run's `collector` once the run is over.
-    fn ext(&self, cfg: &EngineCfg, collector: &MetricsCollector) -> ReportExt;
+    /// The topology's report extension, rendered once the run is over
+    /// from the spec's own statistics, the run's `collector` and the
+    /// engine's per-arc in-window `arrivals`.
+    fn ext(
+        &self,
+        cfg: &EngineCfg,
+        collector: &MetricsCollector,
+        arrivals: ArcArrivals<'_>,
+    ) -> ReportExt;
+}
+
+/// Each arc's in-window arrival count, in dense arc order: the packets
+/// that joined the arc at a time `t` with [`EngineCfg::in_window`].
+/// Counts saturate at `u32::MAX` instead of wrapping.
+#[derive(Clone)]
+pub struct ArcArrivals<'a>(std::slice::Iter<'a, [u32; 2]>);
+
+impl Iterator for ArcArrivals<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        self.0.next().map(|&[_, arrivals]| arrivals)
+    }
 }
 
 /// Execution parameters of one engine run — the topology-independent
@@ -255,6 +279,12 @@ impl EngineCfg {
             seed: s.run.seed,
             drain: s.run.drain,
         }
+    }
+
+    /// Whether `t` lies in the measurement window `[warmup, horizon)`.
+    #[inline]
+    pub fn in_window(&self, t: f64) -> bool {
+        self.warmup <= t && t < self.horizon
     }
 }
 
@@ -333,13 +363,15 @@ pub struct Engine<T: EngineSpec> {
     /// One slab for every waiting packet in the network; arcs hold only
     /// one-word [`ArcList`]s into it.
     pool: SlabPool<T::Pkt>,
-    /// One word per arc: [`IDLE`], [`BUSY`], or the word of the arc's
-    /// non-empty waiting list. Arcs are visited in data-dependent random
-    /// order, so this is the engine's locality-critical structure —
-    /// sixteen arcs share a cache line, and the in-service packet and the
-    /// arc's routing word ride inside the pending completion entry (hot
-    /// by construction when popped) instead of here.
-    arcs: Vec<u32>,
+    /// One `[word, arrivals]` record per arc: the word is [`IDLE`],
+    /// [`BUSY`], or the word of the arc's non-empty waiting list, and
+    /// `arrivals` is the arc's saturating in-window arrival count. Arcs
+    /// are visited in data-dependent random order, so this is the
+    /// engine's locality-critical structure — eight arcs share a cache
+    /// line, and the in-service packet and the arc's routing word ride
+    /// inside the pending completion entry (hot by construction when
+    /// popped) instead of here.
+    arcs: Vec<[u32; 2]>,
     /// Indexed waiting storage, allocated (and used) only under
     /// [`ContentionPolicy::Random`] — a uniform pick from an intrusive
     /// list would walk `O(queue)` links.
@@ -371,7 +403,7 @@ pub struct Engine<T: EngineSpec> {
 }
 
 impl<T: EngineSpec> Engine<T> {
-    /// Build an engine around `spec` (allocates the zeroed per-arc words).
+    /// Build an engine around `spec` (allocates the zeroed per-arc records).
     pub fn new(spec: T, cfg: EngineCfg) -> Engine<T> {
         let sources = spec.num_sources() as f64;
         let mut root = SimRng::new(cfg.seed);
@@ -405,7 +437,7 @@ impl<T: EngineSpec> Engine<T> {
                 Vec::new()
             },
             pool: SlabPool::with_capacity(1024),
-            arcs: vec![IDLE; arcs],
+            arcs: vec![[0; 2]; arcs],
             spec,
             completions: Completions::new(cfg.scheduler),
             cfg,
@@ -542,15 +574,11 @@ impl<T: EngineSpec> Engine<T> {
     /// number-in-system trajectory stay exact, so conservation
     /// (`generated == delivered + dropped`) holds at drain.
     fn enqueue<O: Observer>(&mut self, t: f64, node: u32, mut pkt: T::Pkt, obs: &mut O) {
-        let in_window = t >= self.cfg.warmup && t < self.cfg.horizon;
-        let choice = self
-            .spec
-            .choose_arc(t, in_window, node, &mut pkt, &mut self.route_rng);
+        let choice = self.spec.choose_arc(t, node, &mut pkt, &mut self.route_rng);
         let (arc, meta) = match choice {
             ArcChoice::Arc { arc, meta } => (arc as usize, meta),
             ArcChoice::Drop => {
-                let born = pkt.born();
-                let born_in_window = born >= self.cfg.warmup && born < self.cfg.horizon;
+                let born_in_window = self.cfg.in_window(pkt.born());
                 self.spec.note_drop(&pkt, born_in_window);
                 self.collector.on_dropped(t);
                 obs.on_drop(t, pkt.trace_id() as u64, node);
@@ -559,22 +587,25 @@ impl<T: EngineSpec> Engine<T> {
         };
         let id = pkt.trace_id() as u64;
         let escape = self.spec.in_escape(&pkt);
-        let word = self.arcs[arc];
-        let queue_depth = if word == IDLE {
-            self.arcs[arc] = BUSY;
+        let [word, arrivals] = &mut self.arcs[arc];
+        if self.cfg.in_window(t) {
+            *arrivals = arrivals.saturating_add(1);
+        }
+        let queue_depth = if *word == IDLE {
+            *word = BUSY;
             self.completions.push(t + 1.0, arc as u32, meta, pkt);
             1
         } else if self.cfg.contention == ContentionPolicy::Random {
             self.bags[arc].insert(pkt);
             1 + self.bags[arc].len() as u32
         } else {
-            let mut waiting = ArcList::from_word(word);
+            let mut waiting = ArcList::from_word(*word);
             let len = if self.cfg.contention == ContentionPolicy::Lifo {
                 waiting.push_front(&mut self.pool, pkt)
             } else {
                 waiting.push_back(&mut self.pool, pkt)
             };
-            self.arcs[arc] = waiting.word();
+            *word = waiting.word();
             1 + len as u32
         };
         obs.on_hop(t, id, node, arc as u32, queue_depth);
@@ -590,12 +621,12 @@ impl<T: EngineSpec> Engine<T> {
     /// arc's [`ArcBag`] — indexed storage where removal is a
     /// `swap_remove`, so the pick is `O(1)` however long the queue grows.
     fn start_next_service(&mut self, t: f64, arc: usize, meta: u32) {
-        debug_assert_ne!(self.arcs[arc], IDLE, "service on an idle arc");
+        debug_assert_ne!(self.arcs[arc][0], IDLE, "service on an idle arc");
         let pkt = match self.cfg.contention {
             ContentionPolicy::Fifo | ContentionPolicy::Lifo => {
-                let mut waiting = ArcList::from_word(self.arcs[arc]);
+                let mut waiting = ArcList::from_word(self.arcs[arc][0]);
                 let pkt = waiting.pop_front(&mut self.pool);
-                self.arcs[arc] = waiting.word();
+                self.arcs[arc][0] = waiting.word();
                 pkt
             }
             ContentionPolicy::Random => {
@@ -610,14 +641,14 @@ impl<T: EngineSpec> Engine<T> {
         };
         match pkt {
             Some(pkt) => self.completions.push(t + 1.0, arc as u32, meta, pkt),
-            None => self.arcs[arc] = IDLE,
+            None => self.arcs[arc][0] = IDLE,
         }
     }
 
     /// Packets still occupying `arc` (waiting plus any one in service).
     #[inline]
     fn arc_depth(&self, arc: usize) -> u32 {
-        let word = self.arcs[arc];
+        let word = self.arcs[arc][0];
         if word == IDLE {
             return 0;
         }
@@ -644,8 +675,9 @@ impl<T: EngineSpec> Engine<T> {
             Advance::Forward(node) => self.enqueue(t, node, pkt, obs),
             Advance::Deliver(hops) => {
                 let born = pkt.born();
-                let in_window = born >= self.cfg.warmup && born < self.cfg.horizon;
-                self.spec.note_deliver(&pkt, in_window);
+                if self.cfg.in_window(born) {
+                    self.spec.note_deliver(&pkt);
+                }
                 self.collector.on_delivered(t, born, hops);
                 obs.on_delivered(t, born);
                 obs.on_packet_delivered(t, pkt.trace_id() as u64, born, hops, pkt.deflections());
@@ -659,7 +691,8 @@ impl<T: EngineSpec> Engine<T> {
     /// reports are byte-identical whatever `obs` is.
     pub fn run<O: Observer>(mut self, obs: &mut O) -> Report {
         self.drive(obs);
-        let ext = self.spec.ext(&self.cfg, &self.collector);
+        let arrivals = ArcArrivals(self.arcs.iter());
+        let ext = self.spec.ext(&self.cfg, &self.collector, arrivals);
         self.collector.report(self.events_processed, ext)
     }
 }
@@ -693,14 +726,7 @@ mod tests {
         fn generate(&mut self, t: f64, _: u32, _: &mut SimRng) -> Spawn<Born> {
             Spawn::Route(Born(t))
         }
-        fn choose_arc(
-            &mut self,
-            _: f64,
-            _: bool,
-            node: u32,
-            _: &mut Born,
-            _: &mut SimRng,
-        ) -> ArcChoice {
+        fn choose_arc(&mut self, _: f64, node: u32, _: &mut Born, _: &mut SimRng) -> ArcChoice {
             ArcChoice::Arc {
                 arc: node,
                 meta: node,
@@ -710,9 +736,21 @@ mod tests {
         fn advance(&mut self, _: u32, _: &mut Born) -> Advance {
             Advance::Deliver(1)
         }
-        fn note_deliver(&mut self, _: &Born, _: bool) {}
-        fn ext(&self, _: &EngineCfg, _: &MetricsCollector) -> ReportExt {
+        fn ext(&self, _: &EngineCfg, _: &MetricsCollector, _: ArcArrivals<'_>) -> ReportExt {
             unreachable!("the star is driven, never run to a report")
+        }
+    }
+
+    fn star_cfg(contention: ContentionPolicy) -> EngineCfg {
+        EngineCfg {
+            lambda: 0.9,
+            arrivals: ArrivalModel::Poisson,
+            contention,
+            scheduler: SchedulerKind::Calendar,
+            horizon: 200.0,
+            warmup: 0.0,
+            seed: 4,
+            drain: true,
         }
     }
 
@@ -723,18 +761,9 @@ mod tests {
             ContentionPolicy::Lifo,
             ContentionPolicy::Random,
         ] {
-            let cfg = EngineCfg {
-                lambda: 0.9,
-                arrivals: ArrivalModel::Poisson,
-                contention,
-                scheduler: SchedulerKind::Calendar,
-                horizon: 200.0,
-                warmup: 0.0,
-                seed: 4,
-                drain: true,
-            };
-            let mut engine = Engine::new(Star { arcs: 8 }, cfg);
-            assert_eq!(std::mem::size_of_val(engine.arcs.as_slice()), 4 * 8);
+            let mut engine = Engine::new(Star { arcs: 8 }, star_cfg(contention));
+            // The 4-byte state word plus the 4-byte arrival count.
+            assert_eq!(std::mem::size_of_val(engine.arcs.as_slice()), 8 * 8);
             engine.drive(&mut crate::observe::NullObserver);
             // Queues formed (λ = 0.9 per unit-service arc), and a drained
             // run leaves every arc idle and every slot free.
@@ -742,7 +771,7 @@ mod tests {
                 assert!(engine.pool.capacity_used() > 1, "{contention:?}");
             }
             assert!(
-                engine.arcs.iter().all(|&word| word == IDLE),
+                engine.arcs.iter().all(|&[word, _]| word == IDLE),
                 "{contention:?}"
             );
             assert!(engine.pool.is_empty(), "{contention:?}");
@@ -750,7 +779,24 @@ mod tests {
                 engine.collector.delivered_total(),
                 engine.collector.generated()
             );
+            // The whole run is the window, and every packet crosses one
+            // arc: the counts add up to the packets generated.
+            let counted: u64 = ArcArrivals(engine.arcs.iter()).map(u64::from).sum();
+            assert_eq!(counted, engine.collector.generated(), "{contention:?}");
         }
+    }
+
+    #[test]
+    fn arc_arrival_counters_saturate_instead_of_wrapping() {
+        // Force a count to the brink, then over it: it must pin at
+        // u32::MAX, not wrap to 0.
+        let mut engine = Engine::new(Star { arcs: 4 }, star_cfg(ContentionPolicy::Fifo));
+        engine.arcs[2][1] = u32::MAX - 1;
+        for t in [1.0, 2.0] {
+            engine.enqueue(t, 2, Born(t), &mut crate::observe::NullObserver);
+        }
+        let counts: Vec<u32> = ArcArrivals(engine.arcs.iter()).collect();
+        assert_eq!(counts, [0, 0, u32::MAX, 0], "must saturate, not wrap");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! (birth, destination, and the recovery/stretch state riding in one
 //! headroom block), the greedy step is the trait's `next_arc`, and the
 //! arc's routing word is its head node, read from the row the choice
-//! just scanned. Adding a topology is now
+//! just scanned. The spec counts no arc arrivals: the engine keeps each
+//! arc's in-window count, and the extension builder reads them as
+//! [`ArcArrivals`]. Adding a topology is now
 //! exactly the trait impl — the ring, the torus (`k`-ary `d`-cube), the
 //! de Bruijn graph and the generated sparse topologies
 //! (`hyperroute-sparse`) all route through this one spec, and the ring
@@ -45,7 +47,7 @@
 //!   power-law ring offsets — see [`GraphDestination`].
 
 use crate::config::{FaultArrivals, FaultFallback, FaultMode, FaultSpec};
-use crate::engine::{Advance, ArcChoice, EngineCfg, EnginePacket, EngineSpec, Spawn};
+use crate::engine::{Advance, ArcArrivals, ArcChoice, EngineCfg, EnginePacket, EngineSpec, Spawn};
 use crate::metrics::MetricsCollector;
 use crate::packet::sample_flip_mask;
 use crate::scenario::{GraphExt, OutcomeExt, ReportExt, RingExt, Scenario, StretchExt};
@@ -469,13 +471,6 @@ impl FaultState {
     }
 }
 
-/// Count an in-window packet arrival on `arc` (saturating at `u32::MAX`).
-#[inline]
-fn count_arrival(arc_arrivals: &mut [u32], arc: usize) {
-    let c = &mut arc_arrivals[arc];
-    *c = c.saturating_add(1);
-}
-
 /// The engine's choice of `arc`, whose routing word is its head node —
 /// read from the row `next_arc` (or the fallback) just scanned.
 #[inline]
@@ -550,10 +545,12 @@ struct StretchTally {
     excess_sum: i64,
 }
 
-/// How a [`GraphSpec`] renders its per-topology report extension:
+/// How a [`GraphSpec`] renders its per-topology report extension from
+/// the spec, the run's collector and the engine's per-arc arrival counts:
 /// [`graph_ext`], [`sparse_ext`], or a topology's own (the plain ring's
 /// byte-compatible `RingExt`).
-pub type ExtBuilder<T> = fn(&GraphSpec<T>, &EngineCfg, &MetricsCollector) -> ReportExt;
+pub type ExtBuilder<T> =
+    fn(&GraphSpec<T>, &EngineCfg, &MetricsCollector, ArcArrivals<'_>) -> ReportExt;
 
 /// The blanket per-topology half of the generic engine: routing delegated
 /// to `T`'s [`RoutingTopology`] impl, destination law, fault mask and
@@ -564,12 +561,6 @@ pub struct GraphSpec<T: RoutingTopology> {
     dest: GraphDestination,
     faults: Option<FaultState>,
     ext: ExtBuilder<T>,
-    /// In-window packet arrivals per dense arc index (feeds the
-    /// per-direction ring rates and the [`GraphExt`] rate summary).
-    /// Allocated zeroed, so the OS pages it in only as arcs are counted.
-    /// The counters saturate: a window long enough to overflow one arc
-    /// 4 × 10⁹ times pins it at `u32::MAX` instead of wrapping.
-    arc_arrivals: Vec<u32>,
     dropped_in_window: u64,
     /// Whether the scenario asked for the stretch extension (tallying is
     /// cheap and always on; this gates emission only).
@@ -608,7 +599,6 @@ impl<T: RoutingTopology> GraphSpec<T> {
             .as_ref()
             .map(|f| FaultState::build(&topo, f, s.run.horizon));
         GraphSpec {
-            arc_arrivals: vec![0; topo.num_arcs()],
             dropped_in_window: 0,
             stretch_on: s.workload.stretch.unwrap_or(false),
             outcomes: OutcomeTally::default(),
@@ -672,7 +662,6 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
     fn choose_arc(
         &mut self,
         t: f64,
-        in_window: bool,
         node: u32,
         pkt: &mut GraphPacket,
         _route_rng: &mut SimRng,
@@ -713,9 +702,6 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
                             }
                             pkt.tries += 1;
                         }
-                        if in_window {
-                            count_arrival(&mut self.arc_arrivals, arc);
-                        }
                         take(topo, arc)
                     }
                 };
@@ -731,11 +717,7 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
             None => true,
         };
         if !blocked {
-            let arc = greedy.expect("unblocked implies a greedy arc");
-            if in_window {
-                count_arrival(&mut self.arc_arrivals, arc);
-            }
-            return take(topo, arc);
+            return take(topo, greedy.expect("unblocked implies a greedy arc"));
         }
 
         // Greedy unavailable — dead arc or stall. Consult the fallback.
@@ -769,9 +751,6 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
         match recovery {
             Some((arc, paid)) => {
                 pkt.tries += paid as u16;
-                if in_window {
-                    count_arrival(&mut self.arc_arrivals, arc);
-                }
                 take(topo, arc)
             }
             None => {
@@ -805,10 +784,7 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
         }
     }
 
-    fn note_deliver(&mut self, pkt: &GraphPacket, in_window: bool) {
-        if !in_window {
-            return;
-        }
+    fn note_deliver(&mut self, pkt: &GraphPacket) {
         if pkt.state & ESCAPE_STICKY != 0 {
             self.outcomes.recovered += 1;
             self.outcomes.escape_hops += pkt.tries as u64;
@@ -847,8 +823,13 @@ impl<T: RoutingTopology> EngineSpec for GraphSpec<T> {
         pkt.state & ESCAPE_DEPTH != 0
     }
 
-    fn ext(&self, cfg: &EngineCfg, collector: &MetricsCollector) -> ReportExt {
-        (self.ext)(self, cfg, collector)
+    fn ext(
+        &self,
+        cfg: &EngineCfg,
+        collector: &MetricsCollector,
+        arrivals: ArcArrivals<'_>,
+    ) -> ReportExt {
+        (self.ext)(self, cfg, collector, arrivals)
     }
 }
 
@@ -860,14 +841,15 @@ fn assemble<T: RoutingTopology>(
     spec: &GraphSpec<T>,
     cfg: &EngineCfg,
     collector: &MetricsCollector,
+    arrivals: ArcArrivals<'_>,
     emit_outcomes: bool,
 ) -> GraphExt {
     let span = cfg.horizon - cfg.warmup;
     let arcs = spec.topo.num_arcs() as u64;
     let dead_arcs = spec.faults.as_ref().map_or(0, |f| f.dead_count);
     let live = arcs - dead_arcs;
-    let total: u64 = spec.arc_arrivals.iter().map(|&c| c as u64).sum();
-    let max = spec.arc_arrivals.iter().copied().max().unwrap_or(0);
+    let total: u64 = arrivals.clone().map(u64::from).sum();
+    let max = arrivals.max().unwrap_or(0);
     let delivered_measured = collector.delivered_measured();
     let dropped_measured = spec.dropped_in_window;
     let measured = delivered_measured + dropped_measured;
@@ -924,12 +906,13 @@ pub fn graph_ext<T: RoutingTopology>(
     spec: &GraphSpec<T>,
     cfg: &EngineCfg,
     collector: &MetricsCollector,
+    arrivals: ArcArrivals<'_>,
 ) -> ReportExt {
     let emit = spec
         .faults
         .as_ref()
         .is_some_and(|f| matches!(f.fallback, FaultFallback::Escape { .. }));
-    ReportExt::Graph(assemble(spec, cfg, collector, emit))
+    ReportExt::Graph(assemble(spec, cfg, collector, arrivals, emit))
 }
 
 /// The sparse-topology extension builder: identical to [`graph_ext`]
@@ -939,24 +922,26 @@ pub fn sparse_ext<T: RoutingTopology>(
     spec: &GraphSpec<T>,
     cfg: &EngineCfg,
     collector: &MetricsCollector,
+    arrivals: ArcArrivals<'_>,
 ) -> ReportExt {
-    ReportExt::Graph(assemble(spec, cfg, collector, true))
+    ReportExt::Graph(assemble(spec, cfg, collector, arrivals, true))
 }
 
 /// The plain ring's byte-compatible extension builder: identical numbers
 /// to the retired hand-written `RingSpec` (the per-direction arrival sums
-/// fall out of the per-arc counters — even dense indices are clockwise
-/// on bidirectional rings).
+/// fall out of the engine's per-arc counts — even dense indices are
+/// clockwise on bidirectional rings).
 pub(crate) fn ring_ext(
     spec: &GraphSpec<Ring>,
     cfg: &EngineCfg,
     collector: &MetricsCollector,
+    arrivals: ArcArrivals<'_>,
 ) -> ReportExt {
     let ring = spec.topo;
     let span = cfg.horizon - cfg.warmup;
     let arcs_per_direction = ring.num_nodes() as f64;
     let (mut cw, mut ccw) = (0u64, 0u64);
-    for (arc, &count) in spec.arc_arrivals.iter().enumerate() {
+    for (arc, count) in arrivals.enumerate() {
         if !ring.bidirectional() || arc & 1 == 0 {
             cw += count as u64;
         } else {
@@ -994,18 +979,6 @@ mod tests {
 
     fn graph(r: &Report) -> &GraphExt {
         r.graph().expect("graph extension")
-    }
-
-    #[test]
-    fn arc_arrival_counters_saturate_instead_of_wrapping() {
-        // Force a counter to the brink, then over it: it must pin at
-        // u32::MAX, not wrap to 0.
-        let mut arc_arrivals = vec![0u32; 4];
-        arc_arrivals[2] = u32::MAX - 1;
-        count_arrival(&mut arc_arrivals, 2);
-        assert_eq!(arc_arrivals[2], u32::MAX);
-        count_arrival(&mut arc_arrivals, 2);
-        assert_eq!(arc_arrivals, [0, 0, u32::MAX, 0], "must saturate, not wrap");
     }
 
     #[test]

@@ -10,17 +10,19 @@
 //!
 //! Everything event-loop-shaped, and the common report fields, live in
 //! [`crate::engine`]; this module is only the hypercube's routing law
-//! ([`HypercubeSpec`]), its per-dimension statistics, and its
-//! [`HypercubeExt`] report extension. [`crate::scenario::Scenario`] runs
+//! ([`HypercubeSpec`]), its per-dimension occupancy, and its
+//! [`HypercubeExt`] report extension, whose per-dimension arc rates sum
+//! the engine's per-arc arrival counts. [`crate::scenario::Scenario`] runs
 //! a fault-free [`Topology::Hypercube`] as an
 //! [`Engine`](crate::engine::Engine) over this spec.
 
 use crate::config::{DestinationSpec, Scheme};
-use crate::engine::{Advance, ArcChoice, EngineCfg, EnginePacket, EngineSpec, Spawn};
+use crate::engine::{Advance, ArcArrivals, ArcChoice, EngineCfg, EnginePacket, EngineSpec, Spawn};
 use crate::metrics::MetricsCollector;
 use crate::packet::{next_dim, sample_flip_mask, MaskSampler, Packet, NO_SECOND_LEG};
 use crate::scenario::{HypercubeExt, ReportExt, Scenario, Topology};
 use hyperroute_desim::{SimRng, TimeIntegral};
+use hyperroute_topology::HypercubeArc;
 
 impl EnginePacket for Packet {
     #[inline]
@@ -57,7 +59,6 @@ pub struct HypercubeSpec {
     mask_sampler: Option<MaskSampler>,
     warmup: f64,
     horizon: f64,
-    dim_arrivals: Vec<u64>,
     /// Time-weighted total occupancy per dimension (all 2^d arcs pooled).
     dim_occupancy: Vec<TimeIntegral>,
     dim_occ_reset_done: bool,
@@ -83,7 +84,6 @@ impl HypercubeSpec {
             mask_sampler,
             warmup: s.run.warmup,
             horizon: s.run.horizon,
-            dim_arrivals: vec![0; dim],
             dim_occupancy: (0..dim).map(|_| TimeIntegral::new(0.0, 0.0)).collect(),
             dim_occ_reset_done: s.run.warmup == 0.0,
         }
@@ -157,7 +157,6 @@ impl EngineSpec for HypercubeSpec {
     fn choose_arc(
         &mut self,
         t: f64,
-        in_window: bool,
         node: u32,
         pkt: &mut Packet,
         route_rng: &mut SimRng,
@@ -165,9 +164,6 @@ impl EngineSpec for HypercubeSpec {
         debug_assert!(pkt.remaining != 0);
         let dim = next_dim(self.scheme, pkt.remaining, route_rng);
         pkt.remaining &= !(1u32 << dim);
-        if in_window {
-            self.dim_arrivals[dim] += 1;
-        }
         self.bump_dim_occupancy(t, dim, 1.0);
         ArcChoice::Arc {
             arc: (node as usize * self.dim + dim) as u32,
@@ -198,17 +194,23 @@ impl EngineSpec for HypercubeSpec {
         }
     }
 
-    fn note_deliver(&mut self, _pkt: &Packet, _in_window: bool) {}
-
-    fn ext(&self, cfg: &EngineCfg, collector: &MetricsCollector) -> ReportExt {
+    fn ext(
+        &self,
+        cfg: &EngineCfg,
+        collector: &MetricsCollector,
+        arrivals: ArcArrivals<'_>,
+    ) -> ReportExt {
         let span = cfg.horizon - cfg.warmup;
         let arcs_per_dim = (1usize << self.dim) as f64;
+        let mut per_dim = vec![0u64; self.dim];
+        for (arc, count) in arrivals.enumerate() {
+            per_dim[HypercubeArc::from_index(arc, self.dim).dim] += u64::from(count);
+        }
         ReportExt::Hypercube(HypercubeExt {
             rho: cfg.lambda * self.p,
             mean_hops: collector.mean_hops(),
             zero_hop_fraction: collector.zero_hop_fraction(),
-            per_dim_arc_rate: self
-                .dim_arrivals
+            per_dim_arc_rate: per_dim
                 .iter()
                 .map(|&c| c as f64 / (span * arcs_per_dim))
                 .collect(),
@@ -245,7 +247,6 @@ mod tests {
 
     #[test]
     fn chosen_routing_words_match_the_topology_arcs() {
-        use hyperroute_topology::HypercubeArc;
         let dim = 5;
         let mut spec = HypercubeSpec::new(
             &Scenario::builder(Topology::Hypercube { dim })
@@ -256,8 +257,7 @@ mod tests {
         for node in 0..1u32 << dim {
             for d in 0..dim {
                 let mut pkt = Packet::new(0.0, 1 << d, NO_SECOND_LEG);
-                let ArcChoice::Arc { arc, meta } =
-                    spec.choose_arc(0.0, false, node, &mut pkt, &mut rng)
+                let ArcChoice::Arc { arc, meta } = spec.choose_arc(0.0, node, &mut pkt, &mut rng)
                 else {
                     panic!("the hypercube never drops");
                 };

@@ -15,26 +15,28 @@
 //! # Architecture: one generic engine, thin topology specs
 //!
 //! The event loop lives **once**, in [`engine`]: a monomorphised
-//! `Engine<Spec>` owns one `u32` of state per arc (idle, busy, or the
-//! handle of the arc's waiting list in the shared slab packet
-//! [`pool`]), the list of pending service completions (a unit-service
-//! FIFO, or the reference heap), the contention policies, warm-up
-//! truncation, drain control, metrics and the observer taps. What a
-//! topology contributes is an [`engine::EngineSpec`] — its packet
-//! representation, destination law, next-arc choice (with the chosen
-//! arc's routing word, which rides in the completion entry) and
-//! per-topology statistics. The current instantiations:
+//! `Engine<Spec>` owns one 8-byte record per arc (a state word — idle,
+//! busy, or the handle of the arc's waiting list in the shared slab
+//! packet [`pool`] — and the arc's in-window arrival count), the list
+//! of pending service completions (a unit-service FIFO, or the
+//! reference heap), the contention policies, warm-up truncation, drain
+//! control, metrics and the observer taps. What a topology contributes
+//! is an [`engine::EngineSpec`] — its packet representation,
+//! destination law, next-arc choice (with the chosen arc's routing
+//! word, which rides in the completion entry) and per-topology
+//! statistics. The current instantiations:
 //!
 //! | module | spec | the paper's name |
 //! |---|---|---|
-//! | [`hypercube_sim`] | schemes over XOR masks, per-dimension stats | §3 |
-//! | [`butterfly_sim`] | unique levelled paths, per-level stats | §4 |
+//! | [`hypercube_sim`] | schemes over XOR masks, per-dimension occupancy | §3 |
+//! | [`butterfly_sim`] | unique levelled paths, vertical-hop tally | §4 |
 //! | [`graph_sim`] | **any** `RoutingTopology` as pure data | ring (Papillon), torus, de Bruijn, the generated sparse graphs |
 //!
 //! Each spec also renders its report extension
-//! ([`engine::EngineSpec::ext`]); the [`metrics::MetricsCollector`] fills
-//! the common [`scenario::Report`] fields, and `Engine<Spec>` itself is
-//! the [`scenario::Simulator`] a scenario runs.
+//! ([`engine::EngineSpec::ext`]), whose arc-rate fields sum the engine's
+//! per-arc arrival counts; the [`metrics::MetricsCollector`] fills the
+//! common [`scenario::Report`] fields, and `Engine<Spec>` itself is the
+//! [`scenario::Simulator`] a scenario runs.
 //!
 //! Two simulators deliberately stay off the generic engine:
 //! [`equivalent_network`] (per-*server* PS service with positional

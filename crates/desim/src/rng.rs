@@ -49,15 +49,6 @@ impl SimRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Bernoulli trial with success probability `p`.
-    #[inline]
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        debug_assert!((0.0..=1.0).contains(&p));
-        // Strict inequality: p == 0 never succeeds, p == 1 always does
-        // (uniform01 < 1.0 is guaranteed).
-        self.uniform01() < p
-    }
-
     /// Exponential variate with the given `rate` (mean `1/rate`).
     ///
     /// Inverse-CDF transform; uses `1 - U ∈ (0, 1]` so `ln` never sees 0.
@@ -185,15 +176,6 @@ mod tests {
         let n = 100_000;
         let tail = (0..n).filter(|_| rng.exp(rate) > 1.0).count() as f64 / n as f64;
         assert!((tail - (-1.0f64).exp()).abs() < 0.01);
-    }
-
-    #[test]
-    fn bernoulli_extremes_and_mean() {
-        let mut rng = SimRng::new(3);
-        assert!(!(0..1000).any(|_| rng.bernoulli(0.0)));
-        assert!((0..1000).all(|_| rng.bernoulli(1.0)));
-        let hits = (0..100_000).filter(|_| rng.bernoulli(0.3)).count() as f64;
-        assert!((hits / 100_000.0 - 0.3).abs() < 0.01);
     }
 
     #[test]

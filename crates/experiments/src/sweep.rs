@@ -1,13 +1,5 @@
 //! Parameter grids used across experiments.
 
-/// Evenly spaced grid of `n ≥ 2` points over `[lo, hi]` inclusive.
-pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2 && hi > lo);
-    (0..n)
-        .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-        .collect()
-}
-
 /// The standard load-factor grid for delay sweeps (stays below 1).
 pub fn rho_grid_standard() -> Vec<f64> {
     vec![0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95]
@@ -16,11 +8,6 @@ pub fn rho_grid_standard() -> Vec<f64> {
 /// A load-factor grid straddling the ρ = 1 stability boundary.
 pub fn rho_grid_boundary() -> Vec<f64> {
     vec![0.7, 0.8, 0.9, 0.95, 1.05, 1.1, 1.2, 1.3]
-}
-
-/// Heavy-traffic grid (approaching 1 from below).
-pub fn rho_grid_heavy() -> Vec<f64> {
-    vec![0.9, 0.95, 0.98, 0.99]
 }
 
 /// Cartesian product of two slices.
@@ -33,12 +20,6 @@ pub fn cartesian<A: Clone, B: Clone>(xs: &[A], ys: &[B]) -> Vec<(A, B)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linspace_endpoints() {
-        let g = linspace(0.0, 1.0, 5);
-        assert_eq!(g, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
-    }
 
     #[test]
     fn standard_grid_is_stable_region() {

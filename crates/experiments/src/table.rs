@@ -94,32 +94,6 @@ impl Table {
         out
     }
 
-    /// CSV rendering.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .columns
-                .iter()
-                .map(|c| esc(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Value of cell `(row, col)` parsed as `f64` (test helper).
     pub fn cell_f64(&self, row: usize, col: usize) -> f64 {
         self.rows[row][col].trim().parse().unwrap_or_else(|_| {
@@ -192,13 +166,6 @@ mod tests {
         assert!(s.contains("| a | b |"));
         assert!(s.contains("| 1 | 2.5 |"));
         assert!(s.starts_with("### demo"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let s = sample().to_csv();
-        assert!(s.contains("\"x,y\""));
-        assert!(s.starts_with("a,b\n"));
     }
 
     #[test]

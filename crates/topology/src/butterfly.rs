@@ -114,23 +114,6 @@ impl Butterfly {
         })
     }
 
-    /// The two out-neighbours of `[row; level]` for `level < d`:
-    /// `(straight, vertical)`.
-    #[inline]
-    pub fn out_neighbors(self, node: ButterflyNode) -> (ButterflyNode, ButterflyNode) {
-        debug_assert!(node.level < self.dim);
-        (
-            ButterflyNode {
-                row: node.row,
-                level: node.level + 1,
-            },
-            ButterflyNode {
-                row: node.row.flip(node.level),
-                level: node.level + 1,
-            },
-        )
-    }
-
     /// The unique path from `[src_row; 0]` to `[dst_row; d]`.
     ///
     /// At level `j` the packet takes the vertical arc iff bit `j` of the
@@ -208,20 +191,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_dim_rejected() {
         Butterfly::new(0);
-    }
-
-    #[test]
-    fn out_neighbors_structure() {
-        let b = Butterfly::new(3);
-        let n = ButterflyNode {
-            row: NodeId(0b010),
-            level: 1,
-        };
-        let (s, v) = b.out_neighbors(n);
-        assert_eq!(s.row, NodeId(0b010));
-        assert_eq!(s.level, 2);
-        assert_eq!(v.row, NodeId(0b000));
-        assert_eq!(v.level, 2);
     }
 
     #[test]

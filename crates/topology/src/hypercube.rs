@@ -63,13 +63,6 @@ impl Hypercube {
         (0..self.num_nodes()).map(|v| NodeId(v as u64))
     }
 
-    /// The neighbour of `node` across dimension `dim`.
-    #[inline]
-    pub fn neighbor(self, node: NodeId, dim: usize) -> NodeId {
-        debug_assert!(dim < self.dim);
-        node.flip(dim)
-    }
-
     /// Iterator over the `d` neighbours of `node` in dimension order.
     pub fn neighbors(self, node: NodeId) -> impl ExactSizeIterator<Item = NodeId> {
         (0..self.dim).map(move |j| node.flip(j))

@@ -53,18 +53,6 @@ impl NodeId {
             rest: self.0 ^ other.0,
         }
     }
-
-    /// Number of trailing coordinate bits equal between the nodes; i.e. the
-    /// first dimension the greedy scheme would have to cross, if any.
-    #[inline]
-    pub fn first_differing_dim(self, other: NodeId) -> Option<usize> {
-        let x = self.0 ^ other.0;
-        if x == 0 {
-            None
-        } else {
-            Some(x.trailing_zeros() as usize)
-        }
-    }
 }
 
 impl std::fmt::Debug for NodeId {
@@ -163,13 +151,6 @@ mod tests {
         // Increasing order is the defining property of the canonical path.
         assert!(dims.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(dims.len() as u32, x.hamming(z));
-    }
-
-    #[test]
-    fn first_differing_dim_cases() {
-        assert_eq!(NodeId(5).first_differing_dim(NodeId(5)), None);
-        assert_eq!(NodeId(0).first_differing_dim(NodeId(0b100)), Some(2));
-        assert_eq!(NodeId(0b1).first_differing_dim(NodeId(0b0)), Some(0));
     }
 
     #[test]

@@ -206,6 +206,135 @@ fn time_series_probe_does_not_change_reports() {
     assert!(samples.windows(2).all(|w| w[0].0 < w[1].0));
 }
 
+/// Counts each arc's `on_hop` calls at `warmup <= t < horizon`: the
+/// packets that joined the arc inside the measurement window.
+struct WindowHops {
+    warmup: f64,
+    horizon: f64,
+    per_arc: Vec<u64>,
+}
+
+impl Observer for WindowHops {
+    fn on_hop(&mut self, t: f64, _packet_id: u64, _node: u32, arc: u32, _queue_depth: u32) {
+        if self.warmup <= t && t < self.horizon {
+            let arc = arc as usize;
+            if arc >= self.per_arc.len() {
+                self.per_arc.resize(arc + 1, 0);
+            }
+            self.per_arc[arc] += 1;
+        }
+    }
+}
+
+/// Every rate field of every corpus report on the packet engine is
+/// exactly the in-window hops an observer saw: each count recovered from
+/// the report as `(rate · span · arcs).round()` equals the observer's
+/// count over the same arcs (Prop. 5's per-dimension rates, Prop. 15's
+/// per-level rates, the ring's per-direction rates and the graph rate
+/// summary).
+#[test]
+fn every_corpus_rate_field_counts_the_in_window_hops() {
+    use hyperroute::topology::{ArcKind, ButterflyArc, HypercubeArc, RingDirection};
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("scenario directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    let mut kinds = std::collections::BTreeSet::new();
+    for path in &paths {
+        let text = std::fs::read_to_string(path).expect("readable scenario");
+        let scenario = Scenario::from_json(&text).expect("corpus scenario parses");
+        if matches!(
+            scenario.topology,
+            Topology::EqNet { .. } | Topology::Pipelined { .. }
+        ) {
+            continue;
+        }
+        let mut hops = WindowHops {
+            warmup: scenario.run.warmup,
+            horizon: scenario.run.horizon,
+            per_arc: Vec::new(),
+        };
+        let report = scenario.run_observed(&mut hops).expect("scenario runs");
+        let span = scenario.run.horizon - scenario.run.warmup;
+        let counted = |rate: f64, arcs: f64| (rate * span * arcs).round() as u64;
+        // The observer's count over the arcs `select` keeps.
+        let seen = |select: &dyn Fn(usize) -> bool| -> u64 {
+            (hops.per_arc.iter().enumerate())
+                .filter(|&(arc, _)| select(arc))
+                .map(|(_, &n)| n)
+                .sum()
+        };
+        let name = path.display();
+        match &report.ext {
+            ReportExt::Hypercube(ext) => {
+                let d = ext.per_dim_arc_rate.len();
+                let arcs_per_dim = (1u64 << d) as f64;
+                for (dim, &rate) in ext.per_dim_arc_rate.iter().enumerate() {
+                    let observed = seen(&|arc| HypercubeArc::from_index(arc, d).dim == dim);
+                    assert_eq!(counted(rate, arcs_per_dim), observed, "{name} dim {dim}");
+                }
+                kinds.insert("hypercube");
+            }
+            ReportExt::Butterfly(ext) => {
+                let d = ext.straight_rate_per_level.len();
+                let arcs_per_level = (1u64 << d) as f64;
+                for (kind, rates) in [
+                    (ArcKind::Straight, &ext.straight_rate_per_level),
+                    (ArcKind::Vertical, &ext.vertical_rate_per_level),
+                ] {
+                    for (level, &rate) in rates.iter().enumerate() {
+                        let observed = seen(&|arc| {
+                            let a = ButterflyArc::from_index(arc, d);
+                            (a.kind, a.level) == (kind, level)
+                        });
+                        let recovered = counted(rate, arcs_per_level);
+                        assert_eq!(recovered, observed, "{name} {kind:?} level {level}");
+                    }
+                }
+                kinds.insert("butterfly");
+            }
+            ReportExt::Ring(ext) => {
+                let Topology::Ring {
+                    nodes,
+                    bidirectional,
+                } = scenario.topology
+                else {
+                    panic!("{name}: a ring report from another topology");
+                };
+                let ring = Ring::new(nodes, bidirectional);
+                for (direction, rate) in [
+                    (RingDirection::Clockwise, ext.clockwise_arc_rate),
+                    (
+                        RingDirection::CounterClockwise,
+                        ext.counter_clockwise_arc_rate,
+                    ),
+                ] {
+                    let observed = seen(&|arc| ring.arc_from_index(arc).1 == direction);
+                    let recovered = counted(rate, nodes as f64);
+                    assert_eq!(recovered, observed, "{name} {direction:?}");
+                }
+                kinds.insert("ring");
+            }
+            ReportExt::Graph(ext) => {
+                let live = (ext.arcs - ext.dead_arcs) as f64;
+                assert_eq!(counted(ext.mean_arc_rate, live), seen(&|_| true), "{name}");
+                let busiest = hops.per_arc.iter().copied().max().unwrap_or(0);
+                assert_eq!(counted(ext.max_arc_rate, 1.0), busiest, "{name}");
+                kinds.insert("graph");
+            }
+            _ => panic!("{name}: no packet-engine report extension"),
+        }
+    }
+    assert_eq!(
+        kinds.into_iter().collect::<Vec<_>>(),
+        ["butterfly", "graph", "hypercube", "ring"],
+        "every rate-bearing extension is checked"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Serde round-trips.
 // ---------------------------------------------------------------------
